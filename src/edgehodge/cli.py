@@ -2,8 +2,8 @@
 
 Subcommands: ih, weights, spectral, fibre-spec, cone-lab, complete,
 verify, list, run.  Exit codes: 0 success, 2 configuration problems
-(unknown space, malformed config), 3 model invariant violations,
-4 verification failures.  ``--out`` writes the machine-readable JSON
+(unknown space, malformed config or model file), 3 model invariant
+violations, 4 verification failures.  ``--out`` writes the machine-readable JSON
 report next to the human-readable tables on stdout.
 """
 

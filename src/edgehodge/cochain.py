@@ -7,9 +7,17 @@ explicit matrices between adjacent degrees; empty degrees have
 dimension 0 and the differentials off the ends are zero matrices of the
 appropriate shapes.
 
+Matrices are stored sparsely.  ``QMatrix.sparse_rows`` holds one
+``{column: value}`` dict per row with zeros omitted; values are Python
+ints wherever they are integral, and ``Fraction`` appears only where
+``kernel_basis`` and ``solve_columns`` produce true rationals.  The
+matrices of the engine are over 98% zero, so every operation works on
+the nonzeros only.  ``QMatrix.entries`` is a dense row-major view built
+on demand, for tests and oracles; nothing in the engine reads it.
+
 Values are immutable after construction (the only mutation is internal
-memoisation of ranks), and every operation is a pure function, so
-concurrent read-only use from several threads is safe.
+memoisation of ranks), and every operation is a pure function.  The row
+dicts are shared between matrices and are never modified in place.
 """
 
 from __future__ import annotations
@@ -20,45 +28,67 @@ from typing import Iterable, Sequence
 from edgehodge import elim
 from edgehodge.errors import (
     ChainMapError,
+    ModelFormatError,
     ShapeMismatchError,
     UnverifiedComplexError,
 )
 
 Rational = Fraction | int
+SparseRow = dict[int, Rational]
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _exact(x) -> Rational:
+    """Normalise an exact rational: integral values become ints."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return _exact(Fraction(x))
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class QMatrix:
-    """Immutable matrix of exact rationals."""
+def _sparse(rows: int, cols: int, sparse_rows: tuple[SparseRow, ...]) -> "QMatrix":
+    """Wrap trusted sparse rows (right length, normalised, no zeros)."""
+    m = object.__new__(QMatrix)
+    m.rows = rows
+    m.cols = cols
+    m.sparse_rows = sparse_rows
+    m._rank = None
+    return m
 
-    __slots__ = ("rows", "cols", "entries", "_rank")
+
+class QMatrix:
+    """Immutable sparse matrix of exact rationals.
+
+    Construct from dense rows; ``sparse_rows`` is the stored form.
+    """
+
+    __slots__ = ("rows", "cols", "sparse_rows", "_rank")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Iterable[Rational]]):
         self.rows = rows
         self.cols = cols
-        ents = tuple(tuple(_frac(x) for x in row) for row in entries)
-        if len(ents) != rows or any(len(r) != cols for r in ents):
+        out = []
+        for row in entries:
+            vals = [_exact(x) for x in row]
+            if len(vals) != cols:
+                raise ShapeMismatchError(f"entries do not form a {rows}x{cols} matrix")
+            out.append({j: v for j, v in enumerate(vals) if v})
+        if len(out) != rows:
             raise ShapeMismatchError(f"entries do not form a {rows}x{cols} matrix")
-        self.entries = ents
+        self.sparse_rows = tuple(out)
         self._rank = None
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "QMatrix":
-        z = Fraction(0)
-        return QMatrix(rows, cols, ((z,) * cols for _ in range(rows)))
+        return _sparse(rows, cols, ({},) * rows)
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix(n, n, ((Fraction(int(i == j)) for j in range(n)) for i in range(n)))
+        return _sparse(n, n, tuple({i: 1} for i in range(n)))
 
     @staticmethod
     def from_rows(entries: Sequence[Sequence[Rational]], cols: int | None = None) -> "QMatrix":
@@ -67,90 +97,109 @@ class QMatrix:
             cols = len(entries[0]) if rows else 0
         return QMatrix(rows, cols, entries)
 
+    @property
+    def entries(self) -> tuple[tuple[Rational, ...], ...]:
+        """Dense row-major view, rebuilt on every access."""
+        out = []
+        for r in self.sparse_rows:
+            row = [0] * self.cols
+            for c, v in r.items():
+                row[c] = v
+            out.append(tuple(row))
+        return tuple(out)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(r.items()) for r in self.sparse_rows)))
 
     def __repr__(self):
         return f"QMatrix({self.rows}x{self.cols})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.sparse_rows)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, ((-x for x in row) for row in self.entries))
+        return _sparse(self.rows, self.cols,
+                       tuple({c: -v for c, v in r.items()} for r in self.sparse_rows))
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatchError("matrix addition shape mismatch")
-        return QMatrix(
-            self.rows,
-            self.cols,
-            ((a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
+        out = []
+        for r1, r2 in zip(self.sparse_rows, other.sparse_rows):
+            acc = dict(r1)
+            for c, v in r2.items():
+                w = _exact(acc.get(c, 0) + v)
+                if w:
+                    acc[c] = w
+                else:
+                    del acc[c]
+            out.append(acc)
+        return _sparse(self.rows, self.cols, tuple(out))
 
     def scale(self, c: Rational) -> "QMatrix":
-        c = _frac(c)
-        return QMatrix(self.rows, self.cols, ((c * x for x in row) for row in self.entries))
+        c = _exact(c)
+        if not c:
+            return QMatrix.zeros(self.rows, self.cols)
+        return _sparse(self.rows, self.cols, tuple(
+            {j: _exact(c * v) for j, v in r.items()} for r in self.sparse_rows))
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ShapeMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # sparse-aware accumulation: most entries in practice are zero
-        other_nz = [
-            [(j, v) for j, v in enumerate(row) if v] for row in other.entries
-        ]
-        zero = Fraction(0)
+        orows = other.sparse_rows
         out = []
-        for row in self.entries:
-            acc = [zero] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in other_nz[k]:
-                        acc[j] += a * b
-            out.append(acc)
-        return QMatrix(self.rows, other.cols, out)
+        for row in self.sparse_rows:
+            acc: SparseRow = {}
+            for k, a in row.items():
+                for j, b in orows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: _exact(v) for j, v in acc.items() if v})
+        return _sparse(self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows, zip(*self.entries)) if self.rows else QMatrix(
-            self.cols, 0, ((),) * self.cols
-        )
+        out: list[SparseRow] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.sparse_rows):
+            for c, v in r.items():
+                out[c][i] = v
+        return _sparse(self.cols, self.rows, tuple(out))
 
     def kron(self, other: "QMatrix") -> "QMatrix":
+        bc = other.cols
+        bitems = [tuple(r.items()) for r in other.sparse_rows]
         out = []
-        for arow in self.entries:
-            for brow in other.entries:
-                out.append([a * b for a in arow for b in brow])
-        return QMatrix(self.rows * other.rows, self.cols * other.cols, out)
+        for arow in self.sparse_rows:
+            aitems = [(ca * bc, a) for ca, a in arow.items()]
+            for brow in bitems:
+                out.append({off + cb: _exact(a * b) for off, a in aitems for cb, b in brow})
+        return _sparse(self.rows * other.rows, self.cols * bc, tuple(out))
 
     def rank(self) -> int:
         if self._rank is None:
             if self.rows == 0 or self.cols == 0:
                 self._rank = 0
             else:
-                self._rank = elim.rank_fraction_rows(self.entries)
+                self._rank = elim.rank_sparse([dict(r) for r in self.sparse_rows])
         return self._rank
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
+    def column(self, j: int) -> tuple[Rational, ...]:
+        return tuple(r.get(j, 0) for r in self.sparse_rows)
 
 
 def block_matrix(blocks: Sequence[Sequence[QMatrix | None]],
                  row_dims: Sequence[int], col_dims: Sequence[int]) -> QMatrix:
     """Assemble a block matrix; None blocks are zero."""
-    rows = sum(row_dims)
-    cols = sum(col_dims)
-    zero = Fraction(0)
-    out = [[zero] * cols for _ in range(rows)]
+    out: list[SparseRow] = [{} for _ in range(sum(row_dims))]
     r0 = 0
     for bi, rd in enumerate(row_dims):
         c0 = 0
@@ -161,14 +210,12 @@ def block_matrix(blocks: Sequence[Sequence[QMatrix | None]],
                     raise ShapeMismatchError(
                         f"block ({bi},{bj}) is {blk.rows}x{blk.cols}, wanted {rd}x{cd}"
                     )
-                for i, row in enumerate(blk.entries):
-                    orow = out[r0 + i]
-                    for j, v in enumerate(row):
-                        if v:
-                            orow[c0 + j] = v
+                for i, row in enumerate(blk.sparse_rows):
+                    if row:
+                        out[r0 + i].update(zip(map(c0.__add__, row), row.values()))
             c0 += cd
         r0 += rd
-    return QMatrix(rows, cols, out)
+    return _sparse(len(out), sum(col_dims), tuple(out))
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -196,39 +243,42 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
+def _fraction_rows(mat: QMatrix) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in mat.entries]
+
+
 def kernel_basis(mat: QMatrix) -> QMatrix:
     """Matrix whose columns form a basis of the null space of ``mat``."""
     if mat.cols == 0:
         return QMatrix.zeros(0, 0)
     if mat.rows == 0:
         return QMatrix.identity(mat.cols)
-    rows, pivots = _rref([list(r) for r in mat.entries])
-    free = [j for j in range(mat.cols) if j not in pivots]
-    cols = []
-    for f in free:
-        v = [Fraction(0)] * mat.cols
-        v[f] = Fraction(1)
+    rows, pivots = _rref(_fraction_rows(mat))
+    pivot_set = set(pivots)
+    free = [j for j in range(mat.cols) if j not in pivot_set]
+    out: list[SparseRow] = [{} for _ in range(mat.cols)]
+    for k, f in enumerate(free):
+        out[f][k] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][f]
-        cols.append(v)
-    return QMatrix(mat.cols, len(cols), zip(*cols)) if cols else QMatrix.zeros(mat.cols, 0)
+            if rows[r][f]:
+                out[pc][k] = _exact(-rows[r][f])
+    return _sparse(mat.cols, len(free), tuple(out))
 
 
 def solve_columns(a: QMatrix, b: QMatrix) -> QMatrix:
     """Solve a X = b where a has full column rank and the system is consistent."""
     if a.rows != b.rows:
         raise ShapeMismatchError("solve_columns: row mismatch")
-    aug = [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)]
+    aug = [ra + rb for ra, rb in zip(_fraction_rows(a), _fraction_rows(b))]
     rows, pivots = _rref(aug)
     if any(p >= a.cols for p in pivots):
         raise ShapeMismatchError("solve_columns: inconsistent system")
     if len(pivots) != a.cols:
         raise ShapeMismatchError("solve_columns: matrix does not have full column rank")
-    x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    x: list[SparseRow] = [{} for _ in range(a.cols)]
     for r, pc in enumerate(pivots):
-        for j in range(b.cols):
-            x[pc][j] = rows[r][a.cols + j]
-    return QMatrix(a.cols, b.cols, x)
+        x[pc] = {j: _exact(v) for j, v in enumerate(rows[r][a.cols:]) if v}
+    return _sparse(a.cols, b.cols, tuple(x))
 
 
 class CochainComplex:
@@ -347,7 +397,7 @@ class ComplexMap:
         for k in range(top + 1):
             lhs = self.target.d_at(k) @ self.at(k)
             rhs = self.at(k + 1) @ self.source.d_at(k)
-            if not (lhs + (-rhs)).is_zero():
+            if lhs != rhs:  # the sparse form is canonical
                 return False
         return True
 
@@ -399,28 +449,28 @@ def tensor(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
         blocks: list[list[QMatrix | None]] = [
             [None] * len(col_blocks) for _ in range(len(row_blocks))
         ]
-        for ci, (i, j) in enumerate(col_blocks):
-            if col_dims[ci] == 0:
+        for i, j in col_blocks:  # column block i is (i, j); row block r is (r, n+1-r)
+            if col_dims[i] == 0:
                 continue
             # d1 ⊗ id : block (i, j) -> (i+1, j)
-            ri = next(r for r, ij in enumerate(row_blocks) if ij == (i + 1, j))
-            if row_dims[ri]:
-                blocks[ri][ci] = c1.d_at(i).kron(QMatrix.identity(c2.dim(j)))
+            if row_dims[i + 1]:
+                blocks[i + 1][i] = c1.d_at(i).kron(QMatrix.identity(c2.dim(j)))
             # (-1)^i id ⊗ d2 : block (i, j) -> (i, j+1)
-            ri = next(r for r, ij in enumerate(row_blocks) if ij == (i, j + 1))
-            if row_dims[ri]:
+            if row_dims[i]:
                 blk = QMatrix.identity(c1.dim(i)).kron(c2.d_at(j))
-                blocks[ri][ci] = blk if i % 2 == 0 else -blk
+                blocks[i][i] = blk if i % 2 == 0 else -blk
         ds.append(block_matrix(blocks, row_dims, col_dims))
     return CochainComplex(dims, ds)
 
 
-def tensor_map(phi: ComplexMap, psi: ComplexMap) -> ComplexMap:
-    """Tensor product of chain maps, from tensor(sources) to tensor(targets)."""
-    src = tensor(phi.source, psi.source)
-    tgt = tensor(phi.target, psi.target)
+def tensor_map_blocks(phi: ComplexMap, psi: ComplexMap) -> list[QMatrix]:
+    """Degreewise matrices of phi ⊗ psi, block diagonal in the bases of
+    ``tensor``: the maps of ``tensor_map`` without building its ends, for
+    callers that already hold the source and target complexes."""
+    if not phi.source.dims or not psi.source.dims:
+        return []
     maps = []
-    for n in range(src.top_degree + 1):
+    for n in range(phi.source.top_degree + psi.source.top_degree + 1):
         col_blocks = [(i, n - i) for i in range(n + 1)]
         col_dims = [phi.source.dim(i) * psi.source.dim(j) for i, j in col_blocks]
         row_dims = [phi.target.dim(i) * psi.target.dim(j) for i, j in col_blocks]
@@ -431,7 +481,13 @@ def tensor_map(phi: ComplexMap, psi: ComplexMap) -> ComplexMap:
             if col_dims[bi] and row_dims[bi]:
                 blocks[bi][bi] = phi.at(i).kron(psi.at(j))
         maps.append(block_matrix(blocks, row_dims, col_dims))
-    return ComplexMap(src, tgt, maps, check=False)
+    return maps
+
+
+def tensor_map(phi: ComplexMap, psi: ComplexMap) -> ComplexMap:
+    """Tensor product of chain maps, from tensor(sources) to tensor(targets)."""
+    return ComplexMap(tensor(phi.source, psi.source), tensor(phi.target, psi.target),
+                      tensor_map_blocks(phi, psi), check=False)
 
 
 def mapping_cone(phi: ComplexMap) -> CochainComplex:
@@ -531,11 +587,70 @@ def direct_sum(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
 
 
 def matrix_to_lists(m: QMatrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.entries]
+    out = []
+    for r in m.sparse_rows:
+        row = ["0"] * m.cols
+        for c, v in r.items():
+            row[c] = str(v)
+        out.append(row)
+    return out
+
+
+def _brief(x) -> str:
+    text = repr(x)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _parse_entry(s) -> Rational:
+    """One matrix entry: a rational string ("3", "-1/2") or an int."""
+    if isinstance(s, str):
+        try:
+            return int(s)
+        except ValueError:
+            pass
+        try:
+            return _exact(Fraction(s))
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif isinstance(s, (int, Fraction)) and not isinstance(s, bool):
+        return _exact(s)
+    raise ModelFormatError(f"not an exact rational: {_brief(s)}")
 
 
 def matrix_from_lists(rows: int, cols: int, data: Sequence[Sequence[str]]) -> QMatrix:
-    return QMatrix(rows, cols, ((Fraction(s) for s in row) for row in data))
+    """Parse row-major rational strings straight into sparse rows."""
+    if not isinstance(data, (list, tuple)):
+        raise ModelFormatError(f"a matrix must be a list of rows, not {_brief(data)}")
+    if len(data) != rows:
+        raise ShapeMismatchError(f"entries do not form a {rows}x{cols} matrix")
+    out = []
+    for row in data:
+        if not isinstance(row, (list, tuple)):
+            raise ModelFormatError(
+                f"a matrix row must be a list of rationals, not {_brief(row)}")
+        if len(row) != cols:
+            raise ShapeMismatchError(f"entries do not form a {rows}x{cols} matrix")
+        parsed = {}
+        for j, s in enumerate(row):
+            if s != "0":
+                v = _parse_entry(s)
+                if v:
+                    parsed[j] = v
+        out.append(parsed)
+    return _sparse(rows, cols, tuple(out))
+
+
+def int_from_json(value, what: str) -> int:
+    """A nonnegative integer field of a model record (int or digit string)."""
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            n = int(value)
+        except ValueError:
+            pass
+        else:
+            if n >= 0:
+                return n
+    raise ModelFormatError(f"{what} must be a nonnegative integer, not {_brief(value)}")
 
 
 def complex_to_dict(c: CochainComplex) -> dict:
@@ -546,10 +661,21 @@ def complex_to_dict(c: CochainComplex) -> dict:
 
 
 def complex_from_dict(data: dict) -> CochainComplex:
-    dims = [int(x) for x in data["dims"]]
-    ds = []
-    for k, rows in enumerate(data["differentials"]):
-        ds.append(matrix_from_lists(dims[k + 1], dims[k], rows))
+    if not isinstance(data, dict):
+        raise ModelFormatError(
+            f"a complex must be an object with dims and differentials, not {_brief(data)}")
+    dims, diffs = data.get("dims"), data.get("differentials")
+    if not isinstance(dims, list):
+        raise ModelFormatError(f"dims must be a list of dimensions, not {_brief(dims)}")
+    if not isinstance(diffs, list):
+        raise ModelFormatError(
+            f"differentials must be a list of matrices, not {_brief(diffs)}")
+    dims = [int_from_json(x, "a dimension") for x in dims]
+    if len(diffs) != max(len(dims) - 1, 0):
+        raise ShapeMismatchError(
+            f"{len(dims)} degrees need {max(len(dims) - 1, 0)} differentials, got {len(diffs)}"
+        )
+    ds = [matrix_from_lists(dims[k + 1], dims[k], rows) for k, rows in enumerate(diffs)]
     return CochainComplex(dims, ds)
 
 
@@ -558,7 +684,16 @@ def map_to_dict(phi: ComplexMap) -> dict:
 
 
 def map_from_dict(source: CochainComplex, target: CochainComplex, data: dict) -> ComplexMap:
-    maps = []
-    for k, rows in enumerate(data["maps"]):
-        maps.append(matrix_from_lists(target.dim(k), source.dim(k), rows))
-    return ComplexMap(source, target, maps)
+    maps = data.get("maps") if isinstance(data, dict) else None
+    if not isinstance(maps, list):
+        raise ModelFormatError(
+            f"a map must be an object whose maps are a list, not {_brief(data)}")
+    # one matrix per degree of the source or of the target; fewer would
+    # silently make the missing degrees zero
+    lo, hi = sorted((len(source.dims), len(target.dims)))
+    if not lo <= len(maps) <= hi:
+        want = str(lo) if lo == hi else f"{lo} to {hi}"
+        raise ModelFormatError(f"a map needs {want} matrices, one per degree, got {len(maps)}")
+    return ComplexMap(source, target, [
+        matrix_from_lists(target.dim(k), source.dim(k), rows) for k, rows in enumerate(maps)
+    ])

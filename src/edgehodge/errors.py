@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, model invariant
-violations -> 3, verification failures -> 4.
+The CLI maps these onto exit codes: ConfigError (including
+ModelFormatError) -> 2, model invariant violations -> 3, verification
+failures -> 4.
 """
 
 
@@ -31,6 +32,10 @@ class PerversityRangeError(EdgeHodgeError):
 
 class ConfigError(EdgeHodgeError):
     """Malformed run configuration or unknown catalogue name."""
+
+
+class ModelFormatError(ConfigError):
+    """A model, complex or matrix record does not follow the file schema."""
 
 
 class VerificationFailure(EdgeHodgeError):

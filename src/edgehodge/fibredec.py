@@ -45,9 +45,11 @@ class DiscreteFibre:
 
     def d_dense(self, q: int) -> np.ndarray:
         mat = self.complex.d_at(q)
-        if mat.rows == 0 or mat.cols == 0:
-            return np.zeros((mat.rows, mat.cols))
-        return np.array([[float(x) for x in row] for row in mat.entries])
+        out = np.zeros((mat.rows, mat.cols))
+        for i, row in enumerate(mat.sparse_rows):
+            for j, v in row.items():
+                out[i, j] = v
+        return out
 
     def weight(self, q: int) -> np.ndarray:
         if 0 <= q <= self.top_degree:

@@ -115,7 +115,8 @@ def _vec_scale(c, u):
 
 
 def _mat_vec(m: QMatrix, u):
-    return tuple(sum(row[j] * u[j] for j in range(m.cols)) for row in m.entries)
+    return tuple(sum((v * u[j] for j, v in row.items()), Fraction(0))
+                 for row in m.sparse_rows)
 
 
 @dataclass

@@ -13,8 +13,6 @@ tolerance.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from edgehodge import fibredec, radial, spectral, verify, weights
@@ -26,8 +24,6 @@ from edgehodge.stratified import (
     middle_perversities,
     model_from_dict,
 )
-
-THREADS_ENV = "EDGEHODGE_THREADS"
 
 
 def _parse_fraction(text) -> Fraction:
@@ -221,7 +217,6 @@ def _radial_section(space: EdgeSpaceModel, a: Fraction, config: RunConfig) -> di
 
 def run(config: RunConfig) -> dict:
     """Execute a configured run; deterministic output ordering."""
-    n_threads = max(1, int(os.environ.get(THREADS_ENV, "1")))
     spaces = [load_space(e) for e in config.spaces]
     report: dict = {"config": config.data, "spaces": [], "suites": []}
 
@@ -237,13 +232,7 @@ def run(config: RunConfig) -> dict:
             "complete_l2": [],
             "radial": _radial_section(space, config.weights[0], config),
         }
-        if n_threads > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                cells = list(pool.map(
-                    lambda a: _weight_cell(space, a, spec_obj), config.weights))
-        else:
-            cells = [_weight_cell(space, a, spec_obj) for a in config.weights]
-        entry["weights"] = cells
+        entry["weights"] = [_weight_cell(space, a, spec_obj) for a in config.weights]
         lo, hi = (config.degrees or (0, space.n))
         for k in range(lo, min(hi, space.n) + 1):
             ans = weights.complete_l2(space, k)

@@ -41,14 +41,16 @@ from edgehodge.cochain import (
     complex_to_dict,
     direct_sum,
     induced_map_rank,
+    int_from_json,
     map_from_dict,
     map_to_dict,
     mapping_cone,
     tensor,
-    tensor_map,
+    tensor_map_blocks,
     truncate,
 )
 from edgehodge.errors import (
+    ModelFormatError,
     ModelInvariantError,
     PerversityRangeError,
 )
@@ -164,8 +166,10 @@ class EdgeSpaceModel:
         self.restriction = restriction
         self.product_bigrading = product_bigrading
         self.description = description
+        self._ftrunc_cache: dict[int, tuple[CochainComplex, ComplexMap]] = {}
         self._tube_cache: dict[int, tuple[CochainComplex, ComplexMap]] = {}
         self._tot_cache: dict[int, CochainComplex] = {}
+        self._map_cache: dict[tuple[int, int], ComplexMap] = {}
         self._rank_cache: dict[tuple[int, int, int], int] = {}
         self.validate()
 
@@ -203,6 +207,12 @@ class EdgeSpaceModel:
         ci = c.numerator // c.denominator  # floor
         return max(-1, min(self.f, ci))
 
+    def _truncated_fibre(self, c: int) -> tuple[CochainComplex, ComplexMap]:
+        """τ_{<=c}F with its inclusion into F."""
+        if c not in self._ftrunc_cache:
+            self._ftrunc_cache[c] = truncate(self.F, c)
+        return self._ftrunc_cache[c]
+
     def truncated_tube(self, c: int) -> tuple[CochainComplex, ComplexMap]:
         """Tube complex B ⊗ τ_{<=c}F with its inclusion into Y."""
         if not self.product_bigrading:
@@ -210,15 +220,16 @@ class EdgeSpaceModel:
                 f"{self.name}: missing bigrading; cannot truncate the tube"
             )
         if c not in self._tube_cache:
-            tf, incl = truncate(self.F, c)
+            tf, incl = self._truncated_fibre(c)
             if not tf.dims:
                 tube = ZERO_COMPLEX
                 iota = ComplexMap(tube, self.Y, (), check=False)
             else:
                 tube = tensor(self.B, tf)
-                iota = tensor_map(ComplexMap.identity(self.B), incl)
-                # tensor_map targets tensor(B, F); rebind onto the model's Y
-                iota = ComplexMap(tube, self.Y, iota.maps, check=False)
+                # id_B ⊗ incl lands in tensor(B, F), which is the model's Y
+                iota = ComplexMap(tube, self.Y,
+                                  tensor_map_blocks(ComplexMap.identity(self.B), incl),
+                                  check=False)
             self._tube_cache[c] = (tube, iota)
         return self._tube_cache[c]
 
@@ -245,8 +256,8 @@ class EdgeSpaceModel:
         return self._tot_cache[c]
 
     def _truncation_inclusion(self, c1: int, c2: int) -> ComplexMap:
-        t1, i1 = truncate(self.F, c1)
-        t2, _ = truncate(self.F, c2)
+        t1, i1 = self._truncated_fibre(c1)
+        t2, _ = self._truncated_fibre(c2)
         if c1 >= min(c2, self.F.top_degree):
             return ComplexMap.identity(t1)
         if not t1.dims:
@@ -255,14 +266,17 @@ class EdgeSpaceModel:
 
     def total_map(self, c1: int, c2: int) -> ComplexMap:
         """Chain map Tot(c1) -> Tot(c2) for c1 <= c2 (stronger to weaker)."""
+        if (c1, c2) not in self._map_cache:
+            self._map_cache[c1, c2] = self._build_total_map(c1, c2)
+        return self._map_cache[c1, c2]
+
+    def _build_total_map(self, c1: int, c2: int) -> ComplexMap:
         tot1, tot2 = self.total_complex(c1), self.total_complex(c2)
         tube1, _ = self.truncated_tube(c1)
         tube2, _ = self.truncated_tube(c2)
         fincl = self._truncation_inclusion(c1, c2)
-        if tube1.dims:
-            tincl = tensor_map(ComplexMap.identity(self.B), fincl)
-        else:
-            tincl = ComplexMap(tube1, tube2, (), check=False)
+        tmaps = tensor_map_blocks(ComplexMap.identity(self.B), fincl) if tube1.dims else ()
+        tincl = ComplexMap(tube1, tube2, tmaps, check=False)
         maps = []
         for s in range(tot1.top_degree + 1):
             blocks = [
@@ -408,9 +422,8 @@ def torus_complex() -> CochainComplex:
     return tensor(c, c)
 
 
-def _diagonal_map(base: CochainComplex) -> ComplexMap:
-    """base -> base ⊕ base, x -> (x, x)."""
-    doubled = direct_sum(base, base)
+def _diagonal_map(base: CochainComplex, doubled: CochainComplex) -> ComplexMap:
+    """base -> doubled = base ⊕ base, x -> (x, x)."""
     maps = []
     for k in range(base.top_degree + 1):
         ident = QMatrix.identity(base.dim(k))
@@ -437,8 +450,11 @@ def _closed_model(name: str, base: CochainComplex, fibre: CochainComplex,
     b_cx = direct_sum(base, base)
     y = tensor(b_cx, fibre)
     m = tensor(base, fibre)
-    restriction = tensor_map(_diagonal_map(base), ComplexMap.identity(fibre))
-    restriction = ComplexMap(m, y, restriction.maps, check=False)
+    restriction = ComplexMap(
+        m, y,
+        tensor_map_blocks(_diagonal_map(base, b_cx), ComplexMap.identity(fibre)),
+        check=False,
+    )
     f = fibre.top_degree
     b = base.top_degree
     return EdgeSpaceModel(name, b + f + 1, b, f, fibre, b_cx, m, y, restriction,
@@ -511,15 +527,25 @@ def model_to_dict(space: EdgeSpaceModel) -> dict:
     }
 
 
+def _field(data: dict, key: str, parse, *args):
+    """parse(*args, data[key]), naming the field in any format error."""
+    if key not in data:
+        raise ModelFormatError(f"model has no {key!r} field")
+    try:
+        return parse(*args, data[key])
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{key}: {exc}") from None
+
+
 def model_from_dict(data: dict) -> EdgeSpaceModel:
-    f_cx = complex_from_dict(data["F"])
-    b_cx = complex_from_dict(data["B"])
-    m_cx = complex_from_dict(data["M"])
-    y_cx = complex_from_dict(data["Y"])
-    restriction = map_from_dict(m_cx, y_cx, data["restriction"])
+    if not isinstance(data, dict):
+        raise ModelFormatError("a model must be a key/value object")
+    f_cx, b_cx, m_cx, y_cx = (_field(data, k, complex_from_dict) for k in "FBMY")
+    restriction = _field(data, "restriction", map_from_dict, m_cx, y_cx)
+    n, b, f = (int_from_json(data.get(k), k) for k in "nbf")
     return EdgeSpaceModel(
         data.get("name", "unnamed"),
-        int(data["n"]), int(data["b"]), int(data["f"]),
+        n, b, f,
         f_cx, b_cx, m_cx, y_cx, restriction,
         product_bigrading=data.get("bigrading", "product") == "product",
         description=data.get("description", ""),

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgehodge import verify
 from edgehodge.cli import main
@@ -182,3 +183,59 @@ def test_run_config_degree_range(tmp_path):
     report = json.loads(out.read_text())
     ks = [c["k"] for c in report["spaces"][0]["complete_l2"]]
     assert ks == [1, 2]
+
+
+def _malformed_cone_circle(mutate):
+    data = model_to_dict(builtin_space("cone-circle"))
+    mutate(data)
+    return data
+
+
+def _set_first_entry(data, text):
+    data["F"]["differentials"][0][0][0] = text
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.update(F=[1, 2]), "F: a complex must be an object"),
+    (lambda d: _set_first_entry(d, "1/0"), "F: not an exact rational: '1/0'"),
+    (lambda d: d["restriction"].update(maps="oops"), "restriction: a map must be"),
+    (lambda d: d["restriction"].update(maps=[]), "restriction: a map needs 2 matrices"),
+], ids=["complex-not-object", "zero-denominator", "maps-string", "maps-empty"])
+def test_malformed_model_file_exit_code(tmp_path, capsys, mutate, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_malformed_cone_circle(mutate)))
+    assert main(["ih", "--file", str(path), "--perversity", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _json_paths(node, prefix=()):
+    if prefix:
+        yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+_CONE_CIRCLE = model_to_dict(builtin_space("cone-circle"))
+_JUNK = st.sampled_from([None, True, 1.5, -1, 7, "x", "2", "1/0", "oops",
+                         [], {}, [1, 2], [["1"]], {"a": 1}])
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.sampled_from(list(_json_paths(_CONE_CIRCLE))), junk=_JUNK,
+       delete=st.booleans())
+def test_mutated_model_file_never_crashes(tmp_path_factory, path, junk, delete):
+    data = json.loads(json.dumps(_CONE_CIRCLE))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete and isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = junk
+    file = tmp_path_factory.mktemp("fuzz") / "model.json"
+    file.write_text(json.dumps(data))
+    assert main(["ih", "--file", str(file), "--perversity", "0"]) in (0, 2, 3)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from edgehodge import _elimpure, elim
+from edgehodge import elim
 
 from oracles import sympy_matrix_rank
 
@@ -38,12 +38,11 @@ def test_rank_fraction_rows():
 
 
 def test_dense_kernel_agrees_with_pure():
+    # the pure-Python Bareiss remainder stage on its own, against sympy
     rng = random.Random(99)
     for _ in range(10):
         mat = _random_matrix(rng, 12, 15, density=0.8)
-        r_active = elim.bareiss_rank([row[:] for row in mat])
-        r_pure = _elimpure.bareiss_rank([row[:] for row in mat])
-        assert r_active == r_pure == sympy_matrix_rank(mat)
+        assert elim.bareiss_rank([row[:] for row in mat]) == sympy_matrix_rank(mat)
 
 
 def test_zero_and_empty():

@@ -291,3 +291,24 @@ def test_random_small_models_monotonicity_and_duality(seed):
                         continue
                     assert ih_dims(space, low + s)[int(d1)] == \
                         ih_dims(space, bar - s)[int(d2)]
+
+
+def test_subdivision_invariance_four_gon_edge_torus_over_circle():
+    # IH is a topological invariant: the same space built from 4-gon
+    # circles (Tot dims up to 712) must reproduce the built-in tables,
+    # including the induced-map ranks behind the minimal-Hodge dimensions
+    from edgehodge.fibredec import build_fibre
+    from edgehodge.stratified import _closed_model
+    from edgehodge.weights import minimal_hodge_dims
+
+    def circle():
+        return build_fibre("circle", 4).complex
+
+    sub = model_from_dict(model_to_dict(_closed_model(
+        "edge-torus-over-4gon-circle", circle(), tensor(circle(), circle()), "")))
+    ref = builtin_space("edge-torus-over-circle")
+    assert max(sub.total_complex(1).dims) == 712
+    for p in range(-1, 4):
+        assert ih_dims(sub, p) == ih_dims(ref, p)
+    for a in (0, 1):
+        assert minimal_hodge_dims(sub, a).dims == minimal_hodge_dims(ref, a).dims
