@@ -91,24 +91,13 @@ def _cmd_weights(args) -> int:
     rows = []
     payload = {"space": space.name, "weights": []}
     for a_text in args.a:
-        a = _parse_rational(a_text)
-        rmax = weights.weighted_derham_dims(space, a, "max")
-        rmin = weights.weighted_derham_dims(space, a, "min")
-        rmh = weights.minimal_hodge_dims(space, a)
-        payload["weights"].append({
-            "a": str(a),
-            "max": {"perversity": str(rmax.perversity.value),
-                    "dims": {"value": list(rmax.dims), "provenance": "exact"}},
-            "min": {"perversity": str(rmin.perversity.value),
-                    "dims": {"value": list(rmin.dims), "provenance": "exact"}},
-            "minimal_hodge": {"dims": {"value": list(rmh.dims), "provenance": "exact"}},
-        })
-        rows.append([str(a), "max", str(rmax.perversity.value),
-                     " ".join(map(str, rmax.dims))])
-        rows.append([str(a), "min", str(rmin.perversity.value),
-                     " ".join(map(str, rmin.dims))])
-        rows.append([str(a), "minimal-hodge", "-",
-                     " ".join(map(str, rmh.dims))])
+        cell = report_mod.weight_dims_fields(space, _parse_rational(a_text))
+        payload["weights"].append(cell)
+        for ext in ("max", "min"):
+            rows.append([cell["a"], ext, cell[ext]["perversity"],
+                         " ".join(map(str, cell[ext]["dims"]["value"]))])
+        rows.append([cell["a"], "minimal-hodge", "-",
+                     " ".join(map(str, cell["minimal_hodge"]["dims"]["value"]))])
     human = (f"weighted cohomology on {space.name}:\n"
              + report_mod._fmt_table(["a", "extension", "perversity", "dims"], rows)
              + "\n")
@@ -136,38 +125,30 @@ def _spectrum_from_args(args) -> spectral.FibreSpectrum:
 def _cmd_spectral(args) -> int:
     a = _parse_rational(args.a)
     spec_obj = _spectrum_from_args(args)
-    crits = spectral.critical_roots(args.f, a, spec_obj)
-    boundary = spectral.boundary_contacts(args.f, a, spec_obj)
     esa = spectral.essentially_selfadjoint(args.f, a, spec_obj)
     uce = spectral.unique_closed_extension_d(args.f, a, spec_obj.betti)
+    roots = report_mod.root_fields(args.f, a, spec_obj)
     payload = {
         "f": args.f,
         "a": str(a),
         "essentially_selfadjoint": {"value": esa, "provenance": "exact"},
         "unique_closed_extension": {"value": uce, "provenance": "exact"},
-        "critical_roots": [
-            {"degree": p.degree, "lambda2": str(p.lam2),
-             "gamma_minus": str(p.gamma_minus), "gamma_plus": str(p.gamma_plus),
-             "double_root": p.double_root,
-             "provenance": "exact" if p.exact else "numeric(1ulp)"}
-            for p in crits],
-        "boundary_contacts": [
-            {"degree": q, "lambda2": str(v)} for q, v in boundary],
+        **roots,
     }
     lines = [f"f={args.f}, a={a}:"]
     lines.append(f"  essentially self-adjoint: {'yes' if esa else 'no'}")
     lines.append(f"  unique closed extension of d: {'yes' if uce else 'no'}")
-    if crits:
+    if roots["critical_roots"]:
         lines.append("  critical indicial roots:")
-        for p in crits:
-            tag = " (double)" if p.double_root else ""
-            lines.append(f"    degree {p.degree}, lambda^2={p.lam2}: "
-                         f"({p.gamma_minus}, {p.gamma_plus}){tag}")
+        for p in roots["critical_roots"]:
+            tag = " (double)" if p["double_root"] else ""
+            lines.append(f"    degree {p['degree']}, lambda^2={p['lambda2']}: "
+                         f"({p['gamma_minus']}, {p['gamma_plus']}){tag}")
     else:
         lines.append("  critical indicial roots: none")
-    for q, v in boundary:
-        lines.append(f"  warning: window boundary contact at degree {q}, "
-                     f"lambda^2={v}")
+    for c in roots["boundary_contacts"]:
+        lines.append(f"  warning: window boundary contact at degree {c['degree']}, "
+                     f"lambda^2={c['lambda2']}")
     _emit(args, payload, "\n".join(lines) + "\n")
     return 0
 

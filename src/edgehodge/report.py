@@ -33,29 +33,62 @@ def _parse_fraction(text) -> Fraction:
         raise ConfigError(f"not an exact rational: {text!r}") from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_space_entry(entry) -> bool:
+    return isinstance(entry, str) or (
+        isinstance(entry, dict) and isinstance(entry.get("file"), str))
+
+
 class RunConfig:
     """Validated run configuration."""
 
     def __init__(self, data: dict):
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a key/value object")
-        self.spaces = list(data.get("spaces", list(BUILTIN_NAMES)))
+        self.spaces = data.get("spaces", list(BUILTIN_NAMES))
+        if not isinstance(self.spaces, list):
+            raise ConfigError("spaces must be a list of names or {\"file\": path} objects")
         if not self.spaces:
             raise ConfigError("no spaces configured")
-        self.weights = [_parse_fraction(w) for w in data.get("weights", ["0"])]
+        for entry in self.spaces:
+            if not _is_space_entry(entry):
+                raise ConfigError(f"bad space entry: {entry!r}")
+        weights = data.get("weights", ["0"])
+        if not isinstance(weights, list):
+            raise ConfigError("weights must be a list of exact rationals")
+        self.weights = [_parse_fraction(w) for w in weights]
         if not self.weights:
             raise ConfigError("weight list must be nonempty")
         self.degrees = data.get("degrees")  # None = 0..n per space
+        if self.degrees is not None and not (
+                isinstance(self.degrees, list) and len(self.degrees) == 2
+                and all(_is_int(k) for k in self.degrees)
+                and 0 <= self.degrees[0] <= self.degrees[1]):
+            raise ConfigError("degrees must be [lo, hi], integers with 0 <= lo <= hi")
         grid = data.get("fibre_grid", [16, 16])
-        self.fibre_grid = tuple(int(g) for g in grid)
+        if not (isinstance(grid, list) and len(grid) in (1, 2)
+                and all(_is_int(g) for g in grid)):
+            raise ConfigError("fibre grid must be a list of one or two integers")
+        self.fibre_grid = tuple(grid)
         if any(g < 3 for g in self.fibre_grid):
             raise ConfigError("fibre grid sizes must be >= 3")
         rad = data.get("radial", {})
-        self.x0 = float(rad.get("x0", radial.DEFAULT_X0))
-        self.points_per_decade = int(rad.get("points_per_decade",
-                                             radial.POINTS_PER_DECADE))
+        if not isinstance(rad, dict):
+            raise ConfigError("radial must be a key/value object")
+        x0 = rad.get("x0", radial.DEFAULT_X0)
+        try:
+            self.x0 = float(x0)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"radial x0 is not a number: {x0!r}") from exc
         if not (0 < self.x0 <= 0.1):
             raise ConfigError("radial x0 must lie in (0, 1/10]")
+        self.points_per_decade = rad.get("points_per_decade", radial.POINTS_PER_DECADE)
+        # the slope fit needs two grid points in the last decade
+        if not (_is_int(self.points_per_decade) and self.points_per_decade >= 2):
+            raise ConfigError("radial points_per_decade must be an integer >= 2")
         suites = data.get("suites", True)
         if suites is True:
             self.suites = list(verify.SUITES)
@@ -63,8 +96,11 @@ class RunConfig:
             self.suites = []
         elif isinstance(suites, dict):
             self.suites = [k for k, v in suites.items() if v]
-        else:
+        elif isinstance(suites, list) and all(isinstance(x, str) for x in suites):
             self.suites = list(suites)
+        else:
+            raise ConfigError("suites must be true, false, a list of suite names "
+                              "or an object")
         for s in self.suites:
             if s not in verify.SUITES:
                 raise ConfigError(f"unknown verification suite {s!r}")
@@ -83,7 +119,7 @@ class RunConfig:
 
 def load_space(entry) -> EdgeSpaceModel:
     """Resolve a space entry: builtin name or {"file": path}."""
-    if isinstance(entry, dict) and "file" in entry:
+    if isinstance(entry, dict) and isinstance(entry.get("file"), str):
         try:
             with open(entry["file"]) as fh:
                 return model_from_dict(json.load(fh))
@@ -99,19 +135,19 @@ def load_space(entry) -> EdgeSpaceModel:
     raise ConfigError(f"bad space entry: {entry!r}")
 
 
-def spectrum_for_space(space: EdgeSpaceModel, grid) -> spectral.FibreSpectrum:
-    """Fibre spectrum appropriate to the space's link.
+def link_spectrum(link_betti, grid) -> spectral.FibreSpectrum:
+    """Fibre spectrum for a link with the given Betti numbers.
 
     Circle and torus links are discretized on the configured grid;
     the round 2-sphere link uses its closed-form spectrum (curved
     fibres are never meshed).
     """
-    fb = space.F.cohomology_dims()
+    fb = tuple(link_betti)
     if fb == (1, 1):
         fib = fibredec.build_fibre("circle", grid[0])
         return fibredec.spectrum_for_predicates(fib)
     if fb == (1, 2, 1):
-        fib = fibredec.build_fibre("torus", (grid[0], grid[-1] if len(grid) > 1 else grid[0]))
+        fib = fibredec.build_fibre("torus", (grid[0], grid[-1]))
         return fibredec.spectrum_for_predicates(fib)
     if fb == (1, 0, 1):
         return spectral.sphere2_spectrum()
@@ -128,13 +164,13 @@ def _prov_numeric(value, tol: str):
     return {"value": value, "provenance": f"numeric({tol})"}
 
 
-def _weight_cell(space: EdgeSpaceModel, a: Fraction, spec_obj) -> dict:
+def weight_dims_fields(space: EdgeSpaceModel, a: Fraction) -> dict:
+    """JSON fields of one weight: the max and min weighted de Rham
+    extensions (perversity and dims) and the minimal Hodge dims."""
     rmax = weights.weighted_derham_dims(space, a, "max")
     rmin = weights.weighted_derham_dims(space, a, "min")
     rmh = weights.minimal_hodge_dims(space, a)
-    crits = spectral.critical_roots(space.f, a, spec_obj)
-    boundary = spectral.boundary_contacts(space.f, a, spec_obj)
-    cell = {
+    return {
         "a": str(a),
         "max": {
             "perversity": str(rmax.perversity.value),
@@ -145,12 +181,13 @@ def _weight_cell(space: EdgeSpaceModel, a: Fraction, spec_obj) -> dict:
             "dims": _prov_exact(list(rmin.dims)),
         },
         "minimal_hodge": {"dims": _prov_exact(list(rmh.dims))},
-        "unique_closed_extension": _prov_exact(
-            spectral.unique_closed_extension_d(space.f, a, space.F.cohomology_dims())
-        ),
-        "essentially_selfadjoint": _prov_exact(
-            spectral.essentially_selfadjoint(space.f, a, spec_obj)
-        ),
+    }
+
+
+def root_fields(f: int, a: Fraction, spec_obj) -> dict:
+    """JSON fields of the indicial roots at weight a: the critical root
+    pairs and the window boundary contacts."""
+    return {
         "critical_roots": [
             {
                 "degree": p.degree,
@@ -160,16 +197,33 @@ def _weight_cell(space: EdgeSpaceModel, a: Fraction, spec_obj) -> dict:
                 "double_root": p.double_root,
                 "provenance": "exact" if p.exact else "numeric(1ulp)",
             }
-            for p in crits
+            for p in spectral.critical_roots(f, a, spec_obj)
         ],
         "boundary_contacts": [
-            {"degree": q, "lambda2": str(v)} for q, v in boundary
+            {"degree": q, "lambda2": str(v)}
+            for q, v in spectral.boundary_contacts(f, a, spec_obj)
         ],
     }
-    return cell
 
 
-def _radial_section(space: EdgeSpaceModel, a: Fraction, config: RunConfig) -> dict:
+def _weight_cell(space: EdgeSpaceModel, a: Fraction, spec_obj) -> dict:
+    return {
+        **weight_dims_fields(space, a),
+        "unique_closed_extension": _prov_exact(
+            spectral.unique_closed_extension_d(space.f, a, space.F.cohomology_dims())
+        ),
+        "essentially_selfadjoint": _prov_exact(
+            spectral.essentially_selfadjoint(space.f, a, spec_obj)
+        ),
+        **root_fields(space.f, a, spec_obj),
+    }
+
+
+def _radial_section(space: EdgeSpaceModel, a: Fraction, config: RunConfig,
+                    exponents: dict) -> dict:
+    """Radial lab entries of one space.  ``exponents`` holds the
+    recovered exponents (or the recovery error) per (k, f, a), so a run
+    solves each distinct mode once."""
     fb = space.F.cohomology_dims()
     table = radial.local_cohomology(fb, space.f, a)
     modes = []
@@ -180,11 +234,17 @@ def _radial_section(space: EdgeSpaceModel, a: Fraction, config: RunConfig) -> di
         if pair.double_root:
             modes.append({"degree": k, "lambda2": "0", "double_root": True})
             continue
-        try:
-            me = radial.mode_exponent(k, 0, space.f, a, x0=config.x0,
-                                      points_per_decade=config.points_per_decade)
-        except Exception as exc:  # stiffness: report, do not fail the run
-            modes.append({"degree": k, "lambda2": "0", "error": str(exc)})
+        key = (k, space.f, a)
+        if key not in exponents:
+            try:
+                exponents[key] = radial.mode_exponent(
+                    k, 0, space.f, a, x0=config.x0,
+                    points_per_decade=config.points_per_decade)
+            except Exception as exc:  # stiffness: report, do not fail the run
+                exponents[key] = exc
+        me = exponents[key]
+        if isinstance(me, Exception):
+            modes.append({"degree": k, "lambda2": "0", "error": str(me)})
             continue
         err = max(abs(me.gamma_minus_hat - float(pair.gamma_minus)),
                   abs(me.gamma_plus_hat - float(pair.gamma_plus)))
@@ -216,12 +276,22 @@ def _radial_section(space: EdgeSpaceModel, a: Fraction, config: RunConfig) -> di
 
 
 def run(config: RunConfig) -> dict:
-    """Execute a configured run; deterministic output ordering."""
+    """Execute a configured run; deterministic output ordering.
+
+    Link spectra (keyed by the link's Betti numbers, the grid being
+    fixed per config) and radial exponents (keyed by (k, f, a)) are
+    computed once per run; nothing is kept between runs.
+    """
     spaces = [load_space(e) for e in config.spaces]
     report: dict = {"config": config.data, "spaces": [], "suites": []}
+    spectra: dict = {}
+    exponents: dict = {}
 
     for space in spaces:
-        spec_obj = spectrum_for_space(space, config.fibre_grid)
+        fb = space.F.cohomology_dims()
+        if fb not in spectra:
+            spectra[fb] = link_spectrum(fb, config.fibre_grid)
+        spec_obj = spectra[fb]
         entry = {
             "name": space.name,
             "n": space.n,
@@ -230,7 +300,7 @@ def run(config: RunConfig) -> dict:
             "middle_perversities": list(middle_perversities(space.f)),
             "weights": [],
             "complete_l2": [],
-            "radial": _radial_section(space, config.weights[0], config),
+            "radial": _radial_section(space, config.weights[0], config, exponents),
         }
         entry["weights"] = [_weight_cell(space, a, spec_obj) for a in config.weights]
         lo, hi = (config.degrees or (0, space.n))

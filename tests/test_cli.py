@@ -185,6 +185,68 @@ def test_run_config_degree_range(tmp_path):
     assert ks == [1, 2]
 
 
+REPORT_CONFIG = {
+    "spaces": ["cone-torus", "edge-circle-over-circle",
+               "edge-torus-over-circle", "susp-torus"],
+    "weights": ["-5/4", "1/2", "0", "3/4", "-1/2", "5/4"],
+    "fibre_grid": [16, 16],
+    "suites": False,
+}
+
+
+def test_run_computes_each_spectrum_and_mode_once_per_run(monkeypatch):
+    from edgehodge import fibredec, radial
+
+    calls = {"mode_exponent": 0, "spectrum_for_predicates": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(radial, "mode_exponent")
+    counting(fibredec, "spectrum_for_predicates")
+    config = RunConfig(REPORT_CONFIG)
+    # two torus links and one circle link; at a = -5/4 no mode is a
+    # double root, so (k, f) in {0, 1} x {1, 2} gives four radial solves
+    first = run(config)
+    assert calls == {"mode_exponent": 4, "spectrum_for_predicates": 2}
+    # a second run repeats the work: no cache outlives a run
+    second = run(config)
+    assert calls == {"mode_exponent": 8, "spectrum_for_predicates": 4}
+    assert first == second
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"fibre_grid": 16}, "fibre grid must be a list"),
+    ({"fibre_grid": "ab"}, "fibre grid must be a list"),
+    ({"fibre_grid": []}, "fibre grid must be a list"),
+    ({"weights": 5}, "weights must be a list"),
+    ({"suites": 5}, "suites must be"),
+    ({"radial": "x"}, "radial must be"),
+    ({"radial": {"x0": "abc"}}, "radial x0 is not a number"),
+    ({"radial": {"points_per_decade": 0}}, "points_per_decade must be"),
+    ({"degrees": "ab"}, "degrees must be"),
+    ({"degrees": [0]}, "degrees must be"),
+    ({"spaces": "cone-torus"}, "spaces must be a list"),
+    ({"spaces": [{"file": 5}]}, "bad space entry"),
+], ids=["grid-int", "grid-string", "grid-empty", "weights-int", "suites-int",
+        "radial-string", "x0-string", "ppd-zero", "degrees-string",
+        "degrees-short", "spaces-string", "file-not-path"])
+def test_malformed_run_config_exit_code(tmp_path, capsys, change, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"spaces": ["cone-circle"], "weights": ["0"],
+                                "fibre_grid": [8], "suites": False, **change}))
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def _malformed_cone_circle(mutate):
     data = model_to_dict(builtin_space("cone-circle"))
     mutate(data)

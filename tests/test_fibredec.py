@@ -109,6 +109,42 @@ def test_torus_hodge_duality_of_spectra():
     assert np.allclose(s0, s2, atol=1e-9)
 
 
+def _dense_spectrum(fib, q):
+    return np.sort(np.linalg.eigvalsh(laplacian_matrix(fib, q)))
+
+
+def _closed_form_spectrum(fib):
+    spec = spectrum_for_predicates(fib, count=max(fib.complex.dims))
+    return [np.array([float(v) for v, m in spec.eigenvalues(q) for _ in range(m)])
+            for q in spec.degrees()]
+
+
+@pytest.mark.parametrize("kind, sizes, scale", [
+    *(("circle", n, length) for n in range(3, 10) for length in (2 * math.pi, 1.5)),
+    ("torus", (6, 8), (2.0, 5.5)),
+    ("product", (4, 5, 6), None),
+], ids=lambda v: str(v))
+def test_closed_form_spectrum_matches_dense_oracle(kind, sizes, scale):
+    fib = build_fibre(kind, sizes, scale)
+    got = _closed_form_spectrum(fib)
+    assert len(got) == fib.top_degree + 1
+    for q in range(fib.top_degree + 1):
+        want = _dense_spectrum(fib, q)
+        assert got[q].shape == want.shape
+        norm = max(1.0, want[-1])
+        assert np.max(np.abs(got[q] - want)) <= 1e-12 * norm, q
+
+
+def test_closed_form_degenerate_modes_are_equal():
+    # modes m and n - m of a circle carry the same eigenvalue, bit for bit
+    for n in (5, 9, 16):
+        for m in range(1, n):
+            assert circle_mode_eigenvalue(n, 1.5, m) == circle_mode_eigenvalue(n, 1.5, n - m)
+    spec = spectrum_for_predicates(build_fibre("circle", 9), count=8)
+    vals = [v for v, _ in spec.eigenvalues(0)[1:]]
+    assert vals[0::2] == vals[1::2]
+
+
 def test_under_resolution_is_an_error():
     fib = build_fibre("torus", (4, 4))
     with pytest.raises(UnderResolvedSpectrumError):

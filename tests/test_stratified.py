@@ -299,7 +299,7 @@ def test_subdivision_invariance_four_gon_edge_torus_over_circle():
     # including the induced-map ranks behind the minimal-Hodge dimensions
     from edgehodge.fibredec import build_fibre
     from edgehodge.stratified import _closed_model
-    from edgehodge.weights import minimal_hodge_dims
+    from edgehodge.weights import complete_l2, minimal_hodge_dims
 
     def circle():
         return build_fibre("circle", 4).complex
@@ -312,3 +312,12 @@ def test_subdivision_invariance_four_gon_edge_torus_over_circle():
         assert ih_dims(sub, p) == ih_dims(ref, p)
     for a in (0, 1):
         assert minimal_hodge_dims(sub, a).dims == minimal_hodge_dims(ref, a).dims
+    for k in range(sub.n + 1):
+        assert complete_l2(sub, k) == complete_l2(ref, k)
+    # Poincare duality pairs degree k at perversity mlow + s with degree
+    # n - k at the complementary perversity mbar - s
+    low, bar = middle_perversities(sub.f)
+    for s in range(-2, 3):
+        dual = ih_dims(sub, bar - s)
+        assert ih_dims(sub, low + s) == dual[::-1]
+        assert dual == ih_dims(ref, bar - s)
