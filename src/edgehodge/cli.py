@@ -43,6 +43,35 @@ def _parse_rational(text: str) -> Fraction:
         raise ConfigError(f"not an exact rational: {text!r}") from exc
 
 
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{what} must be comma separated integers, not {text!r}") from exc
+
+
+def _parse_scale(text: str | None) -> list[float] | None:
+    return [float(_parse_rational(s)) for s in text.split(",")] if text else None
+
+
+def _parse_mode(text: str) -> tuple[int, Fraction]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ConfigError(f"mode must be k,lambda2, not {text!r}")
+    (k,) = _parse_ints(parts[0], "mode degree k")
+    lam2 = _parse_rational(parts[1])
+    if lam2 < 0:
+        raise ConfigError(f"mode eigenvalue lambda2 must be nonnegative, not {text!r}")
+    return k, lam2
+
+
+def _build_fibre(kind: str, sizes, scale) -> fibredec.DiscreteFibre:
+    try:
+        return fibredec.build_fibre(kind, sizes, scale)
+    except ValueError as exc:
+        raise ConfigError(f"bad fibre: {exc}") from exc
+
+
 def _parse_perversity(text: str, f: int) -> Perversity:
     low, bar = middle_perversities(f)
     if text == "mbar":
@@ -107,23 +136,29 @@ def _cmd_weights(args) -> int:
 
 def _spectrum_from_args(args) -> spectral.FibreSpectrum:
     if args.spectrum:
-        with open(args.spectrum) as fh:
-            return spectral.FibreSpectrum.from_dict(json.load(fh))
+        try:
+            with open(args.spectrum) as fh:
+                return spectral.FibreSpectrum.from_dict(json.load(fh))
+        except OSError as exc:
+            raise ConfigError(f"cannot read spectrum file: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed spectrum file: {exc!r}") from exc
     kind = args.fibre_kind
     if kind == "sphere2":
         return spectral.sphere2_spectrum()
-    sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else (16, 16)
-    scale = [float(Fraction(s)) for s in args.scale.split(",")] if args.scale else None
+    sizes = _parse_ints(args.sizes, "sizes") if args.sizes else (16, 16)
+    scale = _parse_scale(args.scale)
     if kind == "circle":
-        fib = fibredec.build_fibre("circle", sizes[0],
-                                   scale[0] if scale else None)
+        fib = _build_fibre("circle", sizes[0], scale[0] if scale else None)
     else:
-        fib = fibredec.build_fibre(kind, sizes, scale)
+        fib = _build_fibre(kind, sizes, scale)
     return fibredec.spectrum_for_predicates(fib)
 
 
 def _cmd_spectral(args) -> int:
     a = _parse_rational(args.a)
+    if args.f < 0:
+        raise ConfigError(f"link dimension f must be nonnegative, not {args.f}")
     spec_obj = _spectrum_from_args(args)
     esa = spectral.essentially_selfadjoint(args.f, a, spec_obj)
     uce = spectral.unique_closed_extension_d(args.f, a, spec_obj.betti)
@@ -154,9 +189,11 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_fibre_spec(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    scale = [float(Fraction(s)) for s in args.scale.split(",")] if args.scale else None
-    fib = fibredec.build_fibre(args.kind, sizes if len(sizes) > 1 else sizes[0], scale)
+    if args.count < 0:
+        raise ConfigError(f"count must be a nonnegative integer, not {args.count}")
+    sizes = _parse_ints(args.sizes, "sizes")
+    scale = _parse_scale(args.scale)
+    fib = _build_fibre(args.kind, sizes if len(sizes) > 1 else sizes[0], scale)
     spec_obj = fibredec.spectrum_for_predicates(fib, count=args.count)
     if args.csv:
         fibredec.export_spectrum_csv(args.csv, spec_obj)
@@ -174,8 +211,17 @@ def _cmd_fibre_spec(args) -> int:
 
 def _cmd_cone_lab(args) -> int:
     a = _parse_rational(args.a)
-    betti = tuple(int(b) for b in args.betti.split(","))
+    betti = _parse_ints(args.betti, "betti")
+    if min(betti) < 0:
+        raise ConfigError(f"betti numbers must be nonnegative, not {args.betti!r}")
     f = len(betti) - 1
+    modes = [_parse_mode(m) for m in args.mode]
+    if any(not 0 <= k <= f for k, _ in modes):
+        raise ConfigError(f"mode degrees must lie in 0..{f}")
+    if not 0 < args.x0 <= 0.1:
+        raise ConfigError("x0 must lie in (0, 1/10]")
+    if args.ppd < 2:
+        raise ConfigError("ppd must be an integer >= 2")
     table = radial.local_cohomology(betti, f, a)
     payload = {
         "f": f, "a": str(a),
@@ -198,10 +244,7 @@ def _cmd_cone_lab(args) -> int:
         state = f"finite ({pb.value})" if pb.finite else "divergent"
         lines.append(f"  degree {k}: pullback norm {state}; slice constant {kc}; "
                      f"window {radial.window_position(k, f, a)}")
-    for mode in args.mode:
-        k_text, lam2_text = mode.split(",")
-        k = int(k_text)
-        lam2 = _parse_rational(lam2_text)
+    for k, lam2 in modes:
         pair = spectral.indicial_roots(f, a, k, lam2)
         if pair.double_root:
             payload["modes"].append({"degree": k, "lambda2": str(lam2),

@@ -218,33 +218,68 @@ def block_matrix(blocks: Sequence[Sequence[QMatrix | None]],
     return _sparse(len(out), sum(col_dims), tuple(out))
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
+def _eliminate(rows: Iterable[SparseRow], reduce: bool) -> tuple[list[SparseRow], list[int]]:
+    """Gauss-Jordan elimination on sparse rows, column by column.
+
+    Returns (pivot rows, pivot columns), both ordered by pivot column.
+    With ``reduce`` every pivot column is cleared from every other row and
+    the pivot rows are the nonzero rows of the reduced row echelon form,
+    which is unique, so the choice of pivot row only affects fill: a unit
+    entry on a short row is preferred.  Without ``reduce`` rows already
+    holding a pivot are left alone, which still gives the pivot columns
+    (those not spanned by the columns before them).  The input rows are
+    not modified.
+    """
+    rows = [dict(r) for r in rows if r]
+    col_rows: dict[int, set[int]] = {}
+    for i, r in enumerate(rows):
+        for c in r:
+            s = col_rows.get(c)
+            if s is None:
+                col_rows[c] = {i}
+            else:
+                s.add(i)
+    done: set[int] = set()
+    order: list[tuple[int, int]] = []
+    for c in sorted(col_rows):
+        holders = col_rows[c]
+        cand = holders - done
+        if not cand:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
+        i = min(cand, key=lambda t: (rows[t][c] not in (1, -1), len(rows[t]), t))
+        prow = rows[i]
+        v = prow[c]
+        if v == -1:
+            prow = {j: -x for j, x in prow.items()}
+        elif v != 1:
+            prow = {j: _exact(Fraction(x) / v) for j, x in prow.items()}
+        rows[i] = prow
+        done.add(i)
+        order.append((c, i))
+        targets = holders - {i} if reduce else holders - done
+        pitems = tuple(prow.items())
+        for t in targets:
+            row = rows[t]
+            f = row[c]
+            for j, x in pitems:
+                w = row.get(j, 0) - f * x
+                if type(w) is not int and w.denominator == 1:
+                    w = w.numerator
+                if w:
+                    if j not in row:
+                        col_rows[j].add(t)
+                    row[j] = w
+                else:
+                    del row[j]
+                    col_rows[j].discard(t)
+    return [rows[i] for _, i in order], [c for c, _ in order]
 
 
-def _fraction_rows(mat: QMatrix) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in mat.entries]
+def _side_by_side(a: QMatrix, b: QMatrix) -> list[SparseRow]:
+    """Rows of the augmented matrix [a | b]."""
+    n = a.cols
+    return [{**ra, **{n + j: v for j, v in rb.items()}}
+            for ra, rb in zip(a.sparse_rows, b.sparse_rows)]
 
 
 def kernel_basis(mat: QMatrix) -> QMatrix:
@@ -253,15 +288,18 @@ def kernel_basis(mat: QMatrix) -> QMatrix:
         return QMatrix.zeros(0, 0)
     if mat.rows == 0:
         return QMatrix.identity(mat.cols)
-    rows, pivots = _rref(_fraction_rows(mat))
+    rows, pivots = _eliminate(mat.sparse_rows, reduce=True)
     pivot_set = set(pivots)
     free = [j for j in range(mat.cols) if j not in pivot_set]
+    slot = {f: k for k, f in enumerate(free)}
     out: list[SparseRow] = [{} for _ in range(mat.cols)]
-    for k, f in enumerate(free):
+    for f, k in slot.items():
         out[f][k] = 1
-        for r, pc in enumerate(pivots):
-            if rows[r][f]:
-                out[pc][k] = _exact(-rows[r][f])
+    for row, pc in zip(rows, pivots):
+        target = out[pc]
+        for j, v in row.items():
+            if j != pc:
+                target[slot[j]] = -v
     return _sparse(mat.cols, len(free), tuple(out))
 
 
@@ -269,16 +307,33 @@ def solve_columns(a: QMatrix, b: QMatrix) -> QMatrix:
     """Solve a X = b where a has full column rank and the system is consistent."""
     if a.rows != b.rows:
         raise ShapeMismatchError("solve_columns: row mismatch")
-    aug = [ra + rb for ra, rb in zip(_fraction_rows(a), _fraction_rows(b))]
-    rows, pivots = _rref(aug)
-    if any(p >= a.cols for p in pivots):
+    n = a.cols
+    rows, pivots = _eliminate(_side_by_side(a, b), reduce=True)
+    if any(p >= n for p in pivots):
         raise ShapeMismatchError("solve_columns: inconsistent system")
-    if len(pivots) != a.cols:
+    if len(pivots) != n:
         raise ShapeMismatchError("solve_columns: matrix does not have full column rank")
-    x: list[SparseRow] = [{} for _ in range(a.cols)]
-    for r, pc in enumerate(pivots):
-        x[pc] = {j: _exact(v) for j, v in enumerate(rows[r][a.cols:]) if v}
-    return _sparse(a.cols, b.cols, tuple(x))
+    return _sparse(n, b.cols, tuple(
+        {j - n: v for j, v in row.items() if j >= n} for row in rows))
+
+
+def _select_columns(mat: QMatrix, keep: Sequence[int]) -> QMatrix:
+    slot = {j: k for k, j in enumerate(keep)}
+    return _sparse(mat.rows, len(keep), tuple(
+        {slot[j]: v for j, v in r.items() if j in slot} for r in mat.sparse_rows))
+
+
+def cocycle_basis(d_in: QMatrix, d_out: QMatrix) -> QMatrix:
+    """Cocycle columns whose classes form a basis of ker d_out / im d_in.
+
+    They are the kernel-basis columns of ``d_out`` that are pivot columns
+    of [d_in | kernel basis]: each is independent of the coboundaries and
+    of the cocycles kept before it.
+    """
+    z = kernel_basis(d_out)
+    n = d_in.cols
+    _, pivots = _eliminate(_side_by_side(d_in, z), reduce=False)
+    return _select_columns(z, [p - n for p in pivots if p >= n])
 
 
 class CochainComplex:
@@ -580,6 +635,45 @@ def direct_sum(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
             )
         )
     return CochainComplex(dims, ds)
+
+
+def _zero_differential(dims: Sequence[int]) -> CochainComplex:
+    """Complex with the given dimensions and every differential zero."""
+    return CochainComplex(dims, [QMatrix.zeros(dims[k + 1], dims[k])
+                                 for k in range(len(dims) - 1)])
+
+
+def _transpose_complex(c: CochainComplex) -> CochainComplex:
+    """The dual complex with degrees reversed: degree j holds the dual of
+    degree top - j, and its differential out of degree j is d_(top-j-1)^T."""
+    return CochainComplex(c.dims[::-1], [m.transpose() for m in reversed(c.d)])
+
+
+def cohomology_inclusion(c: CochainComplex) -> ComplexMap:
+    """i: H(c) -> c, with H(c) the zero-differential complex of Betti
+    dimensions in the degree range of ``c``; the columns of i_k are
+    cocycles whose classes form a basis of H^k(c)."""
+    if not c.verify():
+        raise UnverifiedComplexError("d∘d != 0; refusing to compute cohomology")
+    basis = [cocycle_basis(c.d_at(k - 1), c.d_at(k)) for k in range(len(c.dims))]
+    if not basis:
+        return ComplexMap(ZERO_COMPLEX, c, (), check=False)
+    return ComplexMap(_zero_differential([m.cols for m in basis]), c, basis,
+                      check=False)
+
+
+def cohomology_projection(c: CochainComplex) -> ComplexMap:
+    """p: c -> H(c), read off ``cohomology_inclusion`` of the transposed
+    complex.  The rows of p_k are cocycles of the transpose, so p∘d = 0
+    and p is a chain map into H(c); they pair perfectly with H^k(c), so
+    p_k ∘ i_k is invertible and p is a quasi-isomorphism."""
+    dual = cohomology_inclusion(_transpose_complex(c))
+    top = c.top_degree
+    maps = [dual.at(top - k).transpose() for k in range(top + 1)]
+    if not maps:
+        return ComplexMap(c, ZERO_COMPLEX, (), check=False)
+    return ComplexMap(c, _zero_differential([m.rows for m in maps]), maps,
+                      check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -507,7 +507,9 @@ def mode_exponent(k: int, lam2, f: int, a, x0: float = DEFAULT_X0,
 
     amat = radial_system_matrix(k, float(lam2), f, a)
     xs = np.asarray(log_grid(x0, points_per_decade))
-    s_eval = np.log(xs)[::-1]  # from 0 down to ln x0
+    # from 0 down to ln x0; np.log of the logspace end can round below
+    # ln x0 (x0 = 0.05), outside the integration span
+    s_eval = np.clip(np.log(xs), math.log(x0), 0.0)[::-1]
 
     def rhs(_s, v):
         return amat @ v

@@ -24,6 +24,30 @@ the top fibre degree.
 Working at chain level (rather than chasing dimensions through the
 exact sequence) makes the natural maps between perversities honest
 chain maps, so their ranks on cohomology are well-defined.
+
+Every answer is a quasi-isomorphism invariant, so ``ih_dims`` and
+``ih_map_rank`` read it from the model's minimal model (built once per
+model by ``EdgeSpaceModel.minimal_model``): F' = H(F), B' = H(B) and
+M' = H(M) with zero differentials, Y' = B' ⊗ F' and restriction
+ρ' = (p_B ⊗ p_F) ∘ ρ ∘ i_M, where i: H -> C picks cocycle
+representatives and p: C -> H is a chain map onto cohomology
+(``cochain.cohomology_inclusion`` and ``cohomology_projection``).  Its
+total complexes are Betti-sized.  Why the answers agree: let Tot_1(c)
+be the total complex of M, B' ⊗ τ_{<=c}F', Y' with restriction
+(p_B ⊗ p_F) ∘ ρ.  Because Y = B ⊗ F at chain level (``validate``
+checks it), p_B ⊗ p_F is a chain map Y -> Y', and it carries the tube
+inclusion id_B ⊗ incl to id_B' ⊗ incl'.  So
+
+    (id_M, p_B ⊗ τp_F, p_B ⊗ p_F): Tot(c) -> Tot_1(c)
+    (i_M, id, id):                  Tot'(c) -> Tot_1(c)
+
+are chain maps, where τp_F is p_F on τ_{<=c}F.  Each is a
+quasi-isomorphism on every piece of the cover, hence on the total
+complex (five lemma on the Mayer-Vietoris sequences).  Both commute
+strictly with the maps Tot(c1) -> Tot(c2), which are identities on M
+and Y and the truncation inclusion on the tube, so the ranks of those
+maps on cohomology agree too.  ``EdgeSpaceModel.total_complex`` and
+``total_map`` on the model as given stay as the chain-level reference.
 """
 
 from __future__ import annotations
@@ -37,6 +61,8 @@ from edgehodge.cochain import (
     QMatrix,
     ZERO_COMPLEX,
     block_matrix,
+    cohomology_inclusion,
+    cohomology_projection,
     complex_from_dict,
     complex_to_dict,
     direct_sum,
@@ -171,6 +197,7 @@ class EdgeSpaceModel:
         self._tot_cache: dict[int, CochainComplex] = {}
         self._map_cache: dict[tuple[int, int], ComplexMap] = {}
         self._rank_cache: dict[tuple[int, int, int], int] = {}
+        self._minimal: EdgeSpaceModel | None = None
         self.validate()
 
     # -- structural invariants ---------------------------------------
@@ -192,6 +219,11 @@ class EdgeSpaceModel:
         if not self.restriction.commutes():
             raise ModelInvariantError(f"{self.name}: restriction is not a chain map")
         if self.product_bigrading:
+            # the tube inclusion id_B ⊗ incl and the minimal model both
+            # read Y in the basis of tensor(B, F)
+            if self.Y != tensor(self.B, self.F):
+                raise ModelInvariantError(
+                    f"{self.name}: Y is not the product complex tensor(B, F)")
             conv = kunneth_convolution(self.B.cohomology_dims(), self.F.cohomology_dims())
             ydims = self.Y.cohomology_dims()
             if tuple(conv) != tuple(ydims):
@@ -291,6 +323,31 @@ class EdgeSpaceModel:
             ))
         return ComplexMap(tot1, tot2, maps, check=False)
 
+    # -- minimal model ------------------------------------------------
+
+    def minimal_model(self) -> "EdgeSpaceModel":
+        """The same space with F, B and M replaced by their cohomology
+        and Y by B' ⊗ F' (see the module notes), built on the first IH
+        query and kept on the instance.  It is its own minimal model."""
+        if self._minimal is None:
+            if not self.product_bigrading:
+                raise ModelInvariantError(
+                    f"{self.name}: missing bigrading; cannot truncate the tube")
+            p_b = cohomology_projection(self.B)
+            p_f = cohomology_projection(self.F)
+            i_m = cohomology_inclusion(self.M)
+            b_h, f_h, m_h = p_b.target, p_f.target, i_m.source
+            y_h = tensor(b_h, f_h)
+            p_y = tensor_map_blocks(p_b, p_f)
+            rho = [p_y[k] @ (self.restriction.at(k) @ i_m.at(k))
+                   for k in range(min(len(m_h.dims), len(y_h.dims)))]
+            minimal = EdgeSpaceModel(self.name, self.n, self.b, self.f, f_h, b_h, m_h, y_h,
+                                     ComplexMap(m_h, y_h, rho, check=False),
+                                     description=self.description)
+            minimal._minimal = minimal
+            self._minimal = minimal
+        return self._minimal
+
     def __repr__(self):
         return f"EdgeSpaceModel({self.name!r}, n={self.n}, b={self.b}, f={self.f})"
 
@@ -325,8 +382,13 @@ def tube_ih(space: EdgeSpaceModel, p) -> tuple[int, ...]:
 
 
 def ih_dims(space: EdgeSpaceModel, p) -> tuple[int, ...]:
-    """Graded intersection cohomology of the space at perversity p."""
-    tot = space.total_complex(space.effective_cutoff(p))
+    """Graded intersection cohomology of the space at perversity p.
+
+    Read from the total complex of the model's minimal model, which has
+    the same cohomology as the model's own total complex (see the module
+    notes); ``space.total_complex`` stays the chain-level reference.
+    """
+    tot = space.minimal_model().total_complex(space.effective_cutoff(p))
     h = tot.cohomology_dims()
     out = list(h) + [0] * (space.n + 1 - len(h))
     return tuple(out[: space.n + 1])
@@ -362,7 +424,7 @@ def ih_map_rank(space: EdgeSpaceModel, p_src, p_tgt, k: int) -> int:
         return ih_dim(space, p_src, k)
     key = (c1, c2, k)
     if key not in space._rank_cache:
-        phi = space.total_map(c1, c2)
+        phi = space.minimal_model().total_map(c1, c2)
         top = max(phi.source.top_degree, phi.target.top_degree)
         space._rank_cache[key] = induced_map_rank(phi, k) if k <= top else 0
     return space._rank_cache[key]

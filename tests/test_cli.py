@@ -301,3 +301,71 @@ def test_mutated_model_file_never_crashes(tmp_path_factory, path, junk, delete):
     file = tmp_path_factory.mktemp("fuzz") / "model.json"
     file.write_text(json.dumps(data))
     assert main(["ih", "--file", str(file), "--perversity", "0"]) in (0, 2, 3)
+
+
+def _twisted_y_cone_circle():
+    # change Y's basis by negating its degree-0 vector (column 0 of Y.d0)
+    # and compose the restriction with that change (negate row 0 of its
+    # degree-0 matrix): a consistent model whose Y is not tensor(B, F)
+    data = model_to_dict(builtin_space("cone-circle"))
+    for row in data["Y"]["differentials"][0]:
+        row[0] = str(-int(row[0]))
+    maps0 = data["restriction"]["maps"][0]
+    maps0[0] = [str(-int(x)) for x in maps0[0]]
+    return data
+
+
+@pytest.mark.parametrize("perversity", ["0", "1"])
+def test_non_product_y_rejected_at_load(tmp_path, capsys, perversity):
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps(_twisted_y_cone_circle()))
+    assert main(["ih", "--file", str(path), "--perversity", perversity]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("model invariant violated: cone-circle: "
+                            "Y is not the product complex tensor(B, F)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fibre-spec", "--kind", "torus", "--sizes", "ab"], "sizes must be"),
+    (["fibre-spec", "--kind", "circle", "--sizes", "2"], "at least 3 segments"),
+    (["fibre-spec", "--kind", "torus", "--sizes", "4,4", "--scale", "1,z"],
+     "not an exact rational"),
+    (["spectral", "--f", "2", "--a", "0", "--spectrum", "/nonexistent.csv"],
+     "cannot read spectrum file"),
+    (["spectral", "--f", "2", "--a", "0", "--fibre-kind", "circle", "--sizes", "2"],
+     "at least 3 segments"),
+    (["cone-lab", "--a", "0", "--mode", "x"], "mode must be k,lambda2"),
+    (["cone-lab", "--a", "0", "--mode", "0,-5"], "must be nonnegative"),
+    (["cone-lab", "--a", "0", "--mode", "7,0"], "mode degrees must lie in 0..2"),
+    (["cone-lab", "--a", "0", "--betti", "1,x"], "betti must be"),
+    (["cone-lab", "--a", "0", "--mode", "0,0", "--x0", "0.5"], "x0 must lie"),
+    (["cone-lab", "--a", "0", "--mode", "0,0", "--ppd", "0"], "ppd must be"),
+    (["spectral", "--f=-1", "--a", "0"], "f must be nonnegative"),
+    (["fibre-spec", "--kind", "torus", "--sizes", "4,4", "--count=-1"],
+     "count must be"),
+], ids=["sizes-not-int", "circle-too-small", "scale-not-rational",
+        "spectrum-missing", "spectral-circle-too-small", "mode-not-pair",
+        "mode-negative-lambda2", "mode-degree", "betti-not-int", "x0-range",
+        "ppd-zero", "spectral-negative-f", "count-negative"])
+def test_bad_cli_argument_exit_code(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_cone_lab_x0_not_a_power_of_ten(capsys):
+    assert main(["cone-lab", "--a", "0", "--mode", "0,0", "--x0", "0.05", "--json"]) == 0
+    (mode,) = json.loads(capsys.readouterr().out)["modes"]
+    assert mode["pass"] is True
+
+
+def test_run_with_x0_not_a_power_of_ten_has_no_error_modes():
+    rep = run(RunConfig({"spaces": ["cone-torus", "edge-circle-over-circle"],
+                         "weights": ["-1", "0", "1/2"], "fibre_grid": [8],
+                         "suites": False, "radial": {"x0": 0.05}}))
+    modes = [m for s in rep["spaces"] for m in s["radial"]["mode_exponents"]]
+    assert modes and not any("error" in m for m in modes)
+    assert all(m.get("double_root") or m["pass"] for m in modes)

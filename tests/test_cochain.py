@@ -9,6 +9,8 @@ from edgehodge.cochain import (
     ComplexMap,
     QMatrix,
     cohomology_dims,
+    cohomology_inclusion,
+    cohomology_projection,
     complex_from_dict,
     complex_to_dict,
     induced_map_rank,
@@ -206,3 +208,24 @@ def test_basis_change_invariance_seeded():
             [ps[k + 1] @ torus.d[k] @ inv[k] for k in range(len(torus.d))],
         )
         assert cohomology_dims(conj) == cohomology_dims(torus)
+        check_cohomology_maps(conj)
+
+
+def check_cohomology_maps(c):
+    # i: H -> c and p: c -> H are chain maps over the Betti dimensions,
+    # and p_k i_k is invertible, so both are quasi-isomorphisms
+    i, p = cohomology_inclusion(c), cohomology_projection(c)
+    betti = cohomology_dims(c)
+    assert i.source.dims == p.target.dims == betti
+    assert i.commutes() and p.commutes()
+    for k, h in enumerate(betti):
+        assert (p.at(k) @ i.at(k)).rank() == h
+
+
+def test_cohomology_inclusion_and_projection():
+    pieces = [circle_complex(), interval_complex(), point_complex(),
+              sphere2_complex(), torus_complex()]
+    for a in pieces:
+        check_cohomology_maps(a)
+        for b in pieces:
+            check_cohomology_maps(tensor(a, b))

@@ -277,3 +277,21 @@ def test_profile_validation():
         ConeModeProfile(1, 0.0, xs, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         ConeModeProfile(1, 0.0, (0.1, 1.0), (float("nan"), 1.0), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("x0", [0.05, 0.02, 0.003])
+def test_mode_exponent_x0_not_a_power_of_ten(x0):
+    # np.log of the logspace end rounds below ln x0 for x0 = 0.05; the
+    # evaluation grid must stay inside the integration span
+    checked = 0
+    for f in (1, 2):
+        for k in range(f + 1):
+            for a in (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(5, 4)):
+                pair = indicial_roots(f, a, k, 0)
+                if pair.double_root:
+                    continue
+                me = mode_exponent(k, 0, f, a, x0=x0)
+                assert abs(me.gamma_minus_hat - float(pair.gamma_minus)) <= 1e-3
+                assert abs(me.gamma_plus_hat - float(pair.gamma_plus)) <= 1e-3
+                checked += 1
+    assert checked >= 10

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from edgehodge import elim
+from edgehodge import cochain, elim
 from edgehodge.cochain import QMatrix, block_matrix
 
 from oracles import sympy_matrix_rank
@@ -123,3 +123,83 @@ def test_rank_reaches_bareiss_remainder(monkeypatch):
 def test_rank_of_signed_incidence_like_matrices(rows):
     # mostly +-1 entries, so the unit phase pivots on -1 with fill-in
     assert elim.rank_int_rows(rows) == sympy_matrix_rank(rows)
+
+
+def dense_rref(rows):
+    """Reference Gauss-Jordan on dense Fraction rows: (nonzero rows of the
+    reduced row echelon form, pivot columns)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    m, n = len(rows), len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def dense_kernel(rows, cols):
+    """Reference null-space basis from ``dense_rref``: one column per free
+    column f, 1 at f and minus the reduced entries at the pivots."""
+    red, pivots = dense_rref(rows) if rows else ([], [])
+    free = [j for j in range(cols) if j not in pivots]
+    out = [[Fraction(0)] * len(free) for _ in range(cols)]
+    for k, f in enumerate(free):
+        out[f][k] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            out[pc][k] = -red[r][f]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_sparse_rref_matches_dense_reference(m):
+    rows, cols, ents = m
+    mat = q(m)
+    want_rows, want_pivots = dense_rref(ents) if rows else ([], [])
+    got_rows, got_pivots = cochain._eliminate(mat.sparse_rows, reduce=True)
+    assert got_pivots == want_pivots
+    assert [QMatrix(1, cols, [r]) for r in want_rows] == \
+        [cochain._sparse(1, cols, (r,)) for r in got_rows]
+    assert cochain._eliminate(mat.sparse_rows, reduce=False)[1] == want_pivots
+    if cols:
+        assert cochain.kernel_basis(mat) == QMatrix(cols, cols - len(want_pivots),
+                                                    dense_kernel(ents, cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_solve_columns_matches_dense_reference(data):
+    # a = kernel basis of a random matrix: full column rank; b = a x
+    base = q(data.draw(matrices()))
+    a = cochain.kernel_basis(base)
+    x = q(data.draw(matrices(a.cols, data.draw(DIM))))
+    got = cochain.solve_columns(a, a @ x)
+    assert got == x
+    aug = [list(ra) + list(rb) for ra, rb in zip(a.entries, (a @ x).entries)]
+    red, _ = dense_rref(aug) if aug else ([], [])
+    assert got == QMatrix(a.cols, x.cols, [r[a.cols:] for r in red])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cocycle_basis_spans_cohomology(data):
+    # d_in = a z-column, d_out = b with b a = 0 for a = kernel basis of b
+    n = data.draw(st.integers(1, 5))
+    b = q(data.draw(matrices(cols=n)))
+    z = cochain.kernel_basis(b)
+    d_in = z @ q(data.draw(matrices(z.cols, data.draw(DIM))))
+    h = cochain.cocycle_basis(d_in, b)
+    betti = z.cols - d_in.rank()
+    assert h.rows == n and h.cols == betti
+    assert (b @ h).is_zero()
+    both = block_matrix([[d_in, h]], [n], [d_in.cols, h.cols])
+    assert both.rank() == d_in.rank() + betti

@@ -293,21 +293,24 @@ def test_random_small_models_monotonicity_and_duality(seed):
                         ih_dims(space, bar - s)[int(d2)]
 
 
-def test_subdivision_invariance_four_gon_edge_torus_over_circle():
-    # IH is a topological invariant: the same space built from 4-gon
-    # circles (Tot dims up to 712) must reproduce the built-in tables,
-    # including the induced-map ranks behind the minimal-Hodge dimensions
+def _ngon_edge_torus_over_circle(n):
     from edgehodge.fibredec import build_fibre
     from edgehodge.stratified import _closed_model
-    from edgehodge.weights import complete_l2, minimal_hodge_dims
 
     def circle():
-        return build_fibre("circle", 4).complex
+        return build_fibre("circle", n).complex
 
-    sub = model_from_dict(model_to_dict(_closed_model(
-        "edge-torus-over-4gon-circle", circle(), tensor(circle(), circle()), "")))
+    return model_from_dict(model_to_dict(_closed_model(
+        f"edge-torus-over-{n}gon-circle", circle(), tensor(circle(), circle()), "")))
+
+
+def _assert_matches_edge_torus_over_circle(sub):
+    # IH is a topological invariant: a subdivided model must reproduce the
+    # built-in tables, including the induced-map ranks behind the
+    # minimal-Hodge dimensions
+    from edgehodge.weights import complete_l2, minimal_hodge_dims
+
     ref = builtin_space("edge-torus-over-circle")
-    assert max(sub.total_complex(1).dims) == 712
     for p in range(-1, 4):
         assert ih_dims(sub, p) == ih_dims(ref, p)
     for a in (0, 1):
@@ -321,3 +324,85 @@ def test_subdivision_invariance_four_gon_edge_torus_over_circle():
         dual = ih_dims(sub, bar - s)
         assert ih_dims(sub, low + s) == dual[::-1]
         assert dual == ih_dims(ref, bar - s)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_subdivision_invariance_ladder_edge_torus_over_circle(n):
+    # higher rungs of the ladder: the model's total complexes run to
+    # thousands of rows, its minimal model stays Betti-sized
+    sub = _ngon_edge_torus_over_circle(n)
+    _assert_matches_edge_torus_over_circle(sub)
+    assert sub.minimal_model().M.dims == (1, 3, 3, 1)
+
+
+def test_subdivision_invariance_four_gon_edge_torus_over_circle():
+    sub = _ngon_edge_torus_over_circle(4)
+    assert max(sub.total_complex(1).dims) == 712
+    _assert_matches_edge_torus_over_circle(sub)
+
+
+def _relabelled_circle(n, rng):
+    """n-gon circle with vertices and edges permuted and every edge given
+    a random orientation."""
+    from edgehodge.cochain import CochainComplex, QMatrix
+
+    vperm, eperm = list(range(n)), list(range(n))
+    rng.shuffle(vperm)
+    rng.shuffle(eperm)
+    d0 = [[0] * n for _ in range(n)]
+    for e in range(n):
+        sign = rng.choice((1, -1))
+        d0[eperm[e]][vperm[e]] = -sign
+        d0[eperm[e]][vperm[(e + 1) % n]] = sign
+    return CochainComplex((n, n), [QMatrix(n, n, d0)])
+
+
+def _relabelled_edge_torus_over_circle(n, seed):
+    import random
+
+    from edgehodge.stratified import _closed_model
+
+    rng = random.Random(seed)
+    base = _relabelled_circle(n, rng)
+    torus = tensor(_relabelled_circle(n, rng), _relabelled_circle(n, rng))
+    return model_from_dict(model_to_dict(_closed_model(
+        f"edge-torus-over-{n}gon-circle", base, torus, "")))
+
+
+def _minimal_model_cases():
+    for name in BUILTIN_NAMES:
+        yield name, lambda name=name: builtin_space(name)
+    for n, seed in ((3, 11), (3, 12), (4, 13)):
+        yield f"{n}gon-seed{seed}", \
+            lambda n=n, seed=seed: _relabelled_edge_torus_over_circle(n, seed)
+    for seed in (1, 2, 3):
+        for i in (0, 1):
+            yield f"random-seed{seed}-{i}", \
+                lambda seed=seed, i=i: list(_random_small_models(seed))[i]
+
+
+@pytest.mark.parametrize("build", [b for _, b in _minimal_model_cases()],
+                         ids=[i for i, _ in _minimal_model_cases()])
+def test_minimal_model_matches_chain_level_reference(build):
+    # IH and induced-map ranks read from the minimal model must equal the
+    # ones of the model's own Mayer-Vietoris total complexes
+    from edgehodge.cochain import induced_map_rank
+
+    space = build()
+    minimal = space.minimal_model()
+    assert minimal.minimal_model() is minimal
+    assert minimal.F.dims == space.F.cohomology_dims()
+    assert minimal.B.dims == space.B.cohomology_dims()
+    assert minimal.M.dims == space.M.cohomology_dims()
+    pad = space.n + 1
+    for c in range(-1, space.f + 1):
+        ref = tuple(cohomology_dims(space.total_complex(c))) + (0,) * pad
+        assert ih_dims(space, space.f - 1 - c) == ref[:pad], c
+        assert sum(minimal.total_complex(c).dims) <= sum(space.total_complex(c).dims)
+    for c1 in range(-1, space.f + 1):
+        for c2 in range(c1 + 1, space.f + 1):
+            phi = space.total_map(c1, c2)
+            for k in range(space.n + 1):
+                ref = induced_map_rank(phi, k)
+                assert induced_map_rank(minimal.total_map(c1, c2), k) == ref
+                assert ih_map_rank(space, space.f - 1 - c1, space.f - 1 - c2, k) == ref
