@@ -254,9 +254,7 @@ def _cmd_cone_lab(args) -> int:
             continue
         me = radial.mode_exponent(k, lam2, f, a, x0=args.x0,
                                   points_per_decade=args.ppd)
-        err = max(abs(me.gamma_minus_hat - float(pair.gamma_minus)),
-                  abs(me.gamma_plus_hat - float(pair.gamma_plus)))
-        ok = err <= 1e-3
+        err, ok = radial.recovery_error(me, pair)
         payload["modes"].append({
             "degree": k, "lambda2": str(lam2),
             "closed_form": [str(pair.gamma_minus), str(pair.gamma_plus)],

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from edgehodge.cochain import CochainComplex, QMatrix, tensor
 from edgehodge.errors import EigensolverError, UnderResolvedSpectrumError
@@ -159,7 +158,7 @@ def _solve_degree(fibre: DiscreteFibre, q: int, check_count: int,
                   tol: float) -> tuple[np.ndarray, float, int, float]:
     """Full ascending spectrum plus (norm, zero count, max residual)."""
     s = laplacian_matrix(fibre, q)
-    vals, vecs = scipy.linalg.eigh(s)
+    vals, vecs = np.linalg.eigh(s)
     n = fibre.dim(q)
     norm = max(abs(vals[0]), abs(vals[-1])) if n else 0.0
     res = 0.0

@@ -224,12 +224,6 @@ class EdgeSpaceModel:
             if self.Y != tensor(self.B, self.F):
                 raise ModelInvariantError(
                     f"{self.name}: Y is not the product complex tensor(B, F)")
-            conv = kunneth_convolution(self.B.cohomology_dims(), self.F.cohomology_dims())
-            ydims = self.Y.cohomology_dims()
-            if tuple(conv) != tuple(ydims):
-                raise ModelInvariantError(
-                    f"{self.name}: cohomology of Y disagrees with the Kunneth convolution"
-                )
 
     # -- truncated tube and total complex -----------------------------
 

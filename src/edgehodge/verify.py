@@ -238,6 +238,16 @@ def stratified_checks(space_names=None) -> list[CheckResult]:
             if extended_identities(sp, p) != ih_dims(sp, p):
                 ok = False
     out.append(_result("stratified", "extended-identities-match-engine", ok))
+
+    # loading checks Y == tensor(B, F) at chain level, which implies this
+    ok = True
+    detail = ""
+    for sp in spaces:
+        conv = kunneth_convolution(sp.B.cohomology_dims(), sp.F.cohomology_dims())
+        if sp.product_bigrading and tuple(conv) != tuple(sp.Y.cohomology_dims()):
+            ok = False
+            detail = sp.name
+    out.append(_result("stratified", "y-kunneth", ok, detail))
     return out
 
 
@@ -486,10 +496,9 @@ def radial_checks() -> list[CheckResult]:
     for k, lam2, f, a in cases:
         pair = spectral.indicial_roots(f, a, k, lam2)
         me = radial.mode_exponent(k, lam2, f, a)
-        err = max(abs(me.gamma_minus_hat - float(pair.gamma_minus)),
-                  abs(me.gamma_plus_hat - float(pair.gamma_plus)))
+        _err, recovered = radial.recovery_error(me, pair)
         srule = abs(me.gamma_minus_hat + me.gamma_plus_hat - float(2 * a - f))
-        if err > 1e-3 or srule > 2e-3:
+        if not recovered or srule > 2e-3:
             ok = False
     out.append(_result("radial", "exponent-recovery", ok))
 

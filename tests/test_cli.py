@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import edgehodge
 from edgehodge import verify
 from edgehodge.cli import main
 from edgehodge.report import RunConfig, run
@@ -369,3 +374,24 @@ def test_run_with_x0_not_a_power_of_ten_has_no_error_modes():
     modes = [m for s in rep["spaces"] for m in s["radial"]["mode_exponents"]]
     assert modes and not any("error" in m for m in modes)
     assert all(m.get("double_root") or m["pass"] for m in modes)
+
+
+def _cli_subprocess(*argv):
+    """Run ``python -m edgehodge.cli`` in a fresh interpreter, so numpy
+    warnings written to stderr are seen as a user sees them."""
+    src = str(Path(edgehodge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-m", "edgehodge.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("mode", ["0,400", "0,100"])
+def test_cone_lab_unrecoverable_exponent_is_an_error(mode):
+    # the deflated residual of these modes is lost to rounding; a NaN
+    # exponent used to print and pass
+    proc = _cli_subprocess("cone-lab", "--a", "0", "--mode", mode)
+    assert proc.returncode == 3
+    assert "nan" not in proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

@@ -12,6 +12,7 @@ from edgehodge.errors import (
 )
 from edgehodge.radial import (
     ConeModeProfile,
+    ModeExponents,
     PolyRadialForm,
     d_cone,
     homotopy_K,
@@ -26,6 +27,7 @@ from edgehodge.radial import (
     power_profile,
     pullback_norm,
     radial_pullback,
+    recovery_error,
     save_coefficient_table,
     scale_radial,
     slice_constant,
@@ -295,3 +297,39 @@ def test_mode_exponent_x0_not_a_power_of_ten(x0):
                 assert abs(me.gamma_plus_hat - float(pair.gamma_plus)) <= 1e-3
                 checked += 1
     assert checked >= 10
+
+
+# -- exact one-step propagator -----------------------------------------------------
+
+@pytest.mark.parametrize("k, lam2, f, a", [
+    (0, 1, 2, Fraction(0)), (0, 0, 1, Fraction(0)),
+    (1, Fraction(9, 4), 2, Fraction(-5, 4))])
+def test_mode_exponent_dominant_root_to_rounding(k, lam2, f, a):
+    # exp(-hA) is exact up to rounding, so the dominant (most negative)
+    # exponent is recovered far below the 1e-3 recovery contract
+    pair = indicial_roots(f, a, k, lam2)
+    me = mode_exponent(k, lam2, f, a)
+    assert abs(me.gamma_minus_hat - float(pair.gamma_minus)) <= 1e-12
+
+
+def test_mode_exponent_overflow_is_stiffness_failure():
+    # x^(-1 - sqrt 2) overflows a float long before x = 1e-300
+    with pytest.raises(StiffnessFailureError):
+        mode_exponent(0, 1, 2, 0, x0=1e-300)
+
+
+@pytest.mark.parametrize("lam2", [100, 400])
+def test_mode_exponent_non_finite_slope_is_stiffness_failure(lam2):
+    # the recessive solution drops below rounding next to x^(-1 - sqrt(1 + lam2));
+    # its deflated residual has exact zeros and no slope
+    with pytest.raises(StiffnessFailureError, match="not finite"):
+        mode_exponent(0, lam2, 2, 0)
+
+
+def test_recovery_error_reads_the_tolerance():
+    pair = indicial_roots(2, 0, 0, 1)
+    exact = ModeExponents(float(pair.gamma_minus), float(pair.gamma_plus), False)
+    assert recovery_error(exact, pair) == (0.0, True)
+    off = ModeExponents(exact.gamma_minus_hat, exact.gamma_plus_hat + 2e-3, False)
+    err, ok = recovery_error(off, pair)
+    assert err == pytest.approx(2e-3) and not ok

@@ -23,3 +23,10 @@ def test_unknown_suite_rejected():
 
     with pytest.raises(KeyError):
         verify.run_suites(["nope"])
+
+
+def test_y_kunneth_check_covers_builtins():
+    # loading no longer ranks Y; the Künneth consequence of Y == tensor(B, F)
+    # is checked once here
+    (check,) = [r for r in verify.stratified_checks() if r.name == "y-kunneth"]
+    assert check.passed and check.suite == "stratified"
