@@ -14,15 +14,17 @@ degree-q eigenvalues are sums of ``circle_mode_eigenvalue`` values.
 path (``laplacian_matrix``, ``fibre_spectrum``) solves the symmetrized
 form W^{1/2} Δ W^{-1/2}, which is symmetric positive semidefinite; it
 is the oracle for the closed form and for the mesh-convergence checks.
+The metric weights W are numpy arrays built on first use, for that
+oracle only; the closed form needs no numpy.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from edgehodge.cochain import CochainComplex, QMatrix, tensor
 from edgehodge.errors import EigensolverError, UnderResolvedSpectrumError
@@ -38,7 +40,6 @@ class DiscreteFibre:
     sizes: tuple[int, ...]
     lengths: tuple[float, ...]
     complex: CochainComplex
-    weights: tuple[np.ndarray, ...]  # per-degree diagonal inner products
 
     def dim(self, q: int) -> int:
         return self.complex.dim(q)
@@ -47,7 +48,22 @@ class DiscreteFibre:
     def top_degree(self) -> int:
         return self.complex.top_degree
 
-    def d_dense(self, q: int) -> np.ndarray:
+    @cached_property
+    def weights(self) -> tuple:
+        """Per-degree diagonal inner products (numpy arrays): tensor products
+        of the circle factors' weights, in the blocks of ``tensor``."""
+        import numpy as np
+        weights = [np.ones(1)]
+        for n, length in zip(self.sizes, self.lengths):
+            h = length / n
+            circle = (np.full(n, h), np.full(n, 1.0 / h))
+            weights = [np.concatenate([np.kron(weights[i], circle[q - i])
+                                       for i in (q - 1, q) if 0 <= i < len(weights)])
+                       for q in range(len(weights) + 1)]
+        return tuple(weights)
+
+    def d_dense(self, q: int):
+        import numpy as np
         mat = self.complex.d_at(q)
         out = np.zeros((mat.rows, mat.cols))
         for i, row in enumerate(mat.sparse_rows):
@@ -55,10 +71,9 @@ class DiscreteFibre:
                 out[i, j] = v
         return out
 
-    def weight(self, q: int) -> np.ndarray:
-        if 0 <= q <= self.top_degree:
-            return self.weights[q]
-        return np.zeros(0)
+    def weight(self, q: int):
+        import numpy as np
+        return self.weights[q] if 0 <= q <= self.top_degree else np.zeros(0)
 
 
 def _circle_fibre(n: int, length: float) -> DiscreteFibre:
@@ -71,22 +86,12 @@ def _circle_fibre(n: int, length: float) -> DiscreteFibre:
         d0[e][e] = -1
         d0[e][(e + 1) % n] = 1
     cx = CochainComplex((n, n), [QMatrix(n, n, d0)])
-    h = length / n
-    weights = (np.full(n, h), np.full(n, 1.0 / h))
-    return DiscreteFibre("circle", (n,), (length,), cx, weights)
+    return DiscreteFibre("circle", (n,), (length,), cx)
 
 
 def _product_fibre(a: DiscreteFibre, b: DiscreteFibre, kind: str) -> DiscreteFibre:
-    cx = tensor(a.complex, b.complex)
-    weights = []
-    for q in range(cx.top_degree + 1):
-        parts = []
-        for i in range(q + 1):
-            if a.dim(i) and b.dim(q - i):
-                parts.append(np.kron(a.weight(i), b.weight(q - i)))
-        weights.append(np.concatenate(parts) if parts else np.zeros(0))
     return DiscreteFibre(kind, a.sizes + b.sizes, a.lengths + b.lengths,
-                         cx, tuple(weights))
+                         tensor(a.complex, b.complex))
 
 
 def build_fibre(kind: str, sizes, scale=None) -> DiscreteFibre:
@@ -126,8 +131,9 @@ def build_fibre(kind: str, sizes, scale=None) -> DiscreteFibre:
     raise ValueError(f"unknown fibre kind {kind!r}")
 
 
-def laplacian_matrix(fibre: DiscreteFibre, q: int) -> np.ndarray:
-    """Symmetrized weighted Hodge Laplacian in degree q."""
+def laplacian_matrix(fibre: DiscreteFibre, q: int):
+    """Symmetrized weighted Hodge Laplacian in degree q, a numpy array."""
+    import numpy as np
     if not (0 <= q <= fibre.top_degree):
         raise ValueError("degree out of range")
     n = fibre.dim(q)
@@ -155,8 +161,9 @@ class SpectrumResult:
 
 
 def _solve_degree(fibre: DiscreteFibre, q: int, check_count: int,
-                  tol: float) -> tuple[np.ndarray, float, int, float]:
+                  tol: float) -> tuple:
     """Full ascending spectrum plus (norm, zero count, max residual)."""
+    import numpy as np
     s = laplacian_matrix(fibre, q)
     vals, vecs = np.linalg.eigh(s)
     n = fibre.dim(q)
@@ -189,22 +196,22 @@ def fibre_spectrum(fibre: DiscreteFibre, q: int, count: int,
                           zeros, float(res))
 
 
-def _product_eigenvalues(fibre: DiscreteFibre) -> list[np.ndarray]:
+def _product_eigenvalues(fibre: DiscreteFibre) -> list[list[float]]:
     """Full per-degree spectrum of a product-of-circles fibre, ascending.
 
     Künneth: each circle factor contributes its n mode eigenvalues to
     both its degree-0 and its degree-1 part, so a degree-q eigenvalue is
     a sum over the factors, one mode each, with q factors in degree 1.
     """
-    levels = [np.zeros(1)]
+    levels = [[0.0]]
     for n, length in zip(fibre.sizes, fibre.lengths):
-        circ = np.array([circle_mode_eigenvalue(n, length, m) for m in range(n)])
-        sums = [np.add.outer(lv, circ).ravel() for lv in levels]
+        circ = [circle_mode_eigenvalue(n, length, m) for m in range(n)]
+        sums = [[v + c for v in lv for c in circ] for lv in levels]
         # degree q collects the sums whose circle mode sits in degree 0
         # (from degree q) or in degree 1 (from degree q - 1)
-        levels = [np.concatenate(sums[max(q - 1, 0):q + 1])
+        levels = [[v for s in sums[max(q - 1, 0):q + 1] for v in s]
                   for q in range(len(sums) + 1)]
-    return [np.sort(lv) for lv in levels]
+    return [sorted(lv) for lv in levels]
 
 
 def spectrum_for_predicates(fibre: DiscreteFibre, count: int = 8,
@@ -220,7 +227,7 @@ def spectrum_for_predicates(fibre: DiscreteFibre, count: int = 8,
     betti = fibre.complex.cohomology_dims()
     levels = []
     for q, vals in enumerate(_product_eigenvalues(fibre)):
-        zeros = int(np.sum(vals < tol * max(vals[-1], 1.0)))
+        zeros = bisect.bisect_left(vals, tol * max(vals[-1], 1.0))
         if zeros != betti[q]:
             raise UnderResolvedSpectrumError(
                 f"degree {q}: {zeros} zero modes at tolerance, Betti is {betti[q]}"
@@ -229,7 +236,7 @@ def spectrum_for_predicates(fibre: DiscreteFibre, count: int = 8,
         if zeros:
             pairs.append((0, zeros))
         for v in vals[zeros:zeros + count]:
-            pairs.append((float(v), 1))
+            pairs.append((v, 1))
         levels.append(pairs)
     return FibreSpectrum(levels, "discrete", betti=betti)
 

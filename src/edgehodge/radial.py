@@ -31,11 +31,12 @@ coordinates, which keeps the exponent regression well conditioned.
 
 from __future__ import annotations
 
+import bisect
 import math
+import statistics
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from edgehodge.cochain import CochainComplex, QMatrix
 from edgehodge.errors import (
@@ -169,8 +170,9 @@ class PolyRadialForm:
             out = _vec_add(out, _vec_scale(x ** m, v))
         return out
 
-    def sample(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """(|alpha|, |beta|) Euclidean coefficient norms on the grid."""
+    def sample(self, xs):
+        """(|alpha|, |beta|) Euclidean coefficient norms on the grid (numpy)."""
+        import numpy as np
         xs = np.asarray(xs, dtype=float)
         na = self.fibre.dim(self.degree)
         nb = self.fibre.dim(self.degree - 1)
@@ -276,9 +278,10 @@ def homotopy_bound_coefficient(k: int, f: int, a, c):
 
 def weighted_norm_sq(xs, magnitudes, exponent: float) -> float:
     """Trapezoid estimate of ∫ |v(x)|^2 x^exponent dx over the grid."""
-    xs = np.asarray(xs, dtype=float)
-    vals = np.asarray(magnitudes, dtype=float) ** 2 * xs ** exponent
-    return float(np.trapezoid(vals, xs))
+    xs = [float(x) for x in xs]
+    vals = [m * m * x ** exponent for x, m in zip(xs, map(float, magnitudes))]
+    return math.fsum((x1 - x0) * (v1 + v0) / 2.0
+                     for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]))
 
 
 def homotopy_operator_estimate(form: PolyRadialForm, f: int, a, c,
@@ -311,9 +314,11 @@ def log_grid(x0: float = DEFAULT_X0, points_per_decade: int = POINTS_PER_DECADE)
     """Logarithmically spaced grid on [x0, 1], endpoints included."""
     if not (0 < x0 < 1):
         raise ValueError("x0 must lie in (0, 1)")
-    decades = -math.log10(x0)
-    n = max(2, round(points_per_decade * decades))
-    return tuple(float(x) for x in np.logspace(math.log10(x0), 0.0, n + 1))
+    start = math.log10(x0)
+    n = max(2, round(points_per_decade * -start))
+    # np.logspace(start, 0, n + 1): the same linspace, with its end exact
+    step = -start / n
+    return tuple(10.0 ** (i * step + start) for i in range(n)) + (1.0,)
 
 
 @dataclass
@@ -363,6 +368,7 @@ def homotopy_K_profile(profile: ConeModeProfile, c: float) -> ConeModeProfile:
     the quadrature: a relative discrepancy above 1e-6 raises, which is
     what an under-resolved grid produces.
     """
+    import numpy as np
     xs = np.asarray(profile.xs)
     ts = np.asarray(profile.t_samples)
     if not (xs[0] < c < xs[-1]):
@@ -405,14 +411,11 @@ def load_coefficient_table(path: str) -> tuple[tuple[float, ...], tuple[float, .
 
 def _fit_slope(xs, ys) -> float:
     """Least-squares slope of log y against log x; NaN unless every y is
-    positive and finite."""
-    ys = np.asarray(ys)
-    if not (np.isfinite(ys) & (ys > 0)).all():
+    positive and finite and the x are not all equal."""
+    if not all(math.isfinite(y) and y > 0 for y in ys) or min(xs) == max(xs):
         return math.nan
-    lx = np.log(np.asarray(xs))
-    ly = np.log(ys)
-    lx = lx - lx.mean()
-    return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
+    return statistics.linear_regression([math.log(x) for x in xs],
+                                        [math.log(y) for y in ys]).slope
 
 
 def window_position(k: int, f: int, a) -> str:
@@ -484,11 +487,23 @@ def recovery_error(me: ModeExponents, pair) -> tuple[float, bool]:
     return err, err <= RECOVERY_TOL
 
 
-def radial_system_matrix(k: int, lam2: float, f: int, a) -> np.ndarray:
-    """Coefficient matrix A of the mode system x v'(x) = A v(x)."""
+def radial_system_matrix(k: int, lam2: float, f: int, a):
+    """Coefficient matrix A of the mode system x v'(x) = A v(x), as rows."""
     lam = math.sqrt(float(lam2))
     af = float(Fraction(a))
-    return np.array([[-float(k), lam], [lam, -(f - k - 2 * af)]])
+    return ((-float(k), lam), (lam, -(f - k - 2 * af)))
+
+
+def _deflated_norms(direction, path) -> list[float]:
+    """|v - (u.v) u| along ``path``, u the unit vector along ``direction``;
+    a residual within one rounding unit of |v| is noise and reads as 0."""
+    u1, u2 = (c / math.hypot(*direction) for c in direction)
+    out = []
+    for v1, v2 in path:
+        dot = u1 * v1 + u2 * v2
+        w = math.hypot(v1 - u1 * dot, v2 - u2 * dot)
+        out.append(w if w > sys.float_info.epsilon * math.hypot(v1, v2) else 0.0)
+    return out
 
 
 def mode_exponent(k: int, lam2, f: int, a, x0: float = DEFAULT_X0,
@@ -521,28 +536,36 @@ def mode_exponent(k: int, lam2, f: int, a, x0: float = DEFAULT_X0,
             f"indicial gap {math.sqrt(disc):.3g} too small for regression"
         )
 
-    amat = radial_system_matrix(k, float(lam2), f, a)
-    xs = np.asarray(log_grid(x0, points_per_decade))
+    (a11, lam), (_, a22) = radial_system_matrix(k, float(lam2), f, a)
+    xs = log_grid(x0, points_per_decade)
     # xs is uniform in s = ln x with step h, so v(s - h) = exp(-hA) v(s); A is
     # symmetric with eigenvalues mu ± delta, which puts exp(-hA) in closed form
     h = -math.log(x0) / (len(xs) - 1)
-    mu, delta = np.trace(amat) / 2, math.sqrt(disc) / 2
-    step = math.exp(-h * mu) * (math.cosh(h * delta) * np.eye(2)
-                                - math.sinh(h * delta) / delta * (amat - mu * np.eye(2)))
-    flow = [np.eye(2)]
-    with np.errstate(over="ignore", invalid="ignore"):
+    mu, delta = (a11 + a22) / 2, math.sqrt(disc) / 2
+    try:
+        scale = math.exp(-h * mu)
+        ch, sh = math.cosh(h * delta), math.sinh(h * delta) / delta
+    except OverflowError:
+        raise StiffnessFailureError(
+            f"one-step propagator exp(-hA) overflows (h*delta = {h * delta:.3g}); "
+            "the grid is too coarse for this mode") from None
+    p11, p12, p22 = (scale * (ch - sh * (a11 - mu)), scale * -(sh * lam),
+                     scale * (ch - sh * (a22 - mu)))
+    # sols[j][i] = exp(A ln xs[i]) e_j, the solution through e_j at x = 1
+    sols = []
+    for v1, v2 in ((1.0, 0.0), (0.0, 1.0)):
+        path = [(v1, v2)]
         for _ in xs[1:]:
-            flow.append(step @ flow[-1])
-    # sols[j][:, i] = exp(A ln xs[i]) e_j, the solution through e_j at x = 1
-    sols = np.array(flow[::-1]).transpose(2, 1, 0)
-    if not np.isfinite(sols).all():
+            v1, v2 = p11 * v1 + p12 * v2, p12 * v1 + p22 * v2
+            path.append((v1, v2))
+        sols.append(path[::-1])
+    # a component that overflows stays non-finite down the grid
+    if not all(map(math.isfinite, sols[0][0] + sols[1][0])):
         raise StiffnessFailureError("radial trajectory overflows before x0")
 
-    last = xs <= 10 * x0
-    slopes = []
-    for y in sols:
-        mags = np.linalg.norm(y, axis=0)
-        slopes.append(_fit_slope(xs[last], mags[last]))
+    last = bisect.bisect_right(xs, 10 * x0)
+    slopes = [_fit_slope(xs[:last], [math.hypot(*v) for v in y[:last]])
+              for y in sols]
 
     if abs(slopes[0] - slopes[1]) > 0.02:
         gm, gp = sorted(slopes)
@@ -550,18 +573,14 @@ def mode_exponent(k: int, lam2, f: int, a, x0: float = DEFAULT_X0,
 
     gm = slopes[0]
     y1, y2 = sols
-    dominant_dir = y1[:, 0] / np.linalg.norm(y1[:, 0])
-    w = y2 - np.outer(dominant_dir, dominant_dir @ y2)
-    wmag = np.linalg.norm(w, axis=0)
-    early = xs >= 0.1
-    if np.max(wmag[early]) < 1e-12 * np.max(np.linalg.norm(y2, axis=0)[early]):
+    early = bisect.bisect_left(xs, 0.1)
+    wmag = _deflated_norms(y1[0], y2[early:])
+    if max(wmag) < 1e-12 * max(math.hypot(*v) for v in y2[early:]):
         # second solution started parallel to the dominant direction;
         # deflate the first solution instead
-        dominant_dir2 = y2[:, 0] / np.linalg.norm(y2[:, 0])
-        w = y1 - np.outer(dominant_dir2, dominant_dir2 @ y1)
-        wmag = np.linalg.norm(w, axis=0)
-    gp = _fit_slope(xs[early], wmag[early])
-    # a NaN slope (from a residual with exact zeros, lost to rounding)
+        wmag = _deflated_norms(y2[0], y1[early:])
+    gp = _fit_slope(xs[early:], wmag)
+    # a NaN slope (from a residual lost to rounding, which reads as 0)
     # fails the split above, so every non-finite fit ends here
     if not (math.isfinite(gm) and math.isfinite(gp)):
         raise StiffnessFailureError("a fitted exponent is not finite")

@@ -171,23 +171,37 @@ def indicial_roots(f: int, a, k: int, lam2) -> IndicialRootPair:
                             k, lam2, a, disc_f == 0.0, False)
 
 
-def _window_quantity(f: int, a: Fraction, k: int, lam2: Number) -> Number:
-    """(f - 2a - 2k)^2 + 4 lambda^2, exact when lambda^2 is rational."""
-    base = Fraction(f - 2 * a - 2 * k) ** 2
-    if isinstance(lam2, Fraction):
-        return base + 4 * lam2
-    return float(base) + 4.0 * lam2
+def _window_modes(f: int, a, spec: FibreSpectrum):
+    """Yield (degree, lambda^2, Q) with Q = (f - 2a - 2k)^2 + 4 lambda^2,
+    exact when lambda^2 is rational, for each mode up to the last one
+    whose Q can be <= 1.
+
+    Levels ascend, so a degree stops at the first mode whose Q exceeds 1
+    in both exact and float arithmetic: every later Fraction then has an
+    exact Q above 1, and every later float is at least float(lambda^2),
+    where b + 4.0 x is monotone under rounding.
+    """
+    a = Fraction(a)
+    for q in spec.degrees():
+        base = Fraction(f - 2 * a - 2 * q) ** 2
+        base_f = float(base)
+        for lam2, _mult in spec.eigenvalues(q):
+            if isinstance(lam2, Fraction):
+                quantity = base + 4 * lam2
+                past = quantity > 1 and base_f + 4.0 * float(lam2) > 1
+            else:
+                quantity = base_f + 4.0 * lam2
+                past = quantity > 1 and (lam2 == math.inf
+                                         or base + 4 * Fraction(lam2) > 1)
+            if past:
+                break
+            yield q, lam2, quantity
 
 
 def critical_roots(f: int, a, spec: FibreSpectrum) -> list[IndicialRootPair]:
     """All root pairs strictly inside the critical weight window."""
-    a = Fraction(a)
-    out = []
-    for q in spec.degrees():
-        for lam2, _mult in spec.eigenvalues(q):
-            if _window_quantity(f, a, q, lam2) < 1:
-                out.append(indicial_roots(f, a, q, lam2))
-    return out
+    return [indicial_roots(f, a, q, lam2)
+            for q, lam2, quantity in _window_modes(f, a, spec) if quantity < 1]
 
 
 def boundary_contacts(f: int, a, spec: FibreSpectrum) -> list[tuple[int, Number]]:
@@ -196,18 +210,13 @@ def boundary_contacts(f: int, a, spec: FibreSpectrum) -> list[tuple[int, Number]
     These are classified non-critical, but the closed-window caveat
     means downstream conclusions deserve a warning, so the CLI surfaces
     them."""
-    a = Fraction(a)
-    out = []
-    for q in spec.degrees():
-        for lam2, _mult in spec.eigenvalues(q):
-            if _window_quantity(f, a, q, lam2) == 1:
-                out.append((q, lam2))
-    return out
+    return [(q, lam2) for q, lam2, quantity in _window_modes(f, a, spec)
+            if quantity == 1]
 
 
 def essentially_selfadjoint(f: int, a, spec: FibreSpectrum) -> bool:
     """True iff no indicial root lies in the critical window."""
-    return not critical_roots(f, a, spec)
+    return not any(quantity < 1 for _, _, quantity in _window_modes(f, a, spec))
 
 
 def unique_closed_extension_d(f: int, a, f_betti: Sequence[int]) -> bool:

@@ -395,3 +395,27 @@ def test_cone_lab_unrecoverable_exponent_is_an_error(mode):
     assert "nan" not in proc.stdout + proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_cone_lab_large_finite_trajectory_recovers_without_warnings():
+    # the trajectory reaches ~1e162 at x0 = 1e-100: finite, though its
+    # squared norm is not
+    proc = _cli_subprocess("cone-lab", "--a", "0", "--x0", "1e-100", "--mode", "0,1")
+    assert proc.returncode == 0, proc.stderr
+    assert "[pass]" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr and proc.stderr == ""
+
+
+def test_cone_lab_unrepresentable_propagator_is_a_stiffness_error(capsys):
+    # h * delta = ln(10)/2 * sqrt(1e6) ~ 1151: cosh overflows a float
+    assert main(["cone-lab", "--a", "0", "--mode", "0,1000000", "--ppd", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: one-step propagator") and err.count("\n") == 1
+
+
+def test_run_reports_unrepresentable_propagator_as_mode_error():
+    rep = run(RunConfig({"spaces": ["cone-torus"], "weights": ["1000"],
+                         "fibre_grid": [4, 4], "suites": False,
+                         "radial": {"points_per_decade": 2}}))
+    modes = rep["spaces"][0]["radial"]["mode_exponents"]
+    assert modes and all("one-step propagator" in m["error"] for m in modes)

@@ -164,3 +164,16 @@ def test_csv_export(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "degree,index,eigenvalue"
     assert lines[1].startswith("0,0,0")
+
+
+def test_product_eigenvalues_equal_numpy_outer_sums():
+    # reference: the Künneth sums built with numpy outer sums and a sort
+    from edgehodge.fibredec import _product_eigenvalues
+
+    fib = build_fibre("product", (5, 6, 4), scale=(1.0, 2.5, 3.0))
+    levels = [np.zeros(1)]
+    for n, length in zip(fib.sizes, fib.lengths):
+        circ = np.array([circle_mode_eigenvalue(n, length, m) for m in range(n)])
+        sums = [np.add.outer(lv, circ).ravel() for lv in levels]
+        levels = [np.concatenate(sums[max(q - 1, 0):q + 1]) for q in range(len(sums) + 1)]
+    assert _product_eigenvalues(fib) == [np.sort(lv).tolist() for lv in levels]

@@ -166,6 +166,13 @@ def test_homotopy_operator_norm_estimate():
         assert est["norm_K_sq"] <= est["coefficient"] * est["norm_beta_sq"] * 1.001
 
 
+def test_homotopy_operator_estimate_without_numpy_trapezoid(monkeypatch):
+    # numpy.trapezoid first appears in NumPy 2.0; the declared floor is 1.24
+    monkeypatch.delattr(np, "trapezoid", raising=False)
+    omega, _, _ = _random_exact_closed_form(random.Random(3), 1)
+    assert homotopy_operator_estimate(omega, 2, 0, Fraction(3, 4))["ok"]
+
+
 def test_homotopy_bound_log_case_positive():
     for c in (Fraction(21, 40), Fraction(3, 4), Fraction(9, 10)):
         # exponent -1: k = (f+1)/2 - a

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from edgehodge.errors import ModelInvariantError
 from edgehodge.spectral import (
@@ -176,3 +176,65 @@ def test_spectrum_roundtrip_preserves_numeric_vs_exact():
     assert clone.levels == mixed.levels
     v0, v1 = clone.levels[0][0][0], clone.levels[0][1][0]
     assert isinstance(v0, Fraction) and isinstance(v1, float)
+
+
+def _full_scan(f, a, spec):
+    """Reference predicates: every mode of every degree is examined."""
+    a = Fraction(a)
+    crit, contacts = [], []
+    for q in spec.degrees():
+        base = Fraction(f - 2 * a - 2 * q) ** 2
+        for lam2, _mult in spec.eigenvalues(q):
+            if isinstance(lam2, Fraction):
+                quantity = base + 4 * lam2
+            else:
+                quantity = float(base) + 4.0 * lam2
+            if quantity < 1:
+                crit.append(indicial_roots(f, a, q, lam2))
+            elif quantity == 1:
+                contacts.append((q, lam2))
+    return crit, contacts
+
+
+@st.composite
+def window_cases(draw):
+    """(f, a, spectrum) whose levels mix Fractions and floats, repeat
+    values, and sit on or next to the window boundary of their degree."""
+    f = draw(st.integers(min_value=0, max_value=4))
+    # f - 2a - 2q0 = t puts the window boundary inside degree q0's levels
+    q0 = draw(st.integers(min_value=0, max_value=f))
+    t = draw(st.fractions(min_value=-1, max_value=1, max_denominator=12))
+    a = Fraction(f - 2 * q0, 2) - t / 2
+    levels = []
+    for q in range(f + 1):
+        contact = (1 - Fraction(f - 2 * a - 2 * q) ** 2) / 4
+        # a Fraction above the contact but below every float above it
+        near = [contact, contact + Fraction(1, 2 ** 1100), float(contact),
+                math.nextafter(float(contact), 0.0),
+                math.nextafter(float(contact), math.inf)] if contact >= 0 else []
+        value = st.one_of(
+            st.sampled_from(near + [Fraction(0)]),
+            st.fractions(min_value=0, max_value=3, max_denominator=12),
+            st.floats(min_value=0, max_value=3))
+        vals = draw(st.lists(value, max_size=8))
+        vals = [v for v in vals if v >= 0]
+        mults = draw(st.lists(st.integers(1, 3), min_size=len(vals), max_size=len(vals)))
+        levels.append(list(zip(sorted(vals), mults)))
+    return f, a, FibreSpectrum(levels, "test")
+
+
+@settings(max_examples=300)
+@given(window_cases())
+def test_window_predicates_match_full_scan(case):
+    f, a, spec = case
+    crit, contacts = _full_scan(f, a, spec)
+    assert critical_roots(f, a, spec) == crit
+    assert boundary_contacts(f, a, spec) == contacts
+    assert essentially_selfadjoint(f, a, spec) == (not crit)
+
+
+def test_window_predicates_accept_an_infinite_level():
+    # "1e999" in a spectrum file parses to inf; the scan must still stop
+    spec = FibreSpectrum.from_dict({"degrees": [[["0", 1], ["1e999", 1]]]})
+    assert boundary_contacts(1, 0, spec) == [(0, Fraction(0))]
+    assert critical_roots(1, 0, spec) == [] and essentially_selfadjoint(1, 0, spec)
