@@ -460,6 +460,9 @@ def min_membership(k: int, f: int, a, profile: ConeModeProfile) -> bool:
     if any(v == 0.0 for _, v in tail):
         raise InconclusiveSlopeError("tangential coefficient vanishes on part of the tail")
     slope = _fit_slope([x for x, _ in tail], [v for _, v in tail])
+    if not math.isfinite(slope):
+        raise InconclusiveSlopeError(
+            f"no tail slope can be fitted to {len(tail)} sample(s) in the last decade")
     if abs(slope) < SLOPE_DECISION_TOL:
         raise InconclusiveSlopeError(
             f"fitted exponent {slope:.2e} within {SLOPE_DECISION_TOL} of zero"

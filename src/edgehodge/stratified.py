@@ -25,15 +25,13 @@ Working at chain level (rather than chasing dimensions through the
 exact sequence) makes the natural maps between perversities honest
 chain maps, so their ranks on cohomology are well-defined.
 
-Every answer is a quasi-isomorphism invariant, so ``ih_dims`` and
-``ih_map_rank`` read it from the model's minimal model (built once per
-model by ``EdgeSpaceModel.minimal_model``): F' = H(F), B' = H(B) and
-M' = H(M) with zero differentials, Y' = B' ⊗ F' and restriction
-ρ' = (p_B ⊗ p_F) ∘ ρ ∘ i_M, where i: H -> C picks cocycle
-representatives and p: C -> H is a chain map onto cohomology
-(``cochain.cohomology_inclusion`` and ``cohomology_projection``).  Its
-total complexes are Betti-sized.  Why the answers agree: let Tot_1(c)
-be the total complex of M, B' ⊗ τ_{<=c}F', Y' with restriction
+Every answer is a quasi-isomorphism invariant, so it can be read from
+the model's minimal model: F' = H(F), B' = H(B) and M' = H(M) with zero
+differentials, Y' = B' ⊗ F' and restriction ρ' = (p_B ⊗ p_F) ∘ ρ ∘ i_M,
+where i: H -> C picks cocycle representatives and p: C -> H is a chain
+map onto cohomology (``cochain.cohomology_inclusion`` and
+``cohomology_projection``).  Why the answers agree: let Tot_1(c) be the
+total complex of M, B' ⊗ τ_{<=c}F', Y' with restriction
 (p_B ⊗ p_F) ∘ ρ.  Because Y = B ⊗ F at chain level (``validate``
 checks it), p_B ⊗ p_F is a chain map Y -> Y', and it carries the tube
 inclusion id_B ⊗ incl to id_B' ⊗ incl'.  So
@@ -46,8 +44,41 @@ quasi-isomorphism on every piece of the cover, hence on the total
 complex (five lemma on the Mayer-Vietoris sequences).  Both commute
 strictly with the maps Tot(c1) -> Tot(c2), which are identities on M
 and Y and the truncation inclusion on the tube, so the ranks of those
-maps on cohomology agree too.  ``EdgeSpaceModel.total_complex`` and
-``total_map`` on the model as given stay as the chain-level reference.
+maps on cohomology agree too.
+
+On the minimal model the sequence collapses to ranks of ρ', which is
+the local "truncate the link cohomology" rule of Cheeger-Dai and of
+Goresky-MacPherson (Intersection homology II, 1983).  Every
+differential is zero, so the tube T'_c = B' ⊗ τ_{<=c}F' is the
+coordinate subspace of Y' in fibre degrees <= c, ι_c is a coordinate
+inclusion, and the only nonzero part of D is A_s = [ρ'_s | -ι_s] from
+M'^s ⊕ T'^s to Y'^s.  Hence
+
+    Z^s = ker A_s ⊕ Y'^(s-1),   B^s = 0 ⊕ im A_(s-1),
+
+and rank A_s = dim T'^s + r(s, c), where r(k, c) is the rank of the
+rows of ρ'_k in fibre degrees above c, so dim ker A_s = dim M'^s -
+r(s, c).  With t(k, c) = Σ_{i+j=k, j>c} b_i(B) b_j(F) the number of
+those rows,
+
+    dim IH^s = dim M'^s - r(s, c) + t(s-1, c) - r(s-1, c).
+
+In the bases of ``tensor`` the rows of Y'^k come in blocks (i, k - i)
+with i ascending, so the rows above c are a prefix and r(k, c) is the
+rank of a leading block of rows.  The map Tot'(c1) -> Tot'(c2) for
+c1 <= c2 is injective on the ker A part (M' ⊕ T'_c1 sits inside
+M' ⊕ T'_c2) and onto on the coker A part (im A at c1 lies in im A at
+c2), so
+
+    rank IH^k_(c1) -> IH^k_(c2) = dim M'^k - r(k, c1) + t(k-1, c2) - r(k-1, c2),
+
+which is the IH formula when c1 = c2.  ``EdgeSpaceModel.rank_table``
+holds dim M'^k, t and r for k = 0..n and c = -1..f, built once per
+model from ρ' and the Betti numbers; ``ih_dims`` and ``ih_map_rank``
+read every answer from it.  ``minimal_model`` builds the minimal model
+as a model in its own right, and ``total_complex``, ``total_map`` and
+``truncated_tube`` (on either model) stay as the chain-level
+reference; no query builds them.
 """
 
 from __future__ import annotations
@@ -55,6 +86,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from edgehodge import elim
 from edgehodge.cochain import (
     CochainComplex,
     ComplexMap,
@@ -66,7 +98,6 @@ from edgehodge.cochain import (
     complex_from_dict,
     complex_to_dict,
     direct_sum,
-    induced_map_rank,
     int_from_json,
     map_from_dict,
     map_to_dict,
@@ -160,6 +191,32 @@ def cone_local_ih(f_betti, f: int, p, k: int) -> int:
 
 
 @dataclass(frozen=True)
+class RankTable:
+    """Every IH and map-rank answer of a model, as ranks of its minimal
+    restriction ρ' (see the module notes).
+
+    For k = 0..n and c = -1..f, with column c + 1: ``m_dims[k]`` is
+    dim M'^k, ``rows[k][c + 1]`` is t(k, c), the number of rows of Y'^k
+    in fibre degrees above c, and ``ranks[k][c + 1]`` is r(k, c), the
+    rank of those rows of ρ'_k.
+    """
+
+    m_dims: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    ranks: tuple[tuple[int, ...], ...]
+
+    def map_rank(self, k: int, c1: int, c2: int) -> int:
+        """Rank of IH^k at cutoff c1 -> IH^k at cutoff c2 >= c1; the IH
+        dimension itself when c1 == c2, and 0 above degree n."""
+        if k >= len(self.m_dims):
+            return 0
+        out = self.m_dims[k] - self.ranks[k][c1 + 1]
+        if k > 0:
+            out += self.rows[k - 1][c2 + 1] - self.ranks[k - 1][c2 + 1]
+        return out
+
+
+@dataclass(frozen=True)
 class IHReport:
     """Graded intersection cohomology dimensions at one perversity."""
 
@@ -196,7 +253,7 @@ class EdgeSpaceModel:
         self._tube_cache: dict[int, tuple[CochainComplex, ComplexMap]] = {}
         self._tot_cache: dict[int, CochainComplex] = {}
         self._map_cache: dict[tuple[int, int], ComplexMap] = {}
-        self._rank_cache: dict[tuple[int, int, int], int] = {}
+        self._table: RankTable | None = None
         self._minimal: EdgeSpaceModel | None = None
         self.validate()
 
@@ -228,10 +285,12 @@ class EdgeSpaceModel:
     # -- truncated tube and total complex -----------------------------
 
     def effective_cutoff(self, p) -> int:
-        """Integer truncation level in [-1, f] determined by p."""
-        c = cone_truncation_cutoff(self.f, p)
-        ci = c.numerator // c.denominator  # floor
-        return max(-1, min(self.f, ci))
+        """Integer truncation level in [-1, f] determined by p: the floor
+        of f - 1 - p, which is f - 1 + floor(-p)."""
+        v = p.value if isinstance(p, Perversity) else p
+        if not isinstance(v, (int, Fraction)):
+            v = Fraction(v)
+        return max(-1, min(self.f, self.f - 1 + (-v.numerator) // v.denominator))
 
     def _truncated_fibre(self, c: int) -> tuple[CochainComplex, ComplexMap]:
         """τ_{<=c}F with its inclusion into F."""
@@ -319,22 +378,55 @@ class EdgeSpaceModel:
 
     # -- minimal model ------------------------------------------------
 
+    def _minimal_restriction(self):
+        """(F', B', M', ρ'): the cohomology of F, B and M as complexes
+        with zero differentials, and the matrices of
+        ρ' = (p_B ⊗ p_F) ∘ ρ ∘ i_M from M'^k to (B' ⊗ F')^k."""
+        if not self.product_bigrading:
+            raise ModelInvariantError(
+                f"{self.name}: missing bigrading; cannot truncate the tube")
+        p_b = cohomology_projection(self.B)
+        p_f = cohomology_projection(self.F)
+        i_m = cohomology_inclusion(self.M)
+        p_y = tensor_map_blocks(p_b, p_f)
+        rho = [p_y[k] @ (self.restriction.at(k) @ i_m.at(k))
+               for k in range(min(len(i_m.maps), len(p_y)))]
+        return p_f.target, p_b.target, i_m.source, rho
+
+    def rank_table(self) -> RankTable:
+        """The table every ``ih_dims`` and ``ih_map_rank`` answer is read
+        from (see the module notes), built on the first query and kept on
+        the instance."""
+        if self._table is None:
+            f_h, b_h, m_h, rho = self._minimal_restriction()
+            rows, ranks = [], []
+            for k in range(self.n + 1):
+                # rows of Y'^k in fibre degrees above c form the leading
+                # blocks (i, k - i) with i < k - c
+                prefix = [0]
+                for i in range(k + 1):
+                    prefix.append(prefix[-1] + b_h.dim(i) * f_h.dim(k - i))
+                t_k = tuple(prefix[max(0, k - c)] for c in range(-1, self.f + 1))
+                rho_rows = rho[k].sparse_rows if k < len(rho) else ()
+                rank_of: dict[int, int] = {}
+                for t in t_k:
+                    if t not in rank_of:
+                        lead = [dict(r) for r in rho_rows[:t] if r]
+                        rank_of[t] = elim.rank_sparse(lead) if lead else 0
+                rows.append(t_k)
+                ranks.append(tuple(rank_of[t] for t in t_k))
+            m_dims = tuple(m_h.dim(k) for k in range(self.n + 1))
+            self._table = RankTable(m_dims, tuple(rows), tuple(ranks))
+        return self._table
+
     def minimal_model(self) -> "EdgeSpaceModel":
         """The same space with F, B and M replaced by their cohomology
-        and Y by B' ⊗ F' (see the module notes), built on the first IH
-        query and kept on the instance.  It is its own minimal model."""
+        and Y by B' ⊗ F' (see the module notes), kept on the instance.
+        It is its own minimal model.  Queries read ``rank_table``
+        instead; this is the reference view of the same data."""
         if self._minimal is None:
-            if not self.product_bigrading:
-                raise ModelInvariantError(
-                    f"{self.name}: missing bigrading; cannot truncate the tube")
-            p_b = cohomology_projection(self.B)
-            p_f = cohomology_projection(self.F)
-            i_m = cohomology_inclusion(self.M)
-            b_h, f_h, m_h = p_b.target, p_f.target, i_m.source
+            f_h, b_h, m_h, rho = self._minimal_restriction()
             y_h = tensor(b_h, f_h)
-            p_y = tensor_map_blocks(p_b, p_f)
-            rho = [p_y[k] @ (self.restriction.at(k) @ i_m.at(k))
-                   for k in range(min(len(m_h.dims), len(y_h.dims)))]
             minimal = EdgeSpaceModel(self.name, self.n, self.b, self.f, f_h, b_h, m_h, y_h,
                                      ComplexMap(m_h, y_h, rho, check=False),
                                      description=self.description)
@@ -376,20 +468,21 @@ def tube_ih(space: EdgeSpaceModel, p) -> tuple[int, ...]:
 
 
 def ih_dims(space: EdgeSpaceModel, p) -> tuple[int, ...]:
-    """Graded intersection cohomology of the space at perversity p.
+    """Graded intersection cohomology of the space at perversity p, in
+    degrees 0..n.
 
-    Read from the total complex of the model's minimal model, which has
-    the same cohomology as the model's own total complex (see the module
-    notes); ``space.total_complex`` stays the chain-level reference.
+    Read from ``space.rank_table()``: dim M'^s - r(s, c) + t(s-1, c) -
+    r(s-1, c) at the cutoff c of p (see the module notes), which equals
+    the cohomology of the chain-level total complex
+    ``space.total_complex(c)``.
     """
-    tot = space.minimal_model().total_complex(space.effective_cutoff(p))
-    h = tot.cohomology_dims()
-    out = list(h) + [0] * (space.n + 1 - len(h))
-    return tuple(out[: space.n + 1])
+    c = space.effective_cutoff(p)
+    table = space.rank_table()
+    return tuple(table.map_rank(s, c, c) for s in range(space.n + 1))
 
 
 def ih_dim(space: EdgeSpaceModel, p, k: int) -> int:
-    """Dimension of IH^k_p, from the chain-level Mayer-Vietoris complex."""
+    """Dimension of IH^k_p; 0 above degree n."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
     dims = ih_dims(space, p)
@@ -412,16 +505,8 @@ def ih_map_rank(space: EdgeSpaceModel, p_src, p_tgt, k: int) -> int:
         )
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    c1 = space.effective_cutoff(p_src)
-    c2 = space.effective_cutoff(p_tgt)
-    if c1 == c2:
-        return ih_dim(space, p_src, k)
-    key = (c1, c2, k)
-    if key not in space._rank_cache:
-        phi = space.minimal_model().total_map(c1, c2)
-        top = max(phi.source.top_degree, phi.target.top_degree)
-        space._rank_cache[key] = induced_map_rank(phi, k) if k <= top else 0
-    return space._rank_cache[key]
+    return space.rank_table().map_rank(
+        k, space.effective_cutoff(p_src), space.effective_cutoff(p_tgt))
 
 
 def extended_identities(space: EdgeSpaceModel, p) -> tuple[int, ...]:

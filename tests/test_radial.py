@@ -217,6 +217,15 @@ def test_membership_numeric_slope_paths():
     assert min_membership(1, 2, 0, negative) is False
 
 
+def test_membership_rejects_a_slope_that_cannot_be_fitted():
+    # only the first sample lies in the last decade, so the log-log fit
+    # has one point and its slope is NaN: neither a pass nor a fail
+    one_point_tail = ConeModeProfile(1, 0.0, (0.01, 0.5, 1.0), (1.0, 1.0, 1.0),
+                                     (0.0, 0.0, 0.0))
+    with pytest.raises(InconclusiveSlopeError):
+        min_membership(1, 2, 0, one_point_tail)
+
+
 def test_window_dichotomy_symbolic():
     for f in range(0, 6):
         for a in WEIGHTS:

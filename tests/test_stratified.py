@@ -1,7 +1,10 @@
 import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from edgehodge.cochain import cohomology_dims, tensor, truncate
 from edgehodge.errors import ModelInvariantError, PerversityRangeError
@@ -201,6 +204,69 @@ def test_poincare_duality_extended_closed_spaces():
                     ih_dims(space, bar - s)[int(d2)], (name, s, k)
 
 
+def _cutoff_spaces():
+    # one model per link dimension f = 0..3
+    from edgehodge.stratified import _cone_model, circle_complex, point_complex, sphere2_complex
+
+    spaces = {space.f: space for space in map(builtin_space, BUILTIN_NAMES)}
+    for fibre in (point_complex(), tensor(circle_complex(), sphere2_complex())):
+        space = _cone_model("cone", fibre, "")
+        spaces[space.f] = space
+    return spaces
+
+
+_CUTOFF_SPACES = _cutoff_spaces()
+
+
+@given(st.sampled_from(sorted(_CUTOFF_SPACES)),
+       st.fractions(min_value=-8, max_value=8, max_denominator=12),
+       st.sampled_from(["Perversity", "Fraction", "int", "str"]))
+def test_effective_cutoff_is_clamped_floor(f, q, form):
+    space = _CUTOFF_SPACES[f]
+    if form == "int":
+        q = Fraction(math.floor(q))
+    p = {"Perversity": Perversity, "Fraction": Fraction, "int": int, "str": str}[form](q)
+    want = max(-1, min(f, math.floor(Fraction(f - 1) - q)))
+    assert space.effective_cutoff(p) == want
+
+
+def _every_answer(space):
+    from edgehodge import weights
+
+    grid = [Fraction(t, 2) for t in range(-4, 2 * space.f + 5)]
+    out = [ih_dims(space, p) for p in grid]
+    out += [ih_map_rank(space, p, q, k)
+            for i, p in enumerate(grid) for q in grid[: i + 1] for k in range(space.n + 2)]
+    for a in grid:
+        out += [weights.weighted_derham_dims(space, a, "max"),
+                weights.weighted_derham_dims(space, a, "min"),
+                weights.minimal_hodge_dims(space, a)]
+    out += [weights.complete_l2(space, k) for k in range(space.n + 2)]
+    return out
+
+
+def test_queries_build_no_total_complex(monkeypatch):
+    # every answer comes from the rank table: with the chain-level
+    # reference and the minimal model made to raise, fresh models still
+    # give the answers they gave before
+    from edgehodge import cochain
+    from edgehodge.stratified import EdgeSpaceModel
+
+    before = {name: _every_answer(builtin_space(name)) for name in BUILTIN_NAMES}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query built a chain-level reference object")
+
+    for attr in ("total_complex", "total_map", "truncated_tube", "minimal_model"):
+        monkeypatch.setattr(EdgeSpaceModel, attr, refuse)
+    original = cochain.induced_map_rank
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("edgehodge") and getattr(mod, "induced_map_rank", None) is original:
+            monkeypatch.setattr(mod, "induced_map_rank", refuse)
+    for name in BUILTIN_NAMES:
+        assert _every_answer(builtin_space(name)) == before[name], name
+
+
 def test_engine_agrees_with_sympy_on_total_complex():
     space = builtin_space("susp-torus")
     tot = space.total_complex(space.effective_cutoff(0))
@@ -369,7 +435,55 @@ def _relabelled_edge_torus_over_circle(n, seed):
         f"edge-torus-over-{n}gon-circle", base, torus, "")))
 
 
+def _sum_map_model():
+    # M, B and F are circles and ρ is a cochain map inducing the pullback
+    # along (θ, φ) -> θ + φ: H^1(M) -> H^1(B ⊗ F) sends the generator to
+    # dθ + dφ, which has parts in fibre degrees 0 and 1 of the same Y^1.
+    # ρ = (i_B ⊗ i_F) ∘ σ ∘ p_M with σ that map on cohomology.
+    from edgehodge.cochain import (
+        ComplexMap,
+        QMatrix,
+        cohomology_inclusion,
+        cohomology_projection,
+        tensor_map_blocks,
+    )
+    from edgehodge.stratified import EdgeSpaceModel, circle_complex
+
+    m, b, f = circle_complex(), circle_complex(), circle_complex()
+    y = tensor(b, f)
+    p_m = cohomology_projection(m)
+    i_b, i_f = cohomology_inclusion(b), cohomology_inclusion(f)
+    y_h = tensor(i_b.source, i_f.source)
+    sigma = ComplexMap(p_m.target, y_h, [QMatrix(1, 1, [[1]]), QMatrix(2, 1, [[1], [1]])])
+    i_y = ComplexMap(y_h, y, tensor_map_blocks(i_b, i_f))
+    rho = i_y.compose(sigma).compose(p_m)
+    return EdgeSpaceModel("circle-sum-map", 3, 1, 1, f, b, m, y,
+                          ComplexMap(m, y, rho.maps))
+
+
+def _zero_restriction_model():
+    # every class of M restricts to zero, so ρ' has a kernel in each degree
+    from edgehodge.cochain import ComplexMap
+    from edgehodge.stratified import EdgeSpaceModel, circle_complex, torus_complex
+
+    b, f = circle_complex(), circle_complex()
+    y = tensor(b, f)
+    m = torus_complex()
+    return EdgeSpaceModel("torus-zero-restriction", 3, 1, 1, f, b, m, y,
+                          ComplexMap.zero(m, y))
+
+
+def test_sum_map_model_restriction_spans_two_fibre_degrees():
+    # rows of Y'^1 in fibre degrees above c = -1, 0, 1: both, block (0, 1), none;
+    # the class dθ + dφ is seen by the block (0, 1) row on its own
+    table = _sum_map_model().rank_table()
+    assert table.rows[1] == (2, 1, 0)
+    assert table.ranks[1] == (1, 1, 0)
+
+
 def _minimal_model_cases():
+    yield "circle-sum-map", _sum_map_model
+    yield "torus-zero-restriction", _zero_restriction_model
     for name in BUILTIN_NAMES:
         yield name, lambda name=name: builtin_space(name)
     for n, seed in ((3, 11), (3, 12), (4, 13)):
@@ -391,6 +505,7 @@ def test_minimal_model_matches_chain_level_reference(build):
     space = build()
     minimal = space.minimal_model()
     assert minimal.minimal_model() is minimal
+    assert minimal.rank_table() == space.rank_table()
     assert minimal.F.dims == space.F.cohomology_dims()
     assert minimal.B.dims == space.B.cohomology_dims()
     assert minimal.M.dims == space.M.cohomology_dims()
