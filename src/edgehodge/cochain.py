@@ -10,20 +10,32 @@ appropriate shapes.
 Matrices are stored sparsely.  ``QMatrix.sparse_rows`` holds one
 ``{column: value}`` dict per row with zeros omitted; values are Python
 ints wherever they are integral, and ``Fraction`` appears only where
-``kernel_basis`` and ``solve_columns`` produce true rationals.  The
+an elimination or a reduction produces true rationals.  The
 matrices of the engine are over 98% zero, so every operation works on
 the nonzeros only.  ``QMatrix.entries`` is a dense row-major view built
 on demand, for tests and oracles; nothing in the engine reads it.
 
+Betti numbers and cocycle representatives come from one routine,
+``reduce_complex``: it cancels pairs of cells joined by a nonzero entry
+of a differential, with a rank-one Schur update of that differential
+each time, until every differential is zero.  The survivors count the
+Betti numbers, and replaying the recorded steps backwards turns each
+survivor into a cocycle representative (``cohomology_inclusion``);
+``cohomology_projection`` reduces the transposed complex.  Ranks of
+single matrices (``QMatrix.rank``, ``induced_map_rank``) come from
+``elim.rank_sparse``, and ``kernel_basis`` and ``solve_columns`` (a
+Gauss-Jordan elimination) serve ``truncate`` and the verification suites.
+
 Values are immutable after construction (the only mutation is internal
-memoisation of ranks), and every operation is a pure function.  The row
-dicts are shared between matrices and are never modified in place.
+memoisation of ranks and Betti numbers), and every operation is a pure
+function.  The row dicts are shared between matrices and are never
+modified in place.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from edgehodge import elim
 from edgehodge.errors import (
@@ -218,17 +230,14 @@ def block_matrix(blocks: Sequence[Sequence[QMatrix | None]],
     return _sparse(len(out), sum(col_dims), tuple(out))
 
 
-def _eliminate(rows: Iterable[SparseRow], reduce: bool) -> tuple[list[SparseRow], list[int]]:
+def _eliminate(rows: Iterable[SparseRow]) -> tuple[list[SparseRow], list[int]]:
     """Gauss-Jordan elimination on sparse rows, column by column.
 
     Returns (pivot rows, pivot columns), both ordered by pivot column.
-    With ``reduce`` every pivot column is cleared from every other row and
-    the pivot rows are the nonzero rows of the reduced row echelon form,
-    which is unique, so the choice of pivot row only affects fill: a unit
-    entry on a short row is preferred.  Without ``reduce`` rows already
-    holding a pivot are left alone, which still gives the pivot columns
-    (those not spanned by the columns before them).  The input rows are
-    not modified.
+    Every pivot column is cleared from every other row, so the pivot rows
+    are the nonzero rows of the reduced row echelon form, which is
+    unique; the choice of pivot row only affects fill, and a unit entry
+    on a short row is preferred.  The input rows are not modified.
     """
     rows = [dict(r) for r in rows if r]
     col_rows: dict[int, set[int]] = {}
@@ -256,9 +265,8 @@ def _eliminate(rows: Iterable[SparseRow], reduce: bool) -> tuple[list[SparseRow]
         rows[i] = prow
         done.add(i)
         order.append((c, i))
-        targets = holders - {i} if reduce else holders - done
         pitems = tuple(prow.items())
-        for t in targets:
+        for t in holders - {i}:
             row = rows[t]
             f = row[c]
             for j, x in pitems:
@@ -288,7 +296,7 @@ def kernel_basis(mat: QMatrix) -> QMatrix:
         return QMatrix.zeros(0, 0)
     if mat.rows == 0:
         return QMatrix.identity(mat.cols)
-    rows, pivots = _eliminate(mat.sparse_rows, reduce=True)
+    rows, pivots = _eliminate(mat.sparse_rows)
     pivot_set = set(pivots)
     free = [j for j in range(mat.cols) if j not in pivot_set]
     slot = {f: k for k, f in enumerate(free)}
@@ -308,7 +316,7 @@ def solve_columns(a: QMatrix, b: QMatrix) -> QMatrix:
     if a.rows != b.rows:
         raise ShapeMismatchError("solve_columns: row mismatch")
     n = a.cols
-    rows, pivots = _eliminate(_side_by_side(a, b), reduce=True)
+    rows, pivots = _eliminate(_side_by_side(a, b))
     if any(p >= n for p in pivots):
         raise ShapeMismatchError("solve_columns: inconsistent system")
     if len(pivots) != n:
@@ -317,23 +325,101 @@ def solve_columns(a: QMatrix, b: QMatrix) -> QMatrix:
         {j - n: v for j, v in row.items() if j >= n} for row in rows))
 
 
-def _select_columns(mat: QMatrix, keep: Sequence[int]) -> QMatrix:
-    slot = {j: k for k, j in enumerate(keep)}
-    return _sparse(mat.rows, len(keep), tuple(
-        {slot[j]: v for j, v in r.items() if j in slot} for r in mat.sparse_rows))
+class Reduction(NamedTuple):
+    """A complex cancelled down to zero differentials (``reduce_complex``).
 
-
-def cocycle_basis(d_in: QMatrix, d_out: QMatrix) -> QMatrix:
-    """Cocycle columns whose classes form a basis of ker d_out / im d_in.
-
-    They are the kernel-basis columns of ``d_out`` that are pivot columns
-    of [d_in | kernel basis]: each is independent of the coboundaries and
-    of the cocycles kept before it.
+    ``survivors[k]`` are the degree-k cells left, one per Betti number;
+    ``steps[k]`` lists the cancellations (a, u⁻¹, row b) of pairs
+    a ∈ C^k, b ∈ C^(k+1) in the order they were made, where row b is
+    d_k's row at that moment (without a).
     """
-    z = kernel_basis(d_out)
-    n = d_in.cols
-    _, pivots = _eliminate(_side_by_side(d_in, z), reduce=False)
-    return _select_columns(z, [p - n for p in pivots if p >= n])
+
+    survivors: tuple[tuple[int, ...], ...]
+    steps: tuple[tuple[tuple[int, Rational, SparseRow], ...], ...]
+
+    def representatives(self, k: int) -> list[SparseRow]:
+        """One cocycle per degree-k survivor, whose classes form a basis
+        of H^k: e_x pushed through the inclusion of each cancellation,
+        last first, which sets v[a] = -u⁻¹⟨row b, v⟩."""
+        steps = self.steps[k][::-1]
+        out = []
+        for x in self.survivors[k]:
+            v: SparseRow = {x: 1}
+            for a, uinv, row in steps:
+                s = 0
+                for j, w in row.items():
+                    y = v.get(j)
+                    if y is not None:
+                        s += w * y
+                if s:
+                    v[a] = _exact(-uinv * s)
+            out.append(v)
+        return out
+
+
+def reduce_complex(c: "CochainComplex") -> Reduction:
+    """Cancel pairs of cells until every differential is zero.
+
+    Degree by degree and row by row, a nonempty row b of d_k is paired
+    with a column a where u = d_k[b, a] is ±1 and the column is shortest
+    (the shortest column of any nonzero entry when the row holds no ±1).
+    The cancellation is the rank-one Schur update d_k - γu⁻¹δ, with γ
+    column a and δ row b, after which row b and column a leave d_k, row a
+    leaves d_(k-1) (zero by then) and column b leaves d_(k+1) (dropped
+    when d_(k+1) is reduced).  Each step is a chain homotopy
+    equivalence (Kaczynski, Mrozek & Ślusarek 1998), so the survivors
+    count the Betti numbers, and the recorded rows give cocycle
+    representatives on demand (``Reduction.representatives``).
+    """
+    if not c.verify():
+        raise UnverifiedComplexError("d∘d != 0; refusing to compute cohomology")
+    paired: list[set[int]] = [set() for _ in c.dims]
+    steps: list[tuple] = [()] * len(c.dims)
+    for k, d in enumerate(c.d):
+        gone = paired[k]
+        rows = [{j: v for j, v in r.items() if j not in gone} if gone else dict(r)
+                for r in d.sparse_rows]
+        col_rows: dict[int, set[int]] = {}
+        for b, r in enumerate(rows):
+            for j in r:
+                s = col_rows.get(j)
+                if s is None:
+                    col_rows[j] = {b}
+                else:
+                    s.add(b)
+        done = []
+        for b, row in enumerate(rows):
+            if not row:
+                continue
+            a = min(row, key=lambda j: (row[j] not in (1, -1), len(col_rows[j])))
+            u = row.pop(a)
+            uinv = u if u in (1, -1) else _exact(1 / Fraction(u))
+            for j in row:
+                col_rows[j].discard(b)
+            holders = col_rows.pop(a)
+            holders.discard(b)
+            items = tuple(row.items())
+            for t in holders:
+                target = rows[t]
+                g = target.pop(a) * uinv
+                for j, x in items:
+                    w = target.get(j, 0) - g * x
+                    if type(w) is not int and w.denominator == 1:
+                        w = w.numerator
+                    if w:
+                        if j not in target:
+                            col_rows[j].add(t)
+                        target[j] = w
+                    else:
+                        del target[j]
+                        col_rows[j].discard(t)
+            gone.add(a)
+            paired[k + 1].add(b)
+            done.append((a, uinv, row))
+        steps[k] = tuple(done)
+    survivors = tuple(tuple(x for x in range(n) if x not in paired[k])
+                      for k, n in enumerate(c.dims))
+    return Reduction(survivors, tuple(steps))
 
 
 class CochainComplex:
@@ -386,12 +472,7 @@ class CochainComplex:
 
     def cohomology_dims(self) -> tuple[int, ...]:
         if self._betti is None:
-            if not self.verify():
-                raise UnverifiedComplexError("d∘d != 0; refusing to compute cohomology")
-            out = []
-            for k in range(len(self.dims)):
-                out.append(self.dims[k] - self.d_at(k).rank() - self.d_at(k - 1).rank())
-            self._betti = tuple(out)
+            self._betti = tuple(map(len, reduce_complex(self).survivors))
         return self._betti
 
     def euler_characteristic(self) -> int:
@@ -653,11 +734,13 @@ def cohomology_inclusion(c: CochainComplex) -> ComplexMap:
     """i: H(c) -> c, with H(c) the zero-differential complex of Betti
     dimensions in the degree range of ``c``; the columns of i_k are
     cocycles whose classes form a basis of H^k(c)."""
-    if not c.verify():
-        raise UnverifiedComplexError("d∘d != 0; refusing to compute cohomology")
-    basis = [cocycle_basis(c.d_at(k - 1), c.d_at(k)) for k in range(len(c.dims))]
-    if not basis:
+    red = reduce_complex(c)
+    if not c.dims:
         return ComplexMap(ZERO_COMPLEX, c, (), check=False)
+    basis = []
+    for k, n in enumerate(c.dims):
+        cols = red.representatives(k)
+        basis.append(_sparse(len(cols), n, tuple(cols)).transpose())
     return ComplexMap(_zero_differential([m.cols for m in basis]), c, basis,
                       check=False)
 
@@ -778,6 +861,10 @@ def map_to_dict(phi: ComplexMap) -> dict:
 
 
 def map_from_dict(source: CochainComplex, target: CochainComplex, data: dict) -> ComplexMap:
+    """Parse a chain map record.  Shapes are checked here; whether the
+    maps commute with the differentials is left to the caller (for a
+    model's restriction, ``EdgeSpaceModel.validate``), so a load checks
+    it once."""
     maps = data.get("maps") if isinstance(data, dict) else None
     if not isinstance(maps, list):
         raise ModelFormatError(
@@ -790,4 +877,4 @@ def map_from_dict(source: CochainComplex, target: CochainComplex, data: dict) ->
         raise ModelFormatError(f"a map needs {want} matrices, one per degree, got {len(maps)}")
     return ComplexMap(source, target, [
         matrix_from_lists(target.dim(k), source.dim(k), rows) for k, rows in enumerate(maps)
-    ])
+    ], check=False)

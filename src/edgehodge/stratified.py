@@ -30,11 +30,17 @@ the model's minimal model: F' = H(F), B' = H(B) and M' = H(M) with zero
 differentials, Y' = B' ⊗ F' and restriction ρ' = (p_B ⊗ p_F) ∘ ρ ∘ i_M,
 where i: H -> C picks cocycle representatives and p: C -> H is a chain
 map onto cohomology (``cochain.cohomology_inclusion`` and
-``cohomology_projection``).  Why the answers agree: let Tot_1(c) be the
-total complex of M, B' ⊗ τ_{<=c}F', Y' with restriction
-(p_B ⊗ p_F) ∘ ρ.  Because Y = B ⊗ F at chain level (``validate``
-checks it), p_B ⊗ p_F is a chain map Y -> Y', and it carries the tube
-inclusion id_B ⊗ incl to id_B' ⊗ incl'.  So
+``cohomology_projection``).  Both come from ``cochain.reduce_complex``,
+which cancels pairs of cells of M (or of the transposes of B and F)
+until every differential is zero and then replays the recorded
+cancellations backwards from each surviving cell, so i and p cost one
+sparse reduction each and never a kernel basis.
+
+Why the answers agree: let Tot_1(c) be the total complex of M,
+B' ⊗ τ_{<=c}F', Y' with restriction (p_B ⊗ p_F) ∘ ρ.  Because
+Y = B ⊗ F at chain level (``validate`` checks it), p_B ⊗ p_F is a
+chain map Y -> Y', and it carries the tube inclusion id_B ⊗ incl to
+id_B' ⊗ incl'.  So
 
     (id_M, p_B ⊗ τp_F, p_B ⊗ p_F): Tot(c) -> Tot_1(c)
     (i_M, id, id):                  Tot'(c) -> Tot_1(c)

@@ -331,6 +331,20 @@ def test_non_product_y_rejected_at_load(tmp_path, capsys, perversity):
                             "Y is not the product complex tensor(B, F)\n")
 
 
+def test_restriction_not_a_chain_map_rejected_at_load(tmp_path, capsys):
+    # zero the degree-0 restriction of cone-circle and keep the identity in
+    # degree 1: d ρ_0 = 0 but ρ_1 d = d, which is not zero
+    data = model_to_dict(builtin_space("cone-circle"))
+    data["restriction"]["maps"][0] = [["0", "0"], ["0", "0"]]
+    path = tmp_path / "not-chain.json"
+    path.write_text(json.dumps(data))
+    assert main(["ih", "--file", str(path), "--perversity", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("model invariant violated: cone-circle: "
+                            "restriction is not a chain map\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["fibre-spec", "--kind", "torus", "--sizes", "ab"], "sizes must be"),
     (["fibre-spec", "--kind", "circle", "--sizes", "2"], "at least 3 segments"),

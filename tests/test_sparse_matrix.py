@@ -165,11 +165,10 @@ def test_sparse_rref_matches_dense_reference(m):
     rows, cols, ents = m
     mat = q(m)
     want_rows, want_pivots = dense_rref(ents) if rows else ([], [])
-    got_rows, got_pivots = cochain._eliminate(mat.sparse_rows, reduce=True)
+    got_rows, got_pivots = cochain._eliminate(mat.sparse_rows)
     assert got_pivots == want_pivots
     assert [QMatrix(1, cols, [r]) for r in want_rows] == \
         [cochain._sparse(1, cols, (r,)) for r in got_rows]
-    assert cochain._eliminate(mat.sparse_rows, reduce=False)[1] == want_pivots
     if cols:
         assert cochain.kernel_basis(mat) == QMatrix(cols, cols - len(want_pivots),
                                                     dense_kernel(ents, cols))
@@ -189,17 +188,30 @@ def test_solve_columns_matches_dense_reference(data):
     assert got == QMatrix(a.cols, x.cols, [r[a.cols:] for r in red])
 
 
+def dense_rank(mat):
+    return len(dense_rref(mat.entries)[1]) if mat.rows and mat.cols else 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_cocycle_basis_spans_cohomology(data):
-    # d_in = a z-column, d_out = b with b a = 0 for a = kernel basis of b
-    n = data.draw(st.integers(1, 5))
-    b = q(data.draw(matrices(cols=n)))
-    z = cochain.kernel_basis(b)
-    d_in = z @ q(data.draw(matrices(z.cols, data.draw(DIM))))
-    h = cochain.cocycle_basis(d_in, b)
-    betti = z.cols - d_in.rank()
-    assert h.rows == n and h.cols == betti
-    assert (b @ h).is_zero()
-    both = block_matrix([[d_in, h]], [n], [d_in.cols, h.cols])
-    assert both.rank() == d_in.rank() + betti
+def test_reduce_complex_matches_dense_reference(data):
+    # a random complex C^0 -> C^1 -> C^2 -> C^3 built backwards: d_2 is
+    # any matrix and each d_(k-1) is a kernel basis of d_k times a random
+    # matrix, so entries include 2, -3, 1/2 and rows with no unit entry
+    n = [data.draw(DIM) for _ in range(4)]
+    ds = [q(data.draw(matrices(n[3], n[2])))]
+    for k in (1, 0):
+        z = cochain.kernel_basis(ds[0])
+        ds.insert(0, z @ q(data.draw(matrices(z.cols, n[k]))))
+    c = cochain.CochainComplex(n, ds)
+    red = cochain.reduce_complex(c)
+    incl = cochain.cohomology_inclusion(c)
+    for k in range(4):
+        d_in, d_out = c.d_at(k - 1), c.d_at(k)
+        betti = n[k] - dense_rank(d_out) - dense_rank(d_in)
+        assert len(red.survivors[k]) == betti
+        reps = incl.at(k)
+        assert reps.rows == n[k] and reps.cols == betti
+        assert (d_out @ reps).is_zero()
+        both = block_matrix([[d_in, reps]], [n[k]], [d_in.cols, betti])
+        assert dense_rank(both) == dense_rank(d_in) + betti
