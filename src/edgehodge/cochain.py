@@ -15,16 +15,16 @@ matrices of the engine are over 98% zero, so every operation works on
 the nonzeros only.  ``QMatrix.entries`` is a dense row-major view built
 on demand, for tests and oracles; nothing in the engine reads it.
 
-Betti numbers and cocycle representatives come from one routine,
-``reduce_complex``: it cancels pairs of cells joined by a nonzero entry
-of a differential, with a rank-one Schur update of that differential
-each time, until every differential is zero.  The survivors count the
-Betti numbers, and replaying the recorded steps backwards turns each
-survivor into a cocycle representative (``cohomology_inclusion``);
-``cohomology_projection`` reduces the transposed complex.  Ranks of
-single matrices (``QMatrix.rank``, ``induced_map_rank``) come from
-``elim.rank_sparse``, and ``kernel_basis`` and ``solve_columns`` (a
-Gauss-Jordan elimination) serve ``truncate`` and the verification suites.
+Every rank, kernel basis and Betti number comes from one elimination,
+``elim.cancel``, which cancels pairs of cells joined by a nonzero entry
+with a rank-one Schur update each time.  ``reduce_complex`` runs it on
+each differential in turn until every differential is zero: the
+survivors count the Betti numbers, and replaying the recorded steps
+backwards turns each survivor into a cocycle representative
+(``cohomology_inclusion``).  ``cohomology_projection`` reduces the
+transposed complex, and ``kernel_basis`` is the degree-0 inclusion of
+the two-term complex of one matrix.  The rank of a single matrix
+(``QMatrix.rank``, ``induced_map_rank``) is its number of pivots.
 
 Values are immutable after construction (the only mutation is internal
 memoisation of ranks and Betti numbers), and every operation is a pure
@@ -230,122 +230,34 @@ def block_matrix(blocks: Sequence[Sequence[QMatrix | None]],
     return _sparse(len(out), sum(col_dims), tuple(out))
 
 
-def _eliminate(rows: Iterable[SparseRow]) -> tuple[list[SparseRow], list[int]]:
-    """Gauss-Jordan elimination on sparse rows, column by column.
-
-    Returns (pivot rows, pivot columns), both ordered by pivot column.
-    Every pivot column is cleared from every other row, so the pivot rows
-    are the nonzero rows of the reduced row echelon form, which is
-    unique; the choice of pivot row only affects fill, and a unit entry
-    on a short row is preferred.  The input rows are not modified.
-    """
-    rows = [dict(r) for r in rows if r]
-    col_rows: dict[int, set[int]] = {}
-    for i, r in enumerate(rows):
-        for c in r:
-            s = col_rows.get(c)
-            if s is None:
-                col_rows[c] = {i}
-            else:
-                s.add(i)
-    done: set[int] = set()
-    order: list[tuple[int, int]] = []
-    for c in sorted(col_rows):
-        holders = col_rows[c]
-        cand = holders - done
-        if not cand:
-            continue
-        i = min(cand, key=lambda t: (rows[t][c] not in (1, -1), len(rows[t]), t))
-        prow = rows[i]
-        v = prow[c]
-        if v == -1:
-            prow = {j: -x for j, x in prow.items()}
-        elif v != 1:
-            prow = {j: _exact(Fraction(x) / v) for j, x in prow.items()}
-        rows[i] = prow
-        done.add(i)
-        order.append((c, i))
-        pitems = tuple(prow.items())
-        for t in holders - {i}:
-            row = rows[t]
-            f = row[c]
-            for j, x in pitems:
-                w = row.get(j, 0) - f * x
-                if type(w) is not int and w.denominator == 1:
-                    w = w.numerator
-                if w:
-                    if j not in row:
-                        col_rows[j].add(t)
-                    row[j] = w
-                else:
-                    del row[j]
-                    col_rows[j].discard(t)
-    return [rows[i] for _, i in order], [c for c, _ in order]
-
-
-def _side_by_side(a: QMatrix, b: QMatrix) -> list[SparseRow]:
-    """Rows of the augmented matrix [a | b]."""
-    n = a.cols
-    return [{**ra, **{n + j: v for j, v in rb.items()}}
-            for ra, rb in zip(a.sparse_rows, b.sparse_rows)]
-
-
 def kernel_basis(mat: QMatrix) -> QMatrix:
-    """Matrix whose columns form a basis of the null space of ``mat``."""
-    if mat.cols == 0:
-        return QMatrix.zeros(0, 0)
-    if mat.rows == 0:
-        return QMatrix.identity(mat.cols)
-    rows, pivots = _eliminate(mat.sparse_rows)
-    pivot_set = set(pivots)
-    free = [j for j in range(mat.cols) if j not in pivot_set]
-    slot = {f: k for k, f in enumerate(free)}
-    out: list[SparseRow] = [{} for _ in range(mat.cols)]
-    for f, k in slot.items():
-        out[f][k] = 1
-    for row, pc in zip(rows, pivots):
-        target = out[pc]
-        for j, v in row.items():
-            if j != pc:
-                target[slot[j]] = -v
-    return _sparse(mat.cols, len(free), tuple(out))
-
-
-def solve_columns(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Solve a X = b where a has full column rank and the system is consistent."""
-    if a.rows != b.rows:
-        raise ShapeMismatchError("solve_columns: row mismatch")
-    n = a.cols
-    rows, pivots = _eliminate(_side_by_side(a, b))
-    if any(p >= n for p in pivots):
-        raise ShapeMismatchError("solve_columns: inconsistent system")
-    if len(pivots) != n:
-        raise ShapeMismatchError("solve_columns: matrix does not have full column rank")
-    return _sparse(n, b.cols, tuple(
-        {j - n: v for j, v in row.items() if j >= n} for row in rows))
+    """Matrix whose columns form a basis of the null space of ``mat``:
+    the degree-0 cocycles of the two-term complex of ``mat``, so it is
+    the identity on the coordinates that ``cancel`` left unpaired."""
+    return cohomology_inclusion(CochainComplex((mat.cols, mat.rows), [mat])).at(0)
 
 
 class Reduction(NamedTuple):
     """A complex cancelled down to zero differentials (``reduce_complex``).
 
     ``survivors[k]`` are the degree-k cells left, one per Betti number;
-    ``steps[k]`` lists the cancellations (a, u⁻¹, row b) of pairs
-    a ∈ C^k, b ∈ C^(k+1) in the order they were made, where row b is
-    d_k's row at that moment (without a).
+    ``steps[k]`` are the ``elim.cancel`` steps (b, a, u⁻¹, row b) of d_k,
+    each cancelling a ∈ C^k against b ∈ C^(k+1).
     """
 
     survivors: tuple[tuple[int, ...], ...]
-    steps: tuple[tuple[tuple[int, Rational, SparseRow], ...], ...]
+    steps: tuple[tuple[tuple[int, int, Rational, SparseRow], ...], ...]
 
-    def representatives(self, k: int) -> list[SparseRow]:
-        """One cocycle per degree-k survivor, whose classes form a basis
-        of H^k: e_x pushed through the inclusion of each cancellation,
-        last first, which sets v[a] = -u⁻¹⟨row b, v⟩."""
+    def representatives(self, k: int, n: int) -> QMatrix:
+        """n × betti_k matrix of one cocycle per degree-k survivor, whose
+        classes form a basis of H^k: e_x pushed through the inclusion of
+        each cancellation, last first, which sets v[a] = -u⁻¹⟨row b, v⟩.
+        It is the identity on the survivors' rows."""
         steps = self.steps[k][::-1]
         out = []
         for x in self.survivors[k]:
             v: SparseRow = {x: 1}
-            for a, uinv, row in steps:
+            for _, a, uinv, row in steps:
                 s = 0
                 for j, w in row.items():
                     y = v.get(j)
@@ -354,22 +266,21 @@ class Reduction(NamedTuple):
                 if s:
                     v[a] = _exact(-uinv * s)
             out.append(v)
-        return out
+        return _sparse(len(out), n, tuple(out)).transpose()
 
 
 def reduce_complex(c: "CochainComplex") -> Reduction:
     """Cancel pairs of cells until every differential is zero.
 
-    Degree by degree and row by row, a nonempty row b of d_k is paired
-    with a column a where u = d_k[b, a] is ±1 and the column is shortest
-    (the shortest column of any nonzero entry when the row holds no ±1).
-    The cancellation is the rank-one Schur update d_k - γu⁻¹δ, with γ
-    column a and δ row b, after which row b and column a leave d_k, row a
-    leaves d_(k-1) (zero by then) and column b leaves d_(k+1) (dropped
-    when d_(k+1) is reduced).  Each step is a chain homotopy
-    equivalence (Kaczynski, Mrozek & Ślusarek 1998), so the survivors
-    count the Betti numbers, and the recorded rows give cocycle
-    representatives on demand (``Reduction.representatives``).
+    Degree by degree, ``elim.cancel`` reduces d_k with the columns of
+    cells already paired in degree k removed.  Each step (b, a, u⁻¹,
+    row b) is the rank-one Schur update d_k - γu⁻¹δ, with γ column a and
+    δ row b, after which row b and column a leave d_k, row a leaves
+    d_(k-1) (zero by then) and column b leaves d_(k+1) (dropped when
+    d_(k+1) is reduced).  Each step is a chain homotopy equivalence
+    (Kaczynski, Mrozek & Ślusarek 1998), so the survivors count the
+    Betti numbers, and the recorded rows give cocycle representatives on
+    demand (``Reduction.representatives``).
     """
     if not c.verify():
         raise UnverifiedComplexError("d∘d != 0; refusing to compute cohomology")
@@ -377,46 +288,12 @@ def reduce_complex(c: "CochainComplex") -> Reduction:
     steps: list[tuple] = [()] * len(c.dims)
     for k, d in enumerate(c.d):
         gone = paired[k]
-        rows = [{j: v for j, v in r.items() if j not in gone} if gone else dict(r)
-                for r in d.sparse_rows]
-        col_rows: dict[int, set[int]] = {}
-        for b, r in enumerate(rows):
-            for j in r:
-                s = col_rows.get(j)
-                if s is None:
-                    col_rows[j] = {b}
-                else:
-                    s.add(b)
-        done = []
-        for b, row in enumerate(rows):
-            if not row:
-                continue
-            a = min(row, key=lambda j: (row[j] not in (1, -1), len(col_rows[j])))
-            u = row.pop(a)
-            uinv = u if u in (1, -1) else _exact(1 / Fraction(u))
-            for j in row:
-                col_rows[j].discard(b)
-            holders = col_rows.pop(a)
-            holders.discard(b)
-            items = tuple(row.items())
-            for t in holders:
-                target = rows[t]
-                g = target.pop(a) * uinv
-                for j, x in items:
-                    w = target.get(j, 0) - g * x
-                    if type(w) is not int and w.denominator == 1:
-                        w = w.numerator
-                    if w:
-                        if j not in target:
-                            col_rows[j].add(t)
-                        target[j] = w
-                    else:
-                        del target[j]
-                        col_rows[j].discard(t)
+        steps[k] = tuple(elim.cancel([
+            {j: v for j, v in r.items() if j not in gone} if gone else dict(r)
+            for r in d.sparse_rows]))
+        for b, a, _, _ in steps[k]:
             gone.add(a)
             paired[k + 1].add(b)
-            done.append((a, uinv, row))
-        steps[k] = tuple(done)
     survivors = tuple(tuple(x for x in range(n) if x not in paired[k])
                       for k, n in enumerate(c.dims))
     return Reduction(survivors, tuple(steps))
@@ -689,11 +566,15 @@ def truncate(c: CochainComplex, m: int) -> tuple[CochainComplex, ComplexMap]:
         return t, ComplexMap(t, c, (), check=False)
     if m >= c.top_degree:
         return c, ComplexMap.identity(c)
-    ker = kernel_basis(c.d_at(m))
+    red = reduce_complex(CochainComplex(c.dims[m:m + 2], c.d[m:m + 1]))
+    ker = red.representatives(0, c.dims[m])
     dims = list(c.dims[:m]) + [ker.cols]
     ds = list(c.d[: max(m - 1, 0)])
     if m >= 1:
-        ds.append(solve_columns(ker, c.d_at(m - 1)))
+        # ker is the identity on the survivors' rows, so ker X = d_(m-1)
+        # is solved by those rows of d_(m-1)
+        rows = c.d[m - 1].sparse_rows
+        ds.append(_sparse(ker.cols, c.dims[m - 1], tuple(rows[x] for x in red.survivors[0])))
     t = CochainComplex(dims, ds)
     incl = [QMatrix.identity(c.dims[k]) for k in range(m)] + [ker]
     return t, ComplexMap(t, c, incl, check=False)
@@ -737,10 +618,7 @@ def cohomology_inclusion(c: CochainComplex) -> ComplexMap:
     red = reduce_complex(c)
     if not c.dims:
         return ComplexMap(ZERO_COMPLEX, c, (), check=False)
-    basis = []
-    for k, n in enumerate(c.dims):
-        cols = red.representatives(k)
-        basis.append(_sparse(len(cols), n, tuple(cols)).transpose())
+    basis = [red.representatives(k, n) for k, n in enumerate(c.dims)]
     return ComplexMap(_zero_differential([m.cols for m in basis]), c, basis,
                       check=False)
 

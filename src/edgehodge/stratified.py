@@ -71,7 +71,10 @@ those rows,
 
 In the bases of ``tensor`` the rows of Y'^k come in blocks (i, k - i)
 with i ascending, so the rows above c are a prefix and r(k, c) is the
-rank of a leading block of rows.  The map Tot'(c1) -> Tot'(c2) for
+rank of a leading block of rows.  ``elim.cancel`` pivots the rows of
+ρ'_k in order, each reduced against every earlier pivot, so r(k, c) is
+the number of its pivots among the first t(k, c) rows: one cancellation
+per degree gives the whole row of the table.  The map Tot'(c1) -> Tot'(c2) for
 c1 <= c2 is injective on the ker A part (M' ⊕ T'_c1 sits inside
 M' ⊕ T'_c2) and onto on the coker A part (im A at c1 lies in im A at
 c2), so
@@ -89,6 +92,7 @@ reference; no query builds them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -272,21 +276,23 @@ class EdgeSpaceModel:
             raise ModelInvariantError(f"{self.name}: top degree of F is not f")
         if self.B.top_degree != self.b:
             raise ModelInvariantError(f"{self.name}: top degree of B is not b")
-        for c in (self.F, self.B, self.M, self.Y):
+        for c in (self.F, self.B, self.M):
             if not c.verify():
                 raise ModelInvariantError(f"{self.name}: a complex fails d∘d = 0")
+        # the tube inclusion id_B ⊗ incl and the minimal model both read Y
+        # in the basis of tensor(B, F), which has d∘d = 0 once B and F do
+        y_product = self.product_bigrading and self.Y == tensor(self.B, self.F)
+        if not y_product and not self.Y.verify():
+            raise ModelInvariantError(f"{self.name}: a complex fails d∘d = 0")
         if self.restriction.source is not self.M and self.restriction.source != self.M:
             raise ModelInvariantError(f"{self.name}: restriction source is not M")
         if self.restriction.target is not self.Y and self.restriction.target != self.Y:
             raise ModelInvariantError(f"{self.name}: restriction target is not Y")
         if not self.restriction.commutes():
             raise ModelInvariantError(f"{self.name}: restriction is not a chain map")
-        if self.product_bigrading:
-            # the tube inclusion id_B ⊗ incl and the minimal model both
-            # read Y in the basis of tensor(B, F)
-            if self.Y != tensor(self.B, self.F):
-                raise ModelInvariantError(
-                    f"{self.name}: Y is not the product complex tensor(B, F)")
+        if self.product_bigrading and not y_product:
+            raise ModelInvariantError(
+                f"{self.name}: Y is not the product complex tensor(B, F)")
 
     # -- truncated tube and total complex -----------------------------
 
@@ -413,14 +419,12 @@ class EdgeSpaceModel:
                 for i in range(k + 1):
                     prefix.append(prefix[-1] + b_h.dim(i) * f_h.dim(k - i))
                 t_k = tuple(prefix[max(0, k - c)] for c in range(-1, self.f + 1))
+                # cancel pivots rows in order, so the pivots among the
+                # first t rows number the rank of those rows
                 rho_rows = rho[k].sparse_rows if k < len(rho) else ()
-                rank_of: dict[int, int] = {}
-                for t in t_k:
-                    if t not in rank_of:
-                        lead = [dict(r) for r in rho_rows[:t] if r]
-                        rank_of[t] = elim.rank_sparse(lead) if lead else 0
+                pivots = [b for b, *_ in elim.cancel([dict(r) for r in rho_rows])]
                 rows.append(t_k)
-                ranks.append(tuple(rank_of[t] for t in t_k))
+                ranks.append(tuple(bisect_left(pivots, t) for t in t_k))
             m_dims = tuple(m_h.dim(k) for k in range(self.n + 1))
             self._table = RankTable(m_dims, tuple(rows), tuple(ranks))
         return self._table

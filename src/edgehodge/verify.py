@@ -22,7 +22,6 @@ from edgehodge.cochain import (
     cohomology_dims,
     induced_map_rank,
     mapping_cone,
-    solve_columns,
     tensor,
     truncate,
 )
@@ -62,21 +61,28 @@ def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResul
 # cochain
 
 
-def _random_unimodular(n: int, rng: random.Random) -> QMatrix:
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    upper = [[Fraction(0)] * n for _ in range(n)]
+def _random_unimodular(n: int, rng: random.Random) -> tuple[QMatrix, QMatrix]:
+    """A random unimodular matrix P and its inverse.  P is a product of
+    elementary matrices I + cE_ij, so P⁻¹ is the reversed product of
+    the I - cE_ij."""
+    factors = []
     for i in range(n):
-        lower[i][i] = Fraction(1)
-        upper[i][i] = Fraction(1)
         for j in range(i):
-            lower[i][j] = Fraction(rng.randint(-2, 2))
-            upper[j][i] = Fraction(rng.randint(-2, 2))
-    return QMatrix(n, n, lower) @ QMatrix(n, n, upper)
+            factors.append((i, j, rng.randint(-2, 2)))
+            factors.append((j, i, rng.randint(-2, 2)))
+
+    def product(fs):
+        out = [[int(r == c) for c in range(n)] for r in range(n)]
+        for i, j, c in fs:  # right multiplication adds c · column i to column j
+            for row in out:
+                row[j] += c * row[i]
+        return QMatrix(n, n, out)
+
+    return product(factors), product([(i, j, -c) for i, j, c in reversed(factors)])
 
 
 def _conjugate(cx: CochainComplex, rng: random.Random) -> CochainComplex:
-    ps = [_random_unimodular(n, rng) for n in cx.dims]
-    inv = [solve_columns(p, QMatrix.identity(p.rows)) for p in ps]
+    ps, inv = zip(*(_random_unimodular(n, rng) for n in cx.dims))
     ds = [ps[k + 1] @ cx.d[k] @ inv[k] for k in range(len(cx.d))]
     return CochainComplex(cx.dims, ds)
 

@@ -345,6 +345,19 @@ def test_restriction_not_a_chain_map_rejected_at_load(tmp_path, capsys):
                             "restriction is not a chain map\n")
 
 
+def test_y_failing_d_squared_rejected_at_load(tmp_path, capsys):
+    # zero one entry of Y's d_0: d_1 d_0 no longer vanishes, and Y is no
+    # longer tensor(B, F), so the load checks d∘d on Y itself
+    data = model_to_dict(builtin_space("cone-torus"))
+    data["Y"]["differentials"][0][0][0] = "0"
+    path = tmp_path / "bad-y.json"
+    path.write_text(json.dumps(data))
+    assert main(["ih", "--file", str(path), "--perversity", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "model invariant violated: cone-torus: a complex fails d∘d = 0\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["fibre-spec", "--kind", "torus", "--sizes", "ab"], "sizes must be"),
     (["fibre-spec", "--kind", "circle", "--sizes", "2"], "at least 3 segments"),

@@ -1,5 +1,7 @@
 """Sparse QMatrix operations against a dense Fraction reference."""
 
+import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -10,8 +12,7 @@ from edgehodge.cochain import QMatrix, block_matrix
 from oracles import sympy_matrix_rank
 
 # zero-heavy, with units, non-unit integers and true fractions, so the
-# rank exercises both the unit-pivot phase, the Bareiss remainder and
-# the clearing of denominators
+# elimination meets rows with no unit entry and rational pivots
 ENTRIES = st.sampled_from([
     Fraction(0), Fraction(0), Fraction(0), Fraction(1), Fraction(-1),
     Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4),
@@ -99,21 +100,8 @@ def test_block_matrix_matches_dense_reference(data):
     assert got.rank() == sympy_matrix_rank(dense_rows)
 
 
-def test_rank_reaches_bareiss_remainder(monkeypatch):
-    calls = []
-    real = elim.bareiss_rank
-
-    def spy(rows):
-        calls.append(len(rows))
-        return real(rows)
-
-    monkeypatch.setattr(elim, "bareiss_rank", spy)
-    # once denominators are cleared no entry is +-1 and every row and
-    # column holds two: nothing for the unit phase, all of it for Bareiss
-    mat = [[Fraction(2), Fraction(4), 0], [Fraction(6), 0, Fraction(3, 2)],
-           [0, Fraction(3), Fraction(9, 2)]]
-    assert QMatrix(3, 3, mat).rank() == sympy_matrix_rank(mat)
-    assert calls == [3]
+def sparse(ents):
+    return [{j: v for j, v in enumerate(r) if v} for r in ents]
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,8 +109,8 @@ def test_rank_reaches_bareiss_remainder(monkeypatch):
     st.lists(st.sampled_from([0, 0, 0, 1, -1, -1, 2]), min_size=n, max_size=n),
     min_size=1, max_size=9)))
 def test_rank_of_signed_incidence_like_matrices(rows):
-    # mostly +-1 entries, so the unit phase pivots on -1 with fill-in
-    assert elim.rank_int_rows(rows) == sympy_matrix_rank(rows)
+    # mostly +-1 entries, so cancel pivots on -1 with fill-in
+    assert elim.rank_sparse(sparse(rows)) == sympy_matrix_rank(rows)
 
 
 def dense_rref(rows):
@@ -146,72 +134,81 @@ def dense_rref(rows):
     return rows[:r], pivots
 
 
-def dense_kernel(rows, cols):
-    """Reference null-space basis from ``dense_rref``: one column per free
-    column f, 1 at f and minus the reduced entries at the pivots."""
-    red, pivots = dense_rref(rows) if rows else ([], [])
-    free = [j for j in range(cols) if j not in pivots]
-    out = [[Fraction(0)] * len(free) for _ in range(cols)]
-    for k, f in enumerate(free):
-        out[f][k] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            out[pc][k] = -red[r][f]
-    return out
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_cancel_pivots_count_leading_row_ranks(m):
+    # the rank table reads r(k, c) as the pivots among the leading rows
+    rows, _, ents = m
+    pivots = [b for b, *_ in elim.cancel(sparse(ents))]
+    for t in range(rows + 1):
+        assert bisect_left(pivots, t) == sympy_matrix_rank(ents[:t])
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rank_sparse_matches_bareiss(m):
+    ents = m[2]
+    cleared = [[int(x * math.lcm(*(y.denominator for y in r))) for x in r] for r in ents]
+    assert elim.rank_sparse(sparse(ents)) == elim.bareiss_rank(cleared)
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices())
-def test_sparse_rref_matches_dense_reference(m):
+def test_kernel_basis_properties(m):
     rows, cols, ents = m
     mat = q(m)
-    want_rows, want_pivots = dense_rref(ents) if rows else ([], [])
-    got_rows, got_pivots = cochain._eliminate(mat.sparse_rows)
-    assert got_pivots == want_pivots
-    assert [QMatrix(1, cols, [r]) for r in want_rows] == \
-        [cochain._sparse(1, cols, (r,)) for r in got_rows]
-    if cols:
-        assert cochain.kernel_basis(mat) == QMatrix(cols, cols - len(want_pivots),
-                                                    dense_kernel(ents, cols))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_solve_columns_matches_dense_reference(data):
-    # a = kernel basis of a random matrix: full column rank; b = a x
-    base = q(data.draw(matrices()))
-    a = cochain.kernel_basis(base)
-    x = q(data.draw(matrices(a.cols, data.draw(DIM))))
-    got = cochain.solve_columns(a, a @ x)
-    assert got == x
-    aug = [list(ra) + list(rb) for ra, rb in zip(a.entries, (a @ x).entries)]
-    red, _ = dense_rref(aug) if aug else ([], [])
-    assert got == QMatrix(a.cols, x.cols, [r[a.cols:] for r in red])
+    k = cochain.kernel_basis(mat)
+    assert k.rows == cols and k.cols == cols - sympy_matrix_rank(ents)
+    assert (mat @ k).is_zero()
+    assert sympy_matrix_rank(k.entries) == k.cols
+    # the identity on the coordinates cancel left unpaired
+    red = cochain.reduce_complex(cochain.CochainComplex((cols, rows), [mat]))
+    assert [k.sparse_rows[x] for x in red.survivors[0]] == [{j: 1} for j in range(k.cols)]
 
 
 def dense_rank(mat):
     return len(dense_rref(mat.entries)[1]) if mat.rows and mat.cols else 0
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_reduce_complex_matches_dense_reference(data):
-    # a random complex C^0 -> C^1 -> C^2 -> C^3 built backwards: d_2 is
-    # any matrix and each d_(k-1) is a kernel basis of d_k times a random
-    # matrix, so entries include 2, -3, 1/2 and rows with no unit entry
-    n = [data.draw(DIM) for _ in range(4)]
-    ds = [q(data.draw(matrices(n[3], n[2])))]
+@st.composite
+def complexes(draw):
+    """A random complex C^0 -> C^1 -> C^2 -> C^3 built backwards: d_2 is
+    any matrix and each d_(k-1) is a kernel basis of d_k times a random
+    matrix, so entries include 2, -3, 1/2 and rows with no unit entry."""
+    n = [draw(DIM) for _ in range(4)]
+    ds = [q(draw(matrices(n[3], n[2])))]
     for k in (1, 0):
         z = cochain.kernel_basis(ds[0])
-        ds.insert(0, z @ q(data.draw(matrices(z.cols, n[k]))))
-    c = cochain.CochainComplex(n, ds)
+        ds.insert(0, z @ q(draw(matrices(z.cols, n[k]))))
+    return cochain.CochainComplex(n, ds)
+
+
+def dense_betti(c):
+    return [c.dims[k] - dense_rank(c.d_at(k)) - dense_rank(c.d_at(k - 1))
+            for k in range(len(c.dims))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes())
+def test_reduce_complex_matches_dense_reference(c):
     red = cochain.reduce_complex(c)
     incl = cochain.cohomology_inclusion(c)
-    for k in range(4):
+    for k, betti in enumerate(dense_betti(c)):
         d_in, d_out = c.d_at(k - 1), c.d_at(k)
-        betti = n[k] - dense_rank(d_out) - dense_rank(d_in)
         assert len(red.survivors[k]) == betti
         reps = incl.at(k)
-        assert reps.rows == n[k] and reps.cols == betti
+        assert reps.rows == c.dims[k] and reps.cols == betti
         assert (d_out @ reps).is_zero()
-        both = block_matrix([[d_in, reps]], [n[k]], [d_in.cols, betti])
+        both = block_matrix([[d_in, reps]], [c.dims[k]], [d_in.cols, betti])
         assert dense_rank(both) == dense_rank(d_in) + betti
+
+
+@settings(max_examples=100, deadline=None)
+@given(complexes())
+def test_truncate_matches_dense_reference(c):
+    betti = dense_betti(c)
+    for m in range(-1, 5):
+        t, incl = cochain.truncate(c, m)
+        assert incl.commutes()
+        h = list(cochain.cohomology_dims(t))
+        assert h + [0] * (4 - len(h)) == [b if k <= m else 0 for k, b in enumerate(betti)]
