@@ -234,7 +234,14 @@ def kernel_basis(mat: QMatrix) -> QMatrix:
     """Matrix whose columns form a basis of the null space of ``mat``:
     the degree-0 cocycles of the two-term complex of ``mat``, so it is
     the identity on the coordinates that ``cancel`` left unpaired."""
-    return cohomology_inclusion(CochainComplex((mat.cols, mat.rows), [mat])).at(0)
+    return _kernel(mat)[0]
+
+
+def _kernel(mat: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
+    """``kernel_basis`` of ``mat`` and the unpaired coordinates on which
+    it is the identity."""
+    red = reduce_complex(CochainComplex((mat.cols, mat.rows), [mat]))
+    return red.representatives(0, mat.cols), red.survivors[0]
 
 
 class Reduction(NamedTuple):
@@ -566,15 +573,14 @@ def truncate(c: CochainComplex, m: int) -> tuple[CochainComplex, ComplexMap]:
         return t, ComplexMap(t, c, (), check=False)
     if m >= c.top_degree:
         return c, ComplexMap.identity(c)
-    red = reduce_complex(CochainComplex(c.dims[m:m + 2], c.d[m:m + 1]))
-    ker = red.representatives(0, c.dims[m])
+    ker, survivors = _kernel(c.d[m])
     dims = list(c.dims[:m]) + [ker.cols]
     ds = list(c.d[: max(m - 1, 0)])
     if m >= 1:
         # ker is the identity on the survivors' rows, so ker X = d_(m-1)
         # is solved by those rows of d_(m-1)
         rows = c.d[m - 1].sparse_rows
-        ds.append(_sparse(ker.cols, c.dims[m - 1], tuple(rows[x] for x in red.survivors[0])))
+        ds.append(_sparse(ker.cols, c.dims[m - 1], tuple(rows[x] for x in survivors)))
     t = CochainComplex(dims, ds)
     incl = [QMatrix.identity(c.dims[k]) for k in range(m)] + [ker]
     return t, ComplexMap(t, c, incl, check=False)

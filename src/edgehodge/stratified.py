@@ -71,10 +71,8 @@ those rows,
 
 In the bases of ``tensor`` the rows of Y'^k come in blocks (i, k - i)
 with i ascending, so the rows above c are a prefix and r(k, c) is the
-rank of a leading block of rows.  ``elim.cancel`` pivots the rows of
-ρ'_k in order, each reduced against every earlier pivot, so r(k, c) is
-the number of its pivots among the first t(k, c) rows: one cancellation
-per degree gives the whole row of the table.  The map Tot'(c1) -> Tot'(c2) for
+rank of a leading block of rows: ``elim.rank_sparse`` of the first
+t(k, c) rows of ρ'_k, once per distinct t.  The map Tot'(c1) -> Tot'(c2) for
 c1 <= c2 is injective on the ker A part (M' ⊕ T'_c1 sits inside
 M' ⊕ T'_c2) and onto on the coker A part (im A at c1 lies in im A at
 c2), so
@@ -92,7 +90,6 @@ reference; no query builds them.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -419,12 +416,14 @@ class EdgeSpaceModel:
                 for i in range(k + 1):
                     prefix.append(prefix[-1] + b_h.dim(i) * f_h.dim(k - i))
                 t_k = tuple(prefix[max(0, k - c)] for c in range(-1, self.f + 1))
-                # cancel pivots rows in order, so the pivots among the
-                # first t rows number the rank of those rows
                 rho_rows = rho[k].sparse_rows if k < len(rho) else ()
-                pivots = [b for b, *_ in elim.cancel([dict(r) for r in rho_rows])]
+                rank_of: dict[int, int] = {}
+                for t in t_k:
+                    if t not in rank_of:
+                        lead = [dict(r) for r in rho_rows[:t] if r]
+                        rank_of[t] = elim.rank_sparse(lead) if lead else 0
                 rows.append(t_k)
-                ranks.append(tuple(bisect_left(pivots, t) for t in t_k))
+                ranks.append(tuple(rank_of[t] for t in t_k))
             m_dims = tuple(m_h.dim(k) for k in range(self.n + 1))
             self._table = RankTable(m_dims, tuple(rows), tuple(ranks))
         return self._table

@@ -137,7 +137,8 @@ def dense_rref(rows):
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_cancel_pivots_count_leading_row_ranks(m):
-    # the rank table reads r(k, c) as the pivots among the leading rows
+    # each row is reduced against every earlier pivot, so the pivots
+    # among the first t rows count the rank of those rows
     rows, _, ents = m
     pivots = [b for b, *_ in elim.cancel(sparse(ents))]
     for t in range(rows + 1):
