@@ -146,12 +146,11 @@ def _spectrum_from_args(args) -> spectral.FibreSpectrum:
     kind = args.fibre_kind
     if kind == "sphere2":
         return spectral.sphere2_spectrum()
-    sizes = _parse_ints(args.sizes, "sizes") if args.sizes else (16, 16)
-    scale = _parse_scale(args.scale)
-    if kind == "circle":
-        fib = _build_fibre("circle", sizes[0], scale[0] if scale else None)
+    if args.sizes:
+        sizes = _parse_ints(args.sizes, "sizes")
     else:
-        fib = _build_fibre(kind, sizes, scale)
+        sizes = (16,) if kind == "circle" else (16, 16)
+    fib = _build_fibre(kind, sizes, _parse_scale(args.scale))
     return fibredec.spectrum_for_predicates(fib)
 
 

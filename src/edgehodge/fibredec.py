@@ -16,6 +16,12 @@ form W^{1/2} Δ W^{-1/2}, which is symmetric positive semidefinite; it
 is the oracle for the closed form and for the mesh-convergence checks.
 The metric weights W are numpy arrays built on first use, for that
 oracle only; the closed form needs no numpy.
+
+The exact Betti numbers that the zero-mode count is checked against
+come from Künneth over Q as well: the graded convolution of each circle
+factor's rational cohomology.  The product cochain complex (``tensor``
+folded over the circles) is built on first use, only for the dense
+oracle, ``verify`` and the tests.
 """
 
 from __future__ import annotations
@@ -24,11 +30,12 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from edgehodge.cochain import CochainComplex, QMatrix, tensor
 from edgehodge.errors import EigensolverError, UnderResolvedSpectrumError
 from edgehodge.spectral import FibreSpectrum
+from edgehodge.stratified import kunneth_convolution
 
 RESIDUAL_TOL = 1e-9
 ZERO_MODE_TOL = 1e-8
@@ -39,14 +46,24 @@ class DiscreteFibre:
     kind: str
     sizes: tuple[int, ...]
     lengths: tuple[float, ...]
-    complex: CochainComplex
+
+    @cached_property
+    def complex(self) -> CochainComplex:
+        """The rational cochain complex, ``tensor`` of the circle factors'."""
+        return reduce(tensor, map(_circle_complex, self.sizes))
+
+    @cached_property
+    def betti(self) -> tuple[int, ...]:
+        """Exact Betti numbers: Künneth over the circle factors' complexes."""
+        return reduce(kunneth_convolution,
+                      (_circle_complex(n).cohomology_dims() for n in self.sizes))
 
     def dim(self, q: int) -> int:
         return self.complex.dim(q)
 
     @property
     def top_degree(self) -> int:
-        return self.complex.top_degree
+        return len(self.sizes)
 
     @cached_property
     def weights(self) -> tuple:
@@ -76,22 +93,24 @@ class DiscreteFibre:
         return self.weights[q] if 0 <= q <= self.top_degree else np.zeros(0)
 
 
+def _circle_complex(n: int) -> CochainComplex:
+    d0 = [[0] * n for _ in range(n)]
+    for e in range(n):
+        d0[e][e] = -1
+        d0[e][(e + 1) % n] = 1
+    return CochainComplex((n, n), [QMatrix(n, n, d0)])
+
+
 def _circle_fibre(n: int, length: float) -> DiscreteFibre:
     if n < 3:
         raise ValueError("circle needs at least 3 segments")
     if length <= 0:
         raise ValueError("circumference must be positive")
-    d0 = [[0] * n for _ in range(n)]
-    for e in range(n):
-        d0[e][e] = -1
-        d0[e][(e + 1) % n] = 1
-    cx = CochainComplex((n, n), [QMatrix(n, n, d0)])
-    return DiscreteFibre("circle", (n,), (length,), cx)
+    return DiscreteFibre("circle", (n,), (length,))
 
 
 def _product_fibre(a: DiscreteFibre, b: DiscreteFibre, kind: str) -> DiscreteFibre:
-    return DiscreteFibre(kind, a.sizes + b.sizes, a.lengths + b.lengths,
-                         tensor(a.complex, b.complex))
+    return DiscreteFibre(kind, a.sizes + b.sizes, a.lengths + b.lengths)
 
 
 def build_fibre(kind: str, sizes, scale=None) -> DiscreteFibre:
@@ -221,10 +240,12 @@ def spectrum_for_predicates(fibre: DiscreteFibre, count: int = 8,
 
     Values below ``tol * max(norm, 1)`` count as zero modes, where norm
     is the degree's largest eigenvalue.  The snapped multiplicity must
-    match the exact Betti number from the rational complex; a mismatch
-    means the grid is under-resolved and is an error, never a warning.
+    match the exact Betti number, which Künneth gives from each circle
+    factor's rational complex (``DiscreteFibre.betti``); no product
+    complex is built.  A mismatch means the grid is under-resolved and
+    is an error, never a warning.
     """
-    betti = fibre.complex.cohomology_dims()
+    betti = fibre.betti
     levels = []
     for q, vals in enumerate(_product_eigenvalues(fibre)):
         zeros = bisect.bisect_left(vals, tol * max(vals[-1], 1.0))

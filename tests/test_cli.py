@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import edgehodge
 from edgehodge import verify
 from edgehodge.cli import main
 from edgehodge.report import RunConfig, run
+from edgehodge.spectral import FibreSpectrum
 from edgehodge.stratified import builtin_space, model_to_dict
 
 
@@ -106,6 +108,18 @@ def test_fibre_spec_csv(tmp_path, capsys):
     assert main(["fibre-spec", "--kind", "circle", "--sizes", "8",
                  "--count", "3", "--csv", str(csv_path)]) == 0
     assert csv_path.read_text().startswith("degree,index,eigenvalue")
+
+
+def test_fibre_spec_seven_circle_product(capsys):
+    # 3^7 cells in degree 0: answered from the closed form and Künneth,
+    # with no product complex built and reduced
+    assert main(["fibre-spec", "--kind", "product", "--sizes", "3,3,3,3,3,3,3",
+                 "--count", "1", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    binomials = [math.comb(7, q) for q in range(8)]
+    assert out["betti"] == binomials
+    spec = FibreSpectrum.from_dict(out["spectrum"])
+    assert list(spec.zero_multiplicities()) == binomials
 
 
 def test_run_report_deterministic(tmp_path):
@@ -367,6 +381,10 @@ def test_y_failing_d_squared_rejected_at_load(tmp_path, capsys):
      "cannot read spectrum file"),
     (["spectral", "--f", "2", "--a", "0", "--fibre-kind", "circle", "--sizes", "2"],
      "at least 3 segments"),
+    (["spectral", "--f", "1", "--a", "0", "--fibre-kind", "circle", "--sizes", "6,7"],
+     "circle takes one grid size"),
+    (["spectral", "--f", "1", "--a", "0", "--fibre-kind", "circle", "--sizes", "6",
+      "--scale", "1,2"], "one length per circle factor"),
     (["cone-lab", "--a", "0", "--mode", "x"], "mode must be k,lambda2"),
     (["cone-lab", "--a", "0", "--mode", "0,-5"], "must be nonnegative"),
     (["cone-lab", "--a", "0", "--mode", "7,0"], "mode degrees must lie in 0..2"),
@@ -377,7 +395,8 @@ def test_y_failing_d_squared_rejected_at_load(tmp_path, capsys):
     (["fibre-spec", "--kind", "torus", "--sizes", "4,4", "--count=-1"],
      "count must be"),
 ], ids=["sizes-not-int", "circle-too-small", "scale-not-rational",
-        "spectrum-missing", "spectral-circle-too-small", "mode-not-pair",
+        "spectrum-missing", "spectral-circle-too-small", "spectral-circle-two-sizes",
+        "spectral-circle-two-scales", "mode-not-pair",
         "mode-negative-lambda2", "mode-degree", "betti-not-int", "x0-range",
         "ppd-zero", "spectral-negative-f", "count-negative"])
 def test_bad_cli_argument_exit_code(capsys, argv, message):

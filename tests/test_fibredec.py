@@ -145,6 +145,22 @@ def test_closed_form_degenerate_modes_are_equal():
     assert vals[0::2] == vals[1::2]
 
 
+@pytest.mark.parametrize("kind, sizes", [
+    *(("circle", n) for n in range(3, 10)),
+    ("torus", (6, 8)),
+    ("torus", (16, 16)),
+    ("product", (4, 5, 6)),
+    ("product", (3, 3, 3, 3)),
+], ids=lambda v: str(v))
+def test_kunneth_betti_matches_full_reduction(kind, sizes):
+    fib = build_fibre(kind, sizes)
+    spec = spectrum_for_predicates(fib)
+    # the predicates read Künneth over the circle factors, not the product
+    assert "complex" not in vars(fib)
+    assert spec.betti == fib.betti
+    assert fib.betti == fib.complex.cohomology_dims()
+
+
 def test_under_resolution_is_an_error():
     fib = build_fibre("torus", (4, 4))
     with pytest.raises(UnderResolvedSpectrumError):
