@@ -135,6 +135,12 @@ def _cmd_weights(args) -> int:
 
 
 def _spectrum_from_args(args) -> spectral.FibreSpectrum:
+    source = ("--spectrum" if args.spectrum else
+              "--fibre-kind sphere2" if args.fibre_kind == "sphere2" else None)
+    if source:
+        for flag, value in (("--sizes", args.sizes), ("--scale", args.scale)):
+            if value is not None:
+                raise ConfigError(f"{flag} does not apply to {source}")
     if args.spectrum:
         try:
             with open(args.spectrum) as fh:

@@ -450,36 +450,47 @@ def tensor(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
     """Tensor product complex with the usual sign (-1)^i on the second factor.
 
     Basis order in degree n: blocks (i, n-i) with i ascending; within a
-    block the first factor index is major.
+    block the first factor index is major.  Row (a, b) of row block
+    (i, n+1-i) of d_n is read off row a of d1 and row b of d2: its
+    entries lie first in column block (i-1, n+1-i), from d1 ⊗ id, then
+    in column block (i, n-i), from (-1)^i id ⊗ d2.
     """
     if not c1.verify() or not c2.verify():
         raise UnverifiedComplexError("tensor factors must satisfy d∘d = 0")
     if not c1.dims or not c2.dims:
         return ZERO_COMPLEX
     top = c1.top_degree + c2.top_degree
-    dims = []
+    offsets = []  # offsets[n][i]: first index of block (i, n-i), i = 0..n+1
     for n in range(top + 1):
-        dims.append(sum(c1.dim(i) * c2.dim(n - i) for i in range(n + 1)))
+        off = [0]
+        for i in range(n + 1):
+            off.append(off[-1] + c1.dim(i) * c2.dim(n - i))
+        offsets.append(off)
+    dims = [off[-1] for off in offsets]
     ds = []
     for n in range(top):
-        col_blocks = [(i, n - i) for i in range(n + 1)]
-        row_blocks = [(i, n + 1 - i) for i in range(n + 2)]
-        col_dims = [c1.dim(i) * c2.dim(j) for i, j in col_blocks]
-        row_dims = [c1.dim(i) * c2.dim(j) for i, j in row_blocks]
-        blocks: list[list[QMatrix | None]] = [
-            [None] * len(col_blocks) for _ in range(len(row_blocks))
-        ]
-        for i, j in col_blocks:  # column block i is (i, j); row block r is (r, n+1-r)
-            if col_dims[i] == 0:
+        col = offsets[n]
+        out: list[SparseRow] = []
+        for i in range(n + 2):
+            j = n + 1 - i
+            width = c2.dim(j)
+            if not c1.dim(i) or not width:
                 continue
-            # d1 ⊗ id : block (i, j) -> (i+1, j)
-            if row_dims[i + 1]:
-                blocks[i + 1][i] = c1.d_at(i).kron(QMatrix.identity(c2.dim(j)))
-            # (-1)^i id ⊗ d2 : block (i, j) -> (i, j+1)
-            if row_dims[i]:
-                blk = QMatrix.identity(c1.dim(i)).kron(c2.d_at(j))
-                blocks[i][i] = blk if i % 2 == 0 else -blk
-        ds.append(block_matrix(blocks, row_dims, col_dims))
+            # off the ends d_at gives empty rows, so blocks (-1, j) and
+            # (n+1, -1) are never read
+            d1 = c1.d_at(i - 1).sparse_rows
+            d2 = [tuple(r.items()) if i % 2 == 0 else tuple((c, -v) for c, v in r.items())
+                  for r in c2.d_at(j - 1).sparse_rows]
+            inner = c2.dim(j - 1)
+            for a in range(c1.dim(i)):
+                left = [(col[i - 1] + c * width, v) for c, v in d1[a].items()]
+                base = col[i] + a * inner
+                for b in range(width):
+                    row = {off + b: v for off, v in left}
+                    for c, v in d2[b]:
+                        row[base + c] = v
+                    out.append(row)
+        ds.append(_sparse(dims[n + 1], dims[n], tuple(out)))
     return CochainComplex(dims, ds)
 
 
@@ -644,17 +655,16 @@ def cohomology_projection(c: CochainComplex) -> ComplexMap:
 
 
 # ---------------------------------------------------------------------------
-# serialization: key/value structure with row-major rational strings
+# serialization: key/value records whose matrices are written sparse,
+# {"rows": r, "cols": c, "nz": [[i, j, "v"], ...]} with one entry per
+# nonzero, in row order and by column within a row, each value a rational
+# string.  Dense row-major lists of rational strings are still read.
 
 
-def matrix_to_lists(m: QMatrix) -> list[list[str]]:
-    out = []
-    for r in m.sparse_rows:
-        row = ["0"] * m.cols
-        for c, v in r.items():
-            row[c] = str(v)
-        out.append(row)
-    return out
+def matrix_to_dict(m: QMatrix) -> dict:
+    """The sparse record of ``m``."""
+    return {"rows": m.rows, "cols": m.cols,
+            "nz": [[i, j, str(r[j])] for i, r in enumerate(m.sparse_rows) for j in sorted(r)]}
 
 
 def _brief(x) -> str:
@@ -678,10 +688,14 @@ def _parse_entry(s) -> Rational:
     raise ModelFormatError(f"not an exact rational: {_brief(s)}")
 
 
-def matrix_from_lists(rows: int, cols: int, data: Sequence[Sequence[str]]) -> QMatrix:
-    """Parse row-major rational strings straight into sparse rows."""
+def matrix_from_lists(rows: int, cols: int, data) -> QMatrix:
+    """Parse a matrix record, sparse (``matrix_to_dict``) or dense
+    (row-major lists of rational strings), straight into sparse rows."""
+    if isinstance(data, dict):
+        return _matrix_from_nonzeros(rows, cols, data)
     if not isinstance(data, (list, tuple)):
-        raise ModelFormatError(f"a matrix must be a list of rows, not {_brief(data)}")
+        raise ModelFormatError(
+            f"a matrix must be a list of rows or a sparse record, not {_brief(data)}")
     if len(data) != rows:
         raise ShapeMismatchError(f"entries do not form a {rows}x{cols} matrix")
     out = []
@@ -701,6 +715,36 @@ def matrix_from_lists(rows: int, cols: int, data: Sequence[Sequence[str]]) -> QM
     return _sparse(rows, cols, tuple(out))
 
 
+def _matrix_from_nonzeros(rows: int, cols: int, data: dict) -> QMatrix:
+    """Parse a sparse record: every entry is [i, j, v] with int indices
+    in range, each index pair at most once, and v a nonzero rational."""
+    r, c, nz = data.get("rows"), data.get("cols"), data.get("nz")
+    if type(r) is not int or type(c) is not int or (r, c) != (rows, cols):
+        raise ModelFormatError(
+            f"a sparse matrix must have rows {rows} and cols {cols}, "
+            f"not {_brief(r)} and {_brief(c)}")
+    if not isinstance(nz, list):
+        raise ModelFormatError(f"nz must be a list of [row, col, value] entries, not {_brief(nz)}")
+    out: list[SparseRow] = [{} for _ in range(rows)]
+    for e in nz:
+        if not isinstance(e, (list, tuple)) or len(e) != 3:
+            raise ModelFormatError(f"a sparse entry must be [row, col, value], not {_brief(e)}")
+        i, j, s = e
+        if type(i) is not int or type(j) is not int:
+            raise ModelFormatError(f"sparse entry {_brief(e)}: indices must be integers")
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ModelFormatError(
+                f"sparse entry {_brief(e)}: index outside a {rows}x{cols} matrix")
+        row = out[i]
+        if j in row:
+            raise ModelFormatError(f"sparse entry {_brief(e)}: index repeated")
+        v = _parse_entry(s)
+        if not v:
+            raise ModelFormatError(f"sparse entry {_brief(e)}: explicit zero")
+        row[j] = v
+    return _sparse(rows, cols, tuple(out))
+
+
 def int_from_json(value, what: str) -> int:
     """A nonnegative integer field of a model record (int or digit string)."""
     if not isinstance(value, bool) and isinstance(value, (int, str)):
@@ -717,7 +761,7 @@ def int_from_json(value, what: str) -> int:
 def complex_to_dict(c: CochainComplex) -> dict:
     return {
         "dims": list(c.dims),
-        "differentials": [matrix_to_lists(m) for m in c.d],
+        "differentials": [matrix_to_dict(m) for m in c.d],
     }
 
 
@@ -741,7 +785,7 @@ def complex_from_dict(data: dict) -> CochainComplex:
 
 
 def map_to_dict(phi: ComplexMap) -> dict:
-    return {"maps": [matrix_to_lists(m) for m in phi.maps]}
+    return {"maps": [matrix_to_dict(m) for m in phi.maps]}
 
 
 def map_from_dict(source: CochainComplex, target: CochainComplex, data: dict) -> ComplexMap:

@@ -38,7 +38,8 @@ sparse reduction each and never a kernel basis.
 
 Why the answers agree: let Tot_1(c) be the total complex of M,
 B' ⊗ τ_{<=c}F', Y' with restriction (p_B ⊗ p_F) ∘ ρ.  Because
-Y = B ⊗ F at chain level (``validate`` checks it), p_B ⊗ p_F is a
+Y = B ⊗ F at chain level (``validate`` checks a Y read from a file, and
+a file may leave Y out to have it built so), p_B ⊗ p_F is a
 chain map Y -> Y', and it carries the tube inclusion id_B ⊗ incl to
 id_B' ⊗ incl'.  So
 
@@ -236,7 +237,9 @@ class EdgeSpaceModel:
 
     ``Y`` must be the product complex tensor(B, F) (built-ins always
     are); a model without this bigrading cannot feed the truncated-tube
-    machinery and is rejected by the perversity engine.
+    machinery and is rejected by the perversity engine.  A caller that
+    built ``Y`` as tensor(B, F) says so with ``y_from_factors``, and
+    ``validate`` then takes Y as the product without rebuilding it.
     """
 
     def __init__(self, name: str, n: int, b: int, f: int,
@@ -244,7 +247,8 @@ class EdgeSpaceModel:
                  M: CochainComplex, Y: CochainComplex,
                  restriction: ComplexMap,
                  product_bigrading: bool = True,
-                 description: str = ""):
+                 description: str = "",
+                 y_from_factors: bool = False):
         self.name = name
         self.n = n
         self.b = b
@@ -256,6 +260,7 @@ class EdgeSpaceModel:
         self.restriction = restriction
         self.product_bigrading = product_bigrading
         self.description = description
+        self._y_from_factors = product_bigrading and y_from_factors
         self._ftrunc_cache: dict[int, tuple[CochainComplex, ComplexMap]] = {}
         self._tube_cache: dict[int, tuple[CochainComplex, ComplexMap]] = {}
         self._tot_cache: dict[int, CochainComplex] = {}
@@ -278,7 +283,8 @@ class EdgeSpaceModel:
                 raise ModelInvariantError(f"{self.name}: a complex fails d∘d = 0")
         # the tube inclusion id_B ⊗ incl and the minimal model both read Y
         # in the basis of tensor(B, F), which has d∘d = 0 once B and F do
-        y_product = self.product_bigrading and self.Y == tensor(self.B, self.F)
+        y_product = self._y_from_factors or (
+            self.product_bigrading and self.Y == tensor(self.B, self.F))
         if not y_product and not self.Y.verify():
             raise ModelInvariantError(f"{self.name}: a complex fails d∘d = 0")
         if self.restriction.source is not self.M and self.restriction.source != self.M:
@@ -438,7 +444,7 @@ class EdgeSpaceModel:
             y_h = tensor(b_h, f_h)
             minimal = EdgeSpaceModel(self.name, self.n, self.b, self.f, f_h, b_h, m_h, y_h,
                                      ComplexMap(m_h, y_h, rho, check=False),
-                                     description=self.description)
+                                     description=self.description, y_from_factors=True)
             minimal._minimal = minimal
             self._minimal = minimal
         return self._minimal
@@ -590,7 +596,7 @@ def _cone_model(name: str, fibre: CochainComplex, description: str) -> EdgeSpace
     restriction = ComplexMap.identity(y)
     f = fibre.top_degree
     return EdgeSpaceModel(name, f + 1, 0, f, fibre, b_cx, m, y, restriction,
-                          description=description)
+                          description=description, y_from_factors=True)
 
 
 def _closed_model(name: str, base: CochainComplex, fibre: CochainComplex,
@@ -608,7 +614,7 @@ def _closed_model(name: str, base: CochainComplex, fibre: CochainComplex,
     f = fibre.top_degree
     b = base.top_degree
     return EdgeSpaceModel(name, b + f + 1, b, f, fibre, b_cx, m, y, restriction,
-                          description=description)
+                          description=description, y_from_factors=True)
 
 
 _BUILDERS = {
@@ -662,7 +668,9 @@ def catalogue() -> list[dict]:
 
 
 def model_to_dict(space: EdgeSpaceModel) -> dict:
-    return {
+    """The model record, with sparse matrices; a product model omits Y,
+    which ``model_from_dict`` rebuilds as tensor(B, F)."""
+    out = {
         "name": space.name,
         "n": space.n,
         "b": space.b,
@@ -670,11 +678,13 @@ def model_to_dict(space: EdgeSpaceModel) -> dict:
         "F": complex_to_dict(space.F),
         "B": complex_to_dict(space.B),
         "M": complex_to_dict(space.M),
-        "Y": complex_to_dict(space.Y),
         "restriction": map_to_dict(space.restriction),
         "bigrading": "product" if space.product_bigrading else "none",
         "description": space.description,
     }
+    if not space.product_bigrading:
+        out["Y"] = complex_to_dict(space.Y)
+    return out
 
 
 def _field(data: dict, key: str, parse, *args):
@@ -688,15 +698,28 @@ def _field(data: dict, key: str, parse, *args):
 
 
 def model_from_dict(data: dict) -> EdgeSpaceModel:
+    """Parse a model record.  A product model may omit Y, which is then
+    built as tensor(B, F) once B and F pass d∘d = 0; a Y in the record
+    is checked against tensor(B, F) by ``EdgeSpaceModel.validate``."""
     if not isinstance(data, dict):
         raise ModelFormatError("a model must be a key/value object")
-    f_cx, b_cx, m_cx, y_cx = (_field(data, k, complex_from_dict) for k in "FBMY")
+    f_cx, b_cx, m_cx = (_field(data, k, complex_from_dict) for k in "FBM")
+    name = data.get("name", "unnamed")
+    product = data.get("bigrading", "product") == "product"
+    derive_y = product and "Y" not in data
+    if derive_y:
+        if not (b_cx.verify() and f_cx.verify()):
+            raise ModelInvariantError(f"{name}: a complex fails d∘d = 0")
+        y_cx = tensor(b_cx, f_cx)
+    else:
+        y_cx = _field(data, "Y", complex_from_dict)
     restriction = _field(data, "restriction", map_from_dict, m_cx, y_cx)
     n, b, f = (int_from_json(data.get(k), k) for k in "nbf")
     return EdgeSpaceModel(
-        data.get("name", "unnamed"),
+        name,
         n, b, f,
         f_cx, b_cx, m_cx, y_cx, restriction,
-        product_bigrading=data.get("bigrading", "product") == "product",
+        product_bigrading=product,
         description=data.get("description", ""),
+        y_from_factors=derive_y,
     )

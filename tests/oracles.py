@@ -3,6 +3,8 @@
 These deliberately avoid the package's own elimination kernel: ranks
 come from sympy's rational row reduction, spectra from the analytic
 closed forms, so a bug in the production path cannot hide itself.
+``dense_model_dict`` writes model files in the older dense form, which
+the loader still reads and some fixtures edit entry by entry.
 """
 
 from __future__ import annotations
@@ -58,3 +60,28 @@ def indicial_pair_closed_form(f: int, a: Fraction, k: int, lam2) -> tuple:
     disc = (f - 2 * float(a) - 2 * k) ** 2 + 4 * float(lam2)
     half = math.sqrt(disc) / 2.0
     return centre - half, centre + half
+
+
+def dense_lists(m) -> list[list[str]]:
+    """Row-major rational strings of a matrix, zeros included."""
+    return [[str(x) for x in row] for row in m.entries]
+
+
+def dense_model_dict(space) -> dict:
+    """Model record with every matrix dense and Y always present."""
+    def cx(c):
+        return {"dims": list(c.dims), "differentials": [dense_lists(m) for m in c.d]}
+
+    return {
+        "name": space.name,
+        "n": space.n,
+        "b": space.b,
+        "f": space.f,
+        "F": cx(space.F),
+        "B": cx(space.B),
+        "M": cx(space.M),
+        "Y": cx(space.Y),
+        "restriction": {"maps": [dense_lists(m) for m in space.restriction.maps]},
+        "bigrading": "product" if space.product_bigrading else "none",
+        "description": space.description,
+    }

@@ -15,6 +15,8 @@ from edgehodge.report import RunConfig, run
 from edgehodge.spectral import FibreSpectrum
 from edgehodge.stratified import builtin_space, model_to_dict
 
+from oracles import dense_model_dict
+
 
 def test_list_names_and_count(capsys):
     assert main(["list"]) == 0
@@ -267,7 +269,7 @@ def test_malformed_run_config_exit_code(tmp_path, capsys, change, message):
 
 
 def _malformed_cone_circle(mutate):
-    data = model_to_dict(builtin_space("cone-circle"))
+    data = dense_model_dict(builtin_space("cone-circle"))
     mutate(data)
     return data
 
@@ -291,6 +293,52 @@ def test_malformed_model_file_exit_code(tmp_path, capsys, mutate, message):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _set_nonzeros(data, key, change):
+    # edit the first matrix of a field of a sparse model record: a dict
+    # replaces its keys, a function edits its nonzero entries in place
+    record = data[key]["maps" if key == "restriction" else "differentials"][0]
+    if isinstance(change, dict):
+        record.update(change)
+    else:
+        change(record["nz"])
+
+
+@pytest.mark.parametrize("key, change, message", [
+    ("F", lambda nz: nz.append([2, 0, "1"]), "index outside a 2x2 matrix"),
+    ("F", lambda nz: nz.append([0, 2, "1"]), "index outside a 2x2 matrix"),
+    ("F", lambda nz: nz[0].__setitem__(0, -1), "index outside a 2x2 matrix"),
+    ("F", lambda nz: nz[0].__setitem__(1, True), "indices must be integers"),
+    ("F", lambda nz: nz[0].__setitem__(0, 0.0), "indices must be integers"),
+    ("F", lambda nz: nz[0].__setitem__(1, "0"), "indices must be integers"),
+    ("F", lambda nz: nz.append(nz[0][:2] + ["1"]), "index repeated"),
+    ("F", lambda nz: nz[0].__setitem__(2, "0"), "explicit zero"),
+    ("F", lambda nz: nz[0].__setitem__(2, "0/5"), "explicit zero"),
+    ("F", lambda nz: nz[0].__setitem__(2, "x"), "not an exact rational: 'x'"),
+    ("F", lambda nz: nz[0].__setitem__(2, "1/0"), "not an exact rational: '1/0'"),
+    ("F", lambda nz: nz[0].__setitem__(2, 0.5), "not an exact rational: 0.5"),
+    ("F", {"rows": 3}, "must have rows 2 and cols 2, not 3 and 2"),
+    ("F", {"cols": "2"}, "must have rows 2 and cols 2, not 2 and '2'"),
+    ("F", lambda nz: nz.append([0, 1]), "a sparse entry must be [row, col, value]"),
+    ("F", lambda nz: nz.append("0,1"), "a sparse entry must be [row, col, value]"),
+    ("F", {"nz": {"0": "1"}}, "nz must be a list"),
+    ("restriction", lambda nz: nz[0].__setitem__(2, "0"), "explicit zero"),
+], ids=["row-out-of-range", "col-out-of-range", "negative-index", "bool-index",
+        "float-index", "string-index", "duplicate-index", "explicit-zero",
+        "explicit-zero-fraction", "value-not-rational", "zero-denominator",
+        "value-float", "rows-disagree", "cols-not-int", "entry-not-triple",
+        "entry-string", "nz-not-list", "restriction-explicit-zero"])
+def test_malformed_sparse_matrix_exit_code(tmp_path, capsys, key, change, message):
+    data = model_to_dict(builtin_space("cone-circle"))
+    _set_nonzeros(data, key, change)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["ih", "--file", str(path), "--perversity", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key}: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def _json_paths(node, prefix=()):
     if prefix:
         yield prefix
@@ -301,15 +349,13 @@ def _json_paths(node, prefix=()):
 
 
 _CONE_CIRCLE = model_to_dict(builtin_space("cone-circle"))
+_DENSE_CONE_CIRCLE = dense_model_dict(builtin_space("cone-circle"))
 _JUNK = st.sampled_from([None, True, 1.5, -1, 7, "x", "2", "1/0", "oops",
                          [], {}, [1, 2], [["1"]], {"a": 1}])
 
 
-@settings(max_examples=60, deadline=None)
-@given(path=st.sampled_from(list(_json_paths(_CONE_CIRCLE))), junk=_JUNK,
-       delete=st.booleans())
-def test_mutated_model_file_never_crashes(tmp_path_factory, path, junk, delete):
-    data = json.loads(json.dumps(_CONE_CIRCLE))
+def _mutate_and_load(tmp_path_factory, model, path, junk, delete):
+    data = json.loads(json.dumps(model))
     parent = data
     for key in path[:-1]:
         parent = parent[key]
@@ -319,14 +365,31 @@ def test_mutated_model_file_never_crashes(tmp_path_factory, path, junk, delete):
         parent[path[-1]] = junk
     file = tmp_path_factory.mktemp("fuzz") / "model.json"
     file.write_text(json.dumps(data))
-    assert main(["ih", "--file", str(file), "--perversity", "0"]) in (0, 2, 3)
+    return main(["ih", "--file", str(file), "--perversity", "0"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.sampled_from(list(_json_paths(_CONE_CIRCLE))), junk=_JUNK,
+       delete=st.booleans())
+def test_mutated_model_file_never_crashes(tmp_path_factory, path, junk, delete):
+    # the sparse record model_to_dict writes, without Y
+    assert _mutate_and_load(tmp_path_factory, _CONE_CIRCLE, path, junk, delete) in (0, 2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.sampled_from(list(_json_paths(_DENSE_CONE_CIRCLE))), junk=_JUNK,
+       delete=st.booleans())
+def test_mutated_dense_model_file_never_crashes(tmp_path_factory, path, junk, delete):
+    # the older dense record, with Y
+    assert _mutate_and_load(tmp_path_factory, _DENSE_CONE_CIRCLE, path, junk,
+                            delete) in (0, 2, 3)
 
 
 def _twisted_y_cone_circle():
     # change Y's basis by negating its degree-0 vector (column 0 of Y.d0)
     # and compose the restriction with that change (negate row 0 of its
     # degree-0 matrix): a consistent model whose Y is not tensor(B, F)
-    data = model_to_dict(builtin_space("cone-circle"))
+    data = dense_model_dict(builtin_space("cone-circle"))
     for row in data["Y"]["differentials"][0]:
         row[0] = str(-int(row[0]))
     maps0 = data["restriction"]["maps"][0]
@@ -348,7 +411,7 @@ def test_non_product_y_rejected_at_load(tmp_path, capsys, perversity):
 def test_restriction_not_a_chain_map_rejected_at_load(tmp_path, capsys):
     # zero the degree-0 restriction of cone-circle and keep the identity in
     # degree 1: d ρ_0 = 0 but ρ_1 d = d, which is not zero
-    data = model_to_dict(builtin_space("cone-circle"))
+    data = dense_model_dict(builtin_space("cone-circle"))
     data["restriction"]["maps"][0] = [["0", "0"], ["0", "0"]]
     path = tmp_path / "not-chain.json"
     path.write_text(json.dumps(data))
@@ -362,7 +425,7 @@ def test_restriction_not_a_chain_map_rejected_at_load(tmp_path, capsys):
 def test_y_failing_d_squared_rejected_at_load(tmp_path, capsys):
     # zero one entry of Y's d_0: d_1 d_0 no longer vanishes, and Y is no
     # longer tensor(B, F), so the load checks d∘d on Y itself
-    data = model_to_dict(builtin_space("cone-torus"))
+    data = dense_model_dict(builtin_space("cone-torus"))
     data["Y"]["differentials"][0][0][0] = "0"
     path = tmp_path / "bad-y.json"
     path.write_text(json.dumps(data))
@@ -370,6 +433,32 @@ def test_y_failing_d_squared_rejected_at_load(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "model invariant violated: cone-torus: a complex fails d∘d = 0\n"
+
+
+def test_fibre_failing_d_squared_rejected_before_y_is_built(tmp_path, capsys):
+    # drop one nonzero of F's d_0 in a record without Y: d_1 d_0 no longer
+    # vanishes, so Y = tensor(B, F) cannot be built and the load says why
+    data = model_to_dict(builtin_space("cone-torus"))
+    assert "Y" not in data
+    data["F"]["differentials"][0]["nz"].pop(0)
+    path = tmp_path / "bad-f.json"
+    path.write_text(json.dumps(data))
+    assert main(["ih", "--file", str(path), "--perversity", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "model invariant violated: cone-torus: a complex fails d∘d = 0\n"
+
+
+def test_sparse_restriction_not_a_chain_map_rejected_at_load(tmp_path, capsys):
+    # the chain-map check of a record without Y: drop the degree-0
+    # restriction of cone-circle and keep the identity in degree 1
+    data = model_to_dict(builtin_space("cone-circle"))
+    data["restriction"]["maps"][0]["nz"] = []
+    path = tmp_path / "not-chain.json"
+    path.write_text(json.dumps(data))
+    assert main(["ih", "--file", str(path), "--perversity", "0"]) == 3
+    assert capsys.readouterr().err == ("model invariant violated: cone-circle: "
+                                       "restriction is not a chain map\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -394,11 +483,20 @@ def test_y_failing_d_squared_rejected_at_load(tmp_path, capsys):
     (["spectral", "--f=-1", "--a", "0"], "f must be nonnegative"),
     (["fibre-spec", "--kind", "torus", "--sizes", "4,4", "--count=-1"],
      "count must be"),
+    (["spectral", "--f", "2", "--a", "0", "--fibre-kind", "sphere2", "--sizes", "x"],
+     "--sizes does not apply to --fibre-kind sphere2"),
+    (["spectral", "--f", "2", "--a", "0", "--fibre-kind", "sphere2", "--scale", "1,z"],
+     "--scale does not apply to --fibre-kind sphere2"),
+    (["spectral", "--f", "2", "--a", "0", "--spectrum", "s.json", "--sizes", "8,8"],
+     "--sizes does not apply to --spectrum"),
+    (["spectral", "--f", "2", "--a", "0", "--spectrum", "s.json", "--scale", "1"],
+     "--scale does not apply to --spectrum"),
 ], ids=["sizes-not-int", "circle-too-small", "scale-not-rational",
         "spectrum-missing", "spectral-circle-too-small", "spectral-circle-two-sizes",
         "spectral-circle-two-scales", "mode-not-pair",
         "mode-negative-lambda2", "mode-degree", "betti-not-int", "x0-range",
-        "ppd-zero", "spectral-negative-f", "count-negative"])
+        "ppd-zero", "spectral-negative-f", "count-negative", "sphere2-sizes",
+        "sphere2-scale", "spectrum-file-sizes", "spectrum-file-scale"])
 def test_bad_cli_argument_exit_code(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()

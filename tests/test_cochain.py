@@ -8,11 +8,13 @@ from edgehodge.cochain import (
     CochainComplex,
     ComplexMap,
     QMatrix,
+    block_matrix,
     cohomology_dims,
     cohomology_inclusion,
     cohomology_projection,
     complex_from_dict,
     complex_to_dict,
+    direct_sum,
     induced_map_rank,
     kernel_basis,
     mapping_cone,
@@ -174,7 +176,56 @@ def test_serialization_bit_exact_roundtrip():
     # wire format survives a JSON trip with exact entries
     data = json.loads(json.dumps(complex_to_dict(cx)))
     assert complex_from_dict(data) == cx
-    assert any("/" in s for row in data["differentials"][0] for s in [row[0]])
+    assert data["differentials"][0]["nz"] == [
+        [0, 0, "-1/3"], [0, 1, "1"], [1, 0, "22/7"], [1, 1, "-66/7"]]
+
+
+def test_dense_and_sparse_records_parse_alike():
+    cx = torus_complex()
+    dense = {"dims": list(cx.dims),
+             "differentials": [[[str(x) for x in row] for row in m.entries] for m in cx.d]}
+    sparse = complex_to_dict(cx)
+    for record in (dense, sparse):
+        parsed = complex_from_dict(json.loads(json.dumps(record)))
+        assert parsed == cx
+        assert [[list(r) for r in m.sparse_rows] for m in parsed.d] == \
+            [[sorted(r) for r in m.sparse_rows] for m in cx.d]
+    assert all(m["nz"] and all(v != "0" for _, _, v in m["nz"])
+               for m in sparse["differentials"])
+
+
+def _kron_tensor(c1, c2):
+    # the textbook assembly: d1 ⊗ id and (-1)^i id ⊗ d2 as Kronecker
+    # blocks of a block matrix
+    top = c1.top_degree + c2.top_degree
+    dims = [sum(c1.dim(i) * c2.dim(n - i) for i in range(n + 1)) for n in range(top + 1)]
+    ds = []
+    for n in range(top):
+        col_dims = [c1.dim(i) * c2.dim(n - i) for i in range(n + 1)]
+        row_dims = [c1.dim(i) * c2.dim(n + 1 - i) for i in range(n + 2)]
+        blocks = [[None] * (n + 1) for _ in range(n + 2)]
+        for i in range(n + 1):
+            blocks[i + 1][i] = c1.d_at(i).kron(QMatrix.identity(c2.dim(n - i)))
+            blk = QMatrix.identity(c1.dim(i)).kron(c2.d_at(n - i))
+            blocks[i][i] = blk if i % 2 == 0 else -blk
+        ds.append(block_matrix(blocks, row_dims, col_dims))
+    return CochainComplex(dims, ds)
+
+
+def test_tensor_matches_kronecker_block_assembly():
+    rng = random.Random(3)
+    pieces = [circle_complex(), interval_complex(), point_complex(), sphere2_complex(),
+              torus_complex(), direct_sum(circle_complex(), sphere2_complex()),
+              CochainComplex((0, 2), [QMatrix.zeros(2, 0)])]
+    pieces += [CochainComplex(c.dims, [m.scale(Fraction(rng.choice((-2, 3)), rng.choice((1, 5))))
+                                       for m in c.d]) for c in pieces[:5]]
+    for a in pieces:
+        for b in pieces:
+            got, want = tensor(a, b), _kron_tensor(a, b)
+            assert got == want
+            # the same entry order too, so eliminations pivot alike
+            assert [[list(r.items()) for r in m.sparse_rows] for m in got.d] == \
+                [[list(r.items()) for r in m.sparse_rows] for m in want.d]
 
 
 def test_euler_characteristic_identity():

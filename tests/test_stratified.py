@@ -24,7 +24,7 @@ from edgehodge.stratified import (
     tube_ih,
 )
 
-from oracles import convolution, sympy_cohomology, truncated_betti
+from oracles import convolution, dense_model_dict, sympy_cohomology, truncated_betti
 
 
 def test_middle_perversities_examples():
@@ -292,6 +292,42 @@ def test_model_serialization_roundtrip():
         assert ih_dims(clone, p) == ih_dims(space, p)
 
 
+def _assert_same_model(a, b):
+    assert (a.name, a.n, a.b, a.f, a.product_bigrading, a.description) == \
+        (b.name, b.n, b.b, b.f, b.product_bigrading, b.description)
+    assert (a.F, a.B, a.M, a.Y) == (b.F, b.B, b.M, b.Y)
+    assert a.restriction.maps == b.restriction.maps
+
+
+def _load(record):
+    return model_from_dict(json.loads(json.dumps(record)))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("relabelled-3gon",))
+def test_dense_model_files_load_to_equal_models(name):
+    # files written before the sparse form (dense matrices, with Y) load
+    # to the same model as the sparse record, and so do both forms with Y
+    # left out or put in
+    import random
+
+    from edgehodge.cochain import complex_to_dict
+    from edgehodge.stratified import _closed_model
+
+    if name == "relabelled-3gon":
+        rng = random.Random(5)
+        space = _closed_model("edge-torus-over-3gon-circle", _relabelled_circle(3, rng),
+                              tensor(_relabelled_circle(3, rng), _relabelled_circle(3, rng)), "")
+    else:
+        space = builtin_space(name)
+    sparse = model_to_dict(space)
+    assert "Y" not in sparse
+    dense = dense_model_dict(space)
+    dense_without_y = {k: v for k, v in dense.items() if k != "Y"}
+    sparse_with_y = {**sparse, "Y": complex_to_dict(space.Y)}
+    for record in (sparse, dense, dense_without_y, sparse_with_y):
+        _assert_same_model(_load(record), space)
+
+
 def test_model_invariants_enforced():
     space = builtin_space("cone-torus")
     data = model_to_dict(space)
@@ -359,7 +395,8 @@ def test_random_small_models_monotonicity_and_duality(seed):
                         ih_dims(space, bar - s)[int(d2)]
 
 
-def _ngon_edge_torus_over_circle(n, round_trip=True):
+def _ngon_model_file(n):
+    """The JSON text of edge-torus-over-circle on n-gon circles."""
     from edgehodge.fibredec import build_fibre
     from edgehodge.stratified import _closed_model
 
@@ -368,7 +405,11 @@ def _ngon_edge_torus_over_circle(n, round_trip=True):
 
     model = _closed_model(
         f"edge-torus-over-{n}gon-circle", circle(), tensor(circle(), circle()), "")
-    return model_from_dict(model_to_dict(model)) if round_trip else model
+    return json.dumps(model_to_dict(model))
+
+
+def _ngon_edge_torus_over_circle(n):
+    return model_from_dict(json.loads(_ngon_model_file(n)))
 
 
 def _assert_matches_edge_torus_over_circle(sub):
@@ -393,12 +434,15 @@ def _assert_matches_edge_torus_over_circle(sub):
         assert dual == ih_dims(ref, bar - s)
 
 
-@pytest.mark.parametrize("n", [6, 8, 12])
+@pytest.mark.parametrize("n", [6, 8, 12, 16])
 def test_subdivision_invariance_ladder_edge_torus_over_circle(n):
     # higher rungs of the ladder: the model's total complexes run to
-    # thousands of rows, its minimal model stays Betti-sized; the n = 12
-    # rung is built in memory, since its dense model dict runs to tens of MB
-    sub = _ngon_edge_torus_over_circle(n, round_trip=n <= 8)
+    # thousands of rows, its minimal model stays Betti-sized; every rung
+    # goes through its model file, whose size follows the nonzeros
+    text = _ngon_model_file(n)
+    if n == 8:
+        assert len(text.encode()) < 2_000_000
+    sub = model_from_dict(json.loads(text))
     _assert_matches_edge_torus_over_circle(sub)
     assert sub.minimal_model().M.dims == (1, 3, 3, 1)
 
