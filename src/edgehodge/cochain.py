@@ -26,6 +26,11 @@ transposed complex, and ``kernel_basis`` is the degree-0 inclusion of
 the two-term complex of one matrix.  The rank of a single matrix
 (``QMatrix.rank``, ``induced_map_rank``) is its number of pivots.
 
+The checks a model load runs, d∘d = 0 (``CochainComplex.verify``) and
+the chain-map property (``ComplexMap.commutes``), accumulate one
+residual row at a time and stop at the first nonzero one
+(``_rows_agree``); they never build the products they compare.
+
 Values are immutable after construction (the only mutation is internal
 memoisation of ranks and Betti numbers), and every operation is a pure
 function.  The row dicts are shared between matrices and are never
@@ -208,6 +213,33 @@ class QMatrix:
         return tuple(r.get(j, 0) for r in self.sparse_rows)
 
 
+def _rows_agree(a: QMatrix, b: QMatrix, c: QMatrix, d: QMatrix) -> bool:
+    """True iff A·B = C·D, with neither product built.
+
+    Row i of A·B - C·D is accumulated in one dict, Gustavson's row-wise
+    product (ACM TOMS 1978), and the test stops at the first row with a
+    nonzero entry.  An entry whose partial sums cancel stays in the dict
+    as a zero, so nothing is normalised or deleted on the way.
+    """
+    if a.cols != b.rows or c.cols != d.rows or (a.rows, b.cols) != (c.rows, d.cols):
+        raise ShapeMismatchError(
+            f"cannot compare {a.rows}x{a.cols} by {b.rows}x{b.cols} "
+            f"with {c.rows}x{c.cols} by {d.rows}x{d.cols}")
+    brows, drows = b.sparse_rows, d.sparse_rows
+    for arow, crow in zip(a.sparse_rows, c.sparse_rows):
+        acc: SparseRow = {}
+        get = acc.get
+        for k, x in arow.items():
+            for j, y in brows[k].items():
+                acc[j] = get(j, 0) + x * y
+        for k, x in crow.items():
+            for j, y in drows[k].items():
+                acc[j] = get(j, 0) - x * y
+        if any(acc.values()):
+            return False
+    return True
+
+
 def block_matrix(blocks: Sequence[Sequence[QMatrix | None]],
                  row_dims: Sequence[int], col_dims: Sequence[int]) -> QMatrix:
     """Assemble a block matrix; None blocks are zero."""
@@ -348,9 +380,12 @@ class CochainComplex:
         return QMatrix.zeros(self.dim(k + 1), self.dim(k))
 
     def verify(self) -> bool:
+        """True iff every composite d_(k+1) d_k is zero, tested row by row
+        (``_rows_agree`` against the zero product) without building it."""
         if self._verified is None:
             self._verified = all(
-                (self.d[k + 1] @ self.d[k]).is_zero() for k in range(len(self.d) - 1)
+                _rows_agree(d1, d0, QMatrix.zeros(d1.rows, 0), QMatrix.zeros(0, d0.cols))
+                for d0, d1 in zip(self.d, self.d[1:])
             )
         return self._verified
 
@@ -413,13 +448,13 @@ class ComplexMap:
         return QMatrix.zeros(self.target.dim(k), self.source.dim(k))
 
     def commutes(self) -> bool:
+        """True iff d_Y ρ_k = ρ_(k+1) d_M in every degree k, tested row by
+        row (``_rows_agree``) without building either product."""
         top = max(self.source.top_degree, self.target.top_degree)
-        for k in range(top + 1):
-            lhs = self.target.d_at(k) @ self.at(k)
-            rhs = self.at(k + 1) @ self.source.d_at(k)
-            if lhs != rhs:  # the sparse form is canonical
-                return False
-        return True
+        return all(
+            _rows_agree(self.target.d_at(k), self.at(k), self.at(k + 1), self.source.d_at(k))
+            for k in range(top + 1)
+        )
 
     @staticmethod
     def identity(c: CochainComplex) -> "ComplexMap":
@@ -625,7 +660,11 @@ def _zero_differential(dims: Sequence[int]) -> CochainComplex:
 def _transpose_complex(c: CochainComplex) -> CochainComplex:
     """The dual complex with degrees reversed: degree j holds the dual of
     degree top - j, and its differential out of degree j is d_(top-j-1)^T."""
-    return CochainComplex(c.dims[::-1], [m.transpose() for m in reversed(c.d)])
+    t = CochainComplex(c.dims[::-1], [m.transpose() for m in reversed(c.d)])
+    # (d_(k+1) d_k)^T = d_k^T d_(k+1)^T, so the transpose passes d∘d = 0
+    # exactly when c does
+    t._verified = c._verified
+    return t
 
 
 def cohomology_inclusion(c: CochainComplex) -> ComplexMap:
@@ -726,6 +765,9 @@ def _matrix_from_nonzeros(rows: int, cols: int, data: dict) -> QMatrix:
     if not isinstance(nz, list):
         raise ModelFormatError(f"nz must be a list of [row, col, value] entries, not {_brief(nz)}")
     out: list[SparseRow] = [{} for _ in range(rows)]
+    # each distinct value string is parsed and checked once; a zero
+    # raises before it is stored, so every zero entry still raises
+    parsed: dict[str, Rational] = {}
     for e in nz:
         if not isinstance(e, (list, tuple)) or len(e) != 3:
             raise ModelFormatError(f"a sparse entry must be [row, col, value], not {_brief(e)}")
@@ -738,9 +780,13 @@ def _matrix_from_nonzeros(rows: int, cols: int, data: dict) -> QMatrix:
         row = out[i]
         if j in row:
             raise ModelFormatError(f"sparse entry {_brief(e)}: index repeated")
-        v = _parse_entry(s)
-        if not v:
-            raise ModelFormatError(f"sparse entry {_brief(e)}: explicit zero")
+        v = parsed.get(s) if type(s) is str else None
+        if v is None:
+            v = _parse_entry(s)
+            if not v:
+                raise ModelFormatError(f"sparse entry {_brief(e)}: explicit zero")
+            if type(s) is str:
+                parsed[s] = v
         row[j] = v
     return _sparse(rows, cols, tuple(out))
 
@@ -792,7 +838,8 @@ def map_from_dict(source: CochainComplex, target: CochainComplex, data: dict) ->
     """Parse a chain map record.  Shapes are checked here; whether the
     maps commute with the differentials is left to the caller (for a
     model's restriction, ``EdgeSpaceModel.validate``), so a load checks
-    it once."""
+    it once, row by row in ``ComplexMap.commutes`` without building the
+    products."""
     maps = data.get("maps") if isinstance(data, dict) else None
     if not isinstance(maps, list):
         raise ModelFormatError(

@@ -100,6 +100,7 @@ from edgehodge.cochain import (
     ComplexMap,
     QMatrix,
     ZERO_COMPLEX,
+    _brief,
     block_matrix,
     cohomology_inclusion,
     cohomology_projection,
@@ -272,6 +273,10 @@ class EdgeSpaceModel:
     # -- structural invariants ---------------------------------------
 
     def validate(self) -> None:
+        """Check the model's invariants in a fixed order; the first that
+        fails raises ``ModelInvariantError``.  The d∘d and chain-map
+        checks accumulate residual rows (``CochainComplex.verify``,
+        ``ComplexMap.commutes``) and never build the products."""
         if self.n != self.b + self.f + 1:
             raise ModelInvariantError(f"{self.name}: n != b + f + 1")
         if self.F.top_degree != self.f:
@@ -705,7 +710,15 @@ def model_from_dict(data: dict) -> EdgeSpaceModel:
         raise ModelFormatError("a model must be a key/value object")
     f_cx, b_cx, m_cx = (_field(data, k, complex_from_dict) for k in "FBM")
     name = data.get("name", "unnamed")
-    product = data.get("bigrading", "product") == "product"
+    description = data.get("description", "")
+    for key, value in (("name", name), ("description", description)):
+        if not isinstance(value, str):
+            raise ModelFormatError(f"{key} must be a string, not {_brief(value)}")
+    bigrading = data.get("bigrading", "product")
+    if bigrading not in ("product", "none"):
+        raise ModelFormatError(
+            f'bigrading must be "product" or "none", not {_brief(bigrading)}')
+    product = bigrading == "product"
     derive_y = product and "Y" not in data
     if derive_y:
         if not (b_cx.verify() and f_cx.verify()):
@@ -720,6 +733,6 @@ def model_from_dict(data: dict) -> EdgeSpaceModel:
         n, b, f,
         f_cx, b_cx, m_cx, y_cx, restriction,
         product_bigrading=product,
-        description=data.get("description", ""),
+        description=description,
         y_from_factors=derive_y,
     )

@@ -283,7 +283,16 @@ def _set_first_entry(data, text):
     (lambda d: _set_first_entry(d, "1/0"), "F: not an exact rational: '1/0'"),
     (lambda d: d["restriction"].update(maps="oops"), "restriction: a map must be"),
     (lambda d: d["restriction"].update(maps=[]), "restriction: a map needs 2 matrices"),
-], ids=["complex-not-object", "zero-denominator", "maps-string", "maps-empty"])
+    (lambda d: d.update(bigrading="prodcut"),
+     'bigrading must be "product" or "none", not \'prodcut\''),
+    (lambda d: (d.pop("Y"), d.update(bigrading="prodcut")),
+     'bigrading must be "product" or "none", not \'prodcut\''),
+    (lambda d: d.update(bigrading=None), 'bigrading must be "product" or "none", not None'),
+    (lambda d: d.update(name=["x"]), "name must be a string, not ['x']"),
+    (lambda d: d.update(description=5), "description must be a string, not 5"),
+], ids=["complex-not-object", "zero-denominator", "maps-string", "maps-empty",
+        "bigrading-misspelt", "bigrading-misspelt-no-y", "bigrading-null",
+        "name-not-string", "description-not-string"])
 def test_malformed_model_file_exit_code(tmp_path, capsys, mutate, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_malformed_cone_circle(mutate)))
@@ -316,6 +325,8 @@ def _set_nonzeros(data, key, change):
     ("F", lambda nz: nz[0].__setitem__(2, "x"), "not an exact rational: 'x'"),
     ("F", lambda nz: nz[0].__setitem__(2, "1/0"), "not an exact rational: '1/0'"),
     ("F", lambda nz: nz[0].__setitem__(2, 0.5), "not an exact rational: 0.5"),
+    ("F", lambda nz: nz[0].__setitem__(2, True), "not an exact rational: True"),
+    ("F", lambda nz: [e.__setitem__(2, "0") for e in nz], "explicit zero"),
     ("F", {"rows": 3}, "must have rows 2 and cols 2, not 3 and 2"),
     ("F", {"cols": "2"}, "must have rows 2 and cols 2, not 2 and '2'"),
     ("F", lambda nz: nz.append([0, 1]), "a sparse entry must be [row, col, value]"),
@@ -325,8 +336,8 @@ def _set_nonzeros(data, key, change):
 ], ids=["row-out-of-range", "col-out-of-range", "negative-index", "bool-index",
         "float-index", "string-index", "duplicate-index", "explicit-zero",
         "explicit-zero-fraction", "value-not-rational", "zero-denominator",
-        "value-float", "rows-disagree", "cols-not-int", "entry-not-triple",
-        "entry-string", "nz-not-list", "restriction-explicit-zero"])
+        "value-float", "value-bool", "repeated-zero", "rows-disagree", "cols-not-int",
+        "entry-not-triple", "entry-string", "nz-not-list", "restriction-explicit-zero"])
 def test_malformed_sparse_matrix_exit_code(tmp_path, capsys, key, change, message):
     data = model_to_dict(builtin_space("cone-circle"))
     _set_nonzeros(data, key, change)

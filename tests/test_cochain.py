@@ -194,6 +194,24 @@ def test_dense_and_sparse_records_parse_alike():
                for m in sparse["differentials"])
 
 
+def test_sparse_values_parse_alike_however_spelt():
+    # each distinct value string is parsed once per matrix; "1", "2/2",
+    # "+1" and the JSON int 1 still read as the int 1, and every entry as
+    # it reads when parsed alone
+    from edgehodge.cochain import _parse_entry, matrix_from_lists
+
+    nz = [[0, 0, "1"], [0, 1, "2/2"], [0, 2, "2/2"], [1, 0, "+1"], [1, 1, 1],
+          [1, 2, "-1/2"], [2, 0, "1"], [2, 1, "-2/4"], [2, 2, 1]]
+    record = json.loads(json.dumps({"rows": 3, "cols": 3, "nz": nz}))
+    got = matrix_from_lists(3, 3, record)
+    want = [{} for _ in range(3)]
+    for i, j, v in record["nz"]:
+        want[i][j] = _parse_entry(v)
+    assert [[(j, type(v), v) for j, v in r.items()] for r in got.sparse_rows] == \
+        [[(j, type(v), v) for j, v in r.items()] for r in want]
+    assert all(type(v) is int for r in got.sparse_rows for v in r.values() if v == 1)
+
+
 def _kron_tensor(c1, c2):
     # the textbook assembly: d1 ⊗ id and (-1)^i id ⊗ d2 as Kronecker
     # blocks of a block matrix

@@ -213,3 +213,74 @@ def test_truncate_matches_dense_reference(c):
         assert incl.commutes()
         h = list(cochain.cohomology_dims(t))
         assert h + [0] * (4 - len(h)) == [b if k <= m else 0 for k, b in enumerate(betti)]
+
+
+NONZERO = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+
+
+def perturbed(data, m):
+    """``m`` with one entry moved by a nonzero amount (``m`` if it is empty)."""
+    if not m.rows or not m.cols:
+        return m
+    i = data.draw(st.integers(0, m.rows - 1))
+    j = data.draw(st.integers(0, m.cols - 1))
+    ents = [list(r) for r in m.entries]
+    ents[i][j] += data.draw(NONZERO)
+    return QMatrix(m.rows, m.cols, ents)
+
+
+def full_products_commute(phi):
+    """The reference: both products d_Y ρ_k and ρ_(k+1) d_M built in full."""
+    top = max(phi.source.top_degree, phi.target.top_degree)
+    return all((phi.target.d_at(k) @ phi.at(k)) == (phi.at(k + 1) @ phi.source.d_at(k))
+               for k in range(top + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_commutes_matches_full_products(data):
+    # ρ_0 = R d_M + Z Q with d_Y Z = 0 and ρ_1 = d_Y R commute, and each
+    # row of d_Y ρ_0 - ρ_1 d_M cancels to zero term by term; then one entry
+    # of one of the four matrices may be moved
+    m0, m1, y0, y1 = (data.draw(DIM) for _ in range(4))
+    d_m = q(data.draw(matrices(m1, m0)))
+    d_y = q(data.draw(matrices(y1, y0)))
+    r = q(data.draw(matrices(y0, m1)))
+    z = cochain.kernel_basis(d_y)
+    mats = [d_m, d_y, r @ d_m + z @ q(data.draw(matrices(z.cols, m0))), d_y @ r]
+    moved = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
+    if moved is not None:
+        mats[moved] = perturbed(data, mats[moved])
+    d_m, d_y, rho0, rho1 = mats
+    phi = cochain.ComplexMap(cochain.CochainComplex((m0, m1), [d_m]),
+                             cochain.CochainComplex((y0, y1), [d_y]),
+                             [rho0, rho1], check=False)
+    assert phi.commutes() == full_products_commute(phi)
+    if moved is None:
+        assert phi.commutes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes(), st.data())
+def test_verify_matches_full_products(c, data):
+    assert c.verify()
+    ds = list(c.d)
+    k = data.draw(st.integers(0, len(ds) - 1))
+    ds[k] = perturbed(data, ds[k])
+    moved = cochain.CochainComplex(c.dims, ds)
+    assert moved.verify() == all((d1 @ d0).is_zero() for d0, d1 in zip(ds, ds[1:]))
+
+
+def test_rows_agree_through_cancelling_partial_sums():
+    # row 0 of A·B sums 1 - 1 in column 0 and 2 - 2 in column 1, both zero;
+    # C·D sums 1/2 - 1/2 in column 1, so only column 0 decides
+    a = QMatrix(1, 3, [[1, 1, 1]])
+    b = QMatrix(3, 2, [[1, 2], [-1, 0], [0, -2]])
+    zero_c, zero_d = QMatrix.zeros(1, 0), QMatrix.zeros(0, 2)
+    assert cochain._rows_agree(a, b, zero_c, zero_d)
+    c = QMatrix(1, 2, [[Fraction(1, 2), Fraction(1, 2)]])
+    d = QMatrix(2, 2, [[2, 1], [0, -1]])  # C·D = [1, 0]
+    assert not cochain._rows_agree(a, b, c, d)
+    b1 = QMatrix(3, 2, [[2, 2], [-1, 0], [0, -2]])  # A·B = [1, 0]
+    assert cochain._rows_agree(a, b1, c, d)
+    assert not cochain._rows_agree(a, b1, zero_c, zero_d)

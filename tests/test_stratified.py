@@ -267,6 +267,25 @@ def test_queries_build_no_total_complex(monkeypatch):
         assert _every_answer(builtin_space(name)) == before[name], name
 
 
+def test_loads_multiply_no_matrices(monkeypatch):
+    # d∘d, the chain-map property and Y = B ⊗ F are checked row by row: with
+    # QMatrix.__matmul__ made to raise, a dense record that carries Y and
+    # the n = 8 ladder rung, which omits it, still load
+    from edgehodge.cochain import QMatrix
+
+    records = [json.loads(json.dumps(dense_model_dict(builtin_space(name))))
+               for name in ("cone-circle", "edge-torus-over-circle")]
+    records.append(json.loads(_ngon_model_file(8)))
+
+    def refuse(self, other):
+        raise AssertionError("a load multiplied two matrices")
+
+    monkeypatch.setattr(QMatrix, "__matmul__", refuse)
+    for data in records:
+        space = model_from_dict(data)
+        assert (space.name, space.n) == (data["name"], data["n"])
+
+
 def test_engine_agrees_with_sympy_on_total_complex():
     space = builtin_space("susp-torus")
     tot = space.total_complex(space.effective_cutoff(0))
