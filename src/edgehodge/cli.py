@@ -165,9 +165,10 @@ def _cmd_spectral(args) -> int:
     if args.f < 0:
         raise ConfigError(f"link dimension f must be nonnegative, not {args.f}")
     spec_obj = _spectrum_from_args(args)
-    esa = spectral.essentially_selfadjoint(args.f, a, spec_obj)
+    critical, contacts = spectral.window_roots(args.f, a, spec_obj)
+    esa = not critical
     uce = spectral.unique_closed_extension_d(args.f, a, spec_obj.betti)
-    roots = report_mod.root_fields(args.f, a, spec_obj)
+    roots = report_mod.root_fields(critical, contacts)
     payload = {
         "f": args.f,
         "a": str(a),

@@ -22,7 +22,10 @@ fibre cochain spaces.  This module provides:
   from x = 1 down to x0 with its exact one-step propagator (in
   s = ln x the system has constant coefficients, so one grid step is
   exp(-hA), in closed form for a symmetric 2x2 A) and regressing
-  log-magnitudes against log x.
+  log-magnitudes against log x.  Every grid step is taken, in one pass
+  for both solutions; only the states on the last decade [x0, 10 x0]
+  and the first decade [1/10, 1] are kept, and only the grid points
+  those fits read are evaluated.
 
 The radial grid is logarithmic (default 400 points per decade,
 x0 = 1e-4): power-law solutions are straight lines in these
@@ -40,6 +43,7 @@ from fractions import Fraction
 
 from edgehodge.cochain import CochainComplex, QMatrix
 from edgehodge.errors import (
+    ConfigError,
     InconclusiveSlopeError,
     QuadratureError,
     StiffnessFailureError,
@@ -49,6 +53,8 @@ DEFAULT_X0 = 1e-4
 POINTS_PER_DECADE = 400
 SLOPE_DECISION_TOL = 1e-3
 RECOVERY_TOL = 1e-3
+# largest |e + 1| at which slice_constant computes the exact constant
+SLICE_EXPONENT_BOUND = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +97,40 @@ def pullback_norm(k: int, f: int, a) -> PullbackNorm:
 
 
 def slice_constant(k: int, f: int, a):
-    """K = (∫_{1/2}^1 x^(f-2k-2a) dx)^(-1); exact when the exponent is an
-    integer, 1/ln 2 at the exponent -1."""
+    """K = (∫_{1/2}^1 x^(f-2k-2a) dx)^(-1); exact when the exponent e is
+    an integer, 1/ln 2 at e = -1 and wherever float(e) rounds to -1.
+
+    The exact constant has about |e + 1| bits in its numerator and
+    denominator, so an integer exponent with |e + 1| above
+    SLICE_EXPONENT_BOUND is rejected with ConfigError, and so is any
+    exponent beyond the float range.  For any other exponent the float
+    constant with m = -(e + 1) > 1023, where 2^m overflows, is
+    m 2^-m / (1 - 2^-m), which underflows to 0.0.
+    """
     a = Fraction(a)
     e = Fraction(f - 2 * k) - 2 * a
-    if e == -1:
-        return 1.0 / math.log(2.0)
-    if e.denominator == 1:
+    if e.denominator == 1 and e != -1:
         ei = int(e)
+        if abs(ei + 1) > SLICE_EXPONENT_BOUND:
+            raise ConfigError(
+                f"slice constant in degree {k}: |e + 1| = {abs(ei + 1)} for the "
+                f"exponent e = f - 2k - 2a exceeds {SLICE_EXPONENT_BOUND}, beyond "
+                "which the exact constant is not computed")
         integral = (1 - Fraction(1, 2) ** (ei + 1)) / (ei + 1)
         return 1 / integral
-    ef = float(e)
-    integral = (1.0 - 0.5 ** (ef + 1.0)) / (ef + 1.0)
+    try:
+        ef = float(e)
+    except OverflowError:
+        raise ConfigError(
+            f"slice constant in degree {k}: the exponent e = f - 2k - 2a is "
+            "beyond the float range") from None
+    if ef == -1.0:  # e rounds to -1: take the limit, not 0/0
+        return 1.0 / math.log(2.0)
+    try:
+        integral = (1.0 - 0.5 ** (ef + 1.0)) / (ef + 1.0)
+    except OverflowError:
+        m = -(ef + 1.0)
+        return m * 0.5 ** m / (1.0 - 0.5 ** m)
     return 1.0 / integral
 
 
@@ -310,15 +338,35 @@ def homotopy_operator_estimate(form: PolyRadialForm, f: int, a, c,
 # sampled single-mode profiles
 
 
+class _LogGrid:
+    """The points of ``log_grid(x0, points_per_decade)``, evaluated on
+    demand.  It is a sequence, so ``bisect`` finds a point by reading
+    about log2(n) of them."""
+
+    def __init__(self, x0: float, points_per_decade: int):
+        if not (0 < x0 < 1):
+            raise ValueError("x0 must lie in (0, 1)")
+        self.start = math.log10(x0)
+        self.n = max(2, round(points_per_decade * -self.start))
+        self.step = -self.start / self.n
+
+    def __len__(self) -> int:
+        return self.n + 1
+
+    def __getitem__(self, i: int) -> float:
+        return self.points(i, i + 1)[0]
+
+    def points(self, lo: int, hi: int) -> list[float]:
+        """The grid points lo, ..., hi - 1."""
+        # np.logspace(start, 0, n + 1): the same linspace, with its end exact
+        start, step, n = self.start, self.step, self.n
+        return [10.0 ** (i * step + start) if i < n else 1.0 for i in range(lo, hi)]
+
+
 def log_grid(x0: float = DEFAULT_X0, points_per_decade: int = POINTS_PER_DECADE):
     """Logarithmically spaced grid on [x0, 1], endpoints included."""
-    if not (0 < x0 < 1):
-        raise ValueError("x0 must lie in (0, 1)")
-    start = math.log10(x0)
-    n = max(2, round(points_per_decade * -start))
-    # np.logspace(start, 0, n + 1): the same linspace, with its end exact
-    step = -start / n
-    return tuple(10.0 ** (i * step + start) for i in range(n)) + (1.0,)
+    grid = _LogGrid(x0, points_per_decade)
+    return tuple(grid.points(0, len(grid)))
 
 
 @dataclass
@@ -409,13 +457,15 @@ def load_coefficient_table(path: str) -> tuple[tuple[float, ...], tuple[float, .
     return tuple(xs), tuple(vals)
 
 
-def _fit_slope(xs, ys) -> float:
+def _fit_slope(xs, ys, log_xs=None) -> float:
     """Least-squares slope of log y against log x; NaN unless every y is
-    positive and finite and the x are not all equal."""
+    positive and finite and the x are not all equal.  ``log_xs``, when
+    given, is [math.log(x) for x in xs], shared between fits."""
     if not all(math.isfinite(y) and y > 0 for y in ys) or min(xs) == max(xs):
         return math.nan
-    return statistics.linear_regression([math.log(x) for x in xs],
-                                        [math.log(y) for y in ys]).slope
+    if log_xs is None:
+        log_xs = [math.log(x) for x in xs]
+    return statistics.linear_regression(log_xs, [math.log(y) for y in ys]).slope
 
 
 def window_position(k: int, f: int, a) -> str:
@@ -509,17 +559,41 @@ def _deflated_norms(direction, path) -> list[float]:
     return out
 
 
+def _step(state, count: int, prop, out=None):
+    """Apply the symmetric one-step propagator prop = (p11, p12, p22)
+    ``count`` times to both solutions of state = (a1, a2, b1, b2),
+    appending each new state to ``out`` when one is given."""
+    p11, p12, p22 = prop
+    a1, a2, b1, b2 = state
+    if out is None:
+        for _ in range(count):
+            a1, a2 = p11 * a1 + p12 * a2, p12 * a1 + p22 * a2
+            b1, b2 = p11 * b1 + p12 * b2, p12 * b1 + p22 * b2
+    else:
+        for _ in range(count):
+            a1, a2 = p11 * a1 + p12 * a2, p12 * a1 + p22 * a2
+            b1, b2 = p11 * b1 + p12 * b2, p12 * b1 + p22 * b2
+            out.append((a1, a2, b1, b2))
+    return a1, a2, b1, b2
+
+
 def mode_exponent(k: int, lam2, f: int, a, x0: float = DEFAULT_X0,
                   points_per_decade: int = POINTS_PER_DECADE) -> ModeExponents:
     """Recover the two indicial exponents of one fibre mode numerically.
 
-    Steps the radial system from x = 1 down the log grid to x0 with its
-    exact one-step propagator exp(-hA) for two orthogonal initial
-    vectors, fits the dominant exponent on the last decade, and extracts
-    the recessive one by deflating the dominant direction from the
-    second solution.  Exact double roots are flagged and excluded from
-    the tolerance contract; near-double systems, overflow and
-    non-finite fits are reported as stiffness failures.
+    Steps the radial system from x = 1 down every point of the log grid
+    to x0 with its exact one-step propagator exp(-hA), for two
+    orthogonal initial vectors at once, and fits the dominant exponent
+    on the last decade.  When the two fitted slopes come out close, it
+    extracts the recessive exponent by deflating the dominant direction
+    from the second solution on the first decade.  The one pass keeps
+    only the states these fits read: those on the last decade [x0, 10 x0]
+    (the state at x0 among them) and those on the first decade [1/10, 1].
+    Only the grid points a fit reads are evaluated, and the last
+    decade's log x is shared between its two fits.  Exact double roots
+    are flagged and excluded from the tolerance contract; near-double
+    systems, overflow and non-finite fits are reported as stiffness
+    failures.
     """
     if not (0 < x0 <= 0.1):
         raise ValueError("x0 must lie in (0, 1/10]")
@@ -540,10 +614,12 @@ def mode_exponent(k: int, lam2, f: int, a, x0: float = DEFAULT_X0,
         )
 
     (a11, lam), (_, a22) = radial_system_matrix(k, float(lam2), f, a)
-    xs = log_grid(x0, points_per_decade)
-    # xs is uniform in s = ln x with step h, so v(s - h) = exp(-hA) v(s); A is
-    # symmetric with eigenvalues mu ± delta, which puts exp(-hA) in closed form
-    h = -math.log(x0) / (len(xs) - 1)
+    grid = _LogGrid(x0, points_per_decade)
+    n = grid.n
+    # the grid is uniform in s = ln x with step h, so v(s - h) = exp(-hA) v(s);
+    # A is symmetric with eigenvalues mu ± delta, which puts exp(-hA) in
+    # closed form
+    h = -math.log(x0) / n
     mu, delta = (a11 + a22) / 2, math.sqrt(disc) / 2
     try:
         scale = math.exp(-h * mu)
@@ -552,37 +628,42 @@ def mode_exponent(k: int, lam2, f: int, a, x0: float = DEFAULT_X0,
         raise StiffnessFailureError(
             f"one-step propagator exp(-hA) overflows (h*delta = {h * delta:.3g}); "
             "the grid is too coarse for this mode") from None
-    p11, p12, p22 = (scale * (ch - sh * (a11 - mu)), scale * -(sh * lam),
-                     scale * (ch - sh * (a22 - mu)))
-    # sols[j][i] = exp(A ln xs[i]) e_j, the solution through e_j at x = 1
-    sols = []
-    for v1, v2 in ((1.0, 0.0), (0.0, 1.0)):
-        path = [(v1, v2)]
-        for _ in xs[1:]:
-            v1, v2 = p11 * v1 + p12 * v2, p12 * v1 + p22 * v2
-            path.append((v1, v2))
-        sols.append(path[::-1])
+    prop = (scale * (ch - sh * (a11 - mu)), scale * -(sh * lam),
+            scale * (ch - sh * (a22 - mu)))
+    # the last decade is grid points 0 .. last - 1, the first decade
+    # early .. n; they overlap when x0 > 1/100
+    last = bisect.bisect_right(grid, 10 * x0)
+    early = bisect.bisect_left(grid, 0.1)
+    # a state (a1, a2, b1, b2) holds the solutions exp(A ln x) e_1 and
+    # exp(A ln x) e_2 at one grid point; top[m] is the one at point n - m
+    top = [(1.0, 0.0, 0.0, 1.0)]
+    state = _step(top[0], n - early, prop, top)
+    state = _step(state, max(0, early - last), prop)
+    low = top[n - last + 1:]  # the overlap of the two decades, if any
+    state = _step(state, min(early, last), prop, low)
     # a component that overflows stays non-finite down the grid
-    if not all(map(math.isfinite, sols[0][0] + sols[1][0])):
+    if not all(map(math.isfinite, state)):
         raise StiffnessFailureError("radial trajectory overflows before x0")
 
-    last = bisect.bisect_right(xs, 10 * x0)
-    slopes = [_fit_slope(xs[:last], [math.hypot(*v) for v in y[:last]])
-              for y in sols]
+    low.reverse()
+    xs = grid.points(0, last)
+    log_xs = [math.log(x) for x in xs]
+    slopes = [_fit_slope(xs, [math.hypot(s[0], s[1]) for s in low], log_xs),
+              _fit_slope(xs, [math.hypot(s[2], s[3]) for s in low], log_xs)]
 
     if abs(slopes[0] - slopes[1]) > 0.02:
         gm, gp = sorted(slopes)
         return ModeExponents(gm, gp, False)
 
     gm = slopes[0]
-    y1, y2 = sols
-    early = bisect.bisect_left(xs, 0.1)
-    wmag = _deflated_norms(y1[0], y2[early:])
-    if max(wmag) < 1e-12 * max(math.hypot(*v) for v in y2[early:]):
+    top.reverse()
+    y2 = [s[2:] for s in top]
+    wmag = _deflated_norms(state[:2], y2)
+    if max(wmag) < 1e-12 * max(math.hypot(*v) for v in y2):
         # second solution started parallel to the dominant direction;
         # deflate the first solution instead
-        wmag = _deflated_norms(y2[0], y1[early:])
-    gp = _fit_slope(xs[early:], wmag)
+        wmag = _deflated_norms(state[2:], [s[:2] for s in top])
+    gp = _fit_slope(grid.points(early, n + 1), wmag)
     # a NaN slope (from a residual lost to rounding, which reads as 0)
     # fails the split above, so every non-finite fit ends here
     if not (math.isfinite(gm) and math.isfinite(gp)):

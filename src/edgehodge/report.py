@@ -184,9 +184,9 @@ def weight_dims_fields(space: EdgeSpaceModel, a: Fraction) -> dict:
     }
 
 
-def root_fields(f: int, a: Fraction, spec_obj) -> dict:
-    """JSON fields of the indicial roots at weight a: the critical root
-    pairs and the window boundary contacts."""
+def root_fields(critical, contacts) -> dict:
+    """JSON fields of one window scan (``spectral.window_roots``): the
+    critical root pairs and the window boundary contacts."""
     return {
         "critical_roots": [
             {
@@ -197,25 +197,24 @@ def root_fields(f: int, a: Fraction, spec_obj) -> dict:
                 "double_root": p.double_root,
                 "provenance": "exact" if p.exact else "numeric(1ulp)",
             }
-            for p in spectral.critical_roots(f, a, spec_obj)
+            for p in critical
         ],
         "boundary_contacts": [
             {"degree": q, "lambda2": str(v)}
-            for q, v in spectral.boundary_contacts(f, a, spec_obj)
+            for q, v in contacts
         ],
     }
 
 
 def _weight_cell(space: EdgeSpaceModel, a: Fraction, spec_obj) -> dict:
+    critical, contacts = spectral.window_roots(space.f, a, spec_obj)
     return {
         **weight_dims_fields(space, a),
         "unique_closed_extension": _prov_exact(
             spectral.unique_closed_extension_d(space.f, a, space.F.cohomology_dims())
         ),
-        "essentially_selfadjoint": _prov_exact(
-            spectral.essentially_selfadjoint(space.f, a, spec_obj)
-        ),
-        **root_fields(space.f, a, spec_obj),
+        "essentially_selfadjoint": _prov_exact(not critical),
+        **root_fields(critical, contacts),
     }
 
 

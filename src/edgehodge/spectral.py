@@ -12,7 +12,9 @@ obstructs essential self-adjointness.  All window comparisons are done
 in exact rational arithmetic whenever lambda^2 is rational, so the
 predicates cannot flip on rounding; a pair landing exactly on the
 window boundary is classified non-critical and surfaced separately by
-``boundary_contacts``.
+``boundary_contacts``.  ``window_roots`` answers both from one scan of
+the window; ``critical_roots``, ``boundary_contacts`` and
+``essentially_selfadjoint`` read its parts.
 """
 
 from __future__ import annotations
@@ -198,10 +200,23 @@ def _window_modes(f: int, a, spec: FibreSpectrum):
             yield q, lam2, quantity
 
 
+def window_roots(f: int, a, spec: FibreSpectrum
+                 ) -> tuple[list[IndicialRootPair], list[tuple[int, Number]]]:
+    """One scan of the critical window: the root pairs strictly inside
+    it, and the (degree, lambda^2) pairs landing exactly on its
+    boundary."""
+    critical, contacts = [], []
+    for q, lam2, quantity in _window_modes(f, a, spec):
+        if quantity < 1:
+            critical.append(indicial_roots(f, a, q, lam2))
+        elif quantity == 1:
+            contacts.append((q, lam2))
+    return critical, contacts
+
+
 def critical_roots(f: int, a, spec: FibreSpectrum) -> list[IndicialRootPair]:
     """All root pairs strictly inside the critical weight window."""
-    return [indicial_roots(f, a, q, lam2)
-            for q, lam2, quantity in _window_modes(f, a, spec) if quantity < 1]
+    return window_roots(f, a, spec)[0]
 
 
 def boundary_contacts(f: int, a, spec: FibreSpectrum) -> list[tuple[int, Number]]:
@@ -210,13 +225,12 @@ def boundary_contacts(f: int, a, spec: FibreSpectrum) -> list[tuple[int, Number]
     These are classified non-critical, but the closed-window caveat
     means downstream conclusions deserve a warning, so the CLI surfaces
     them."""
-    return [(q, lam2) for q, lam2, quantity in _window_modes(f, a, spec)
-            if quantity == 1]
+    return window_roots(f, a, spec)[1]
 
 
 def essentially_selfadjoint(f: int, a, spec: FibreSpectrum) -> bool:
     """True iff no indicial root lies in the critical window."""
-    return not any(quantity < 1 for _, _, quantity in _window_modes(f, a, spec))
+    return not window_roots(f, a, spec)[0]
 
 
 def unique_closed_extension_d(f: int, a, f_betti: Sequence[int]) -> bool:

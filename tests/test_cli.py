@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import edgehodge
-from edgehodge import verify
+from edgehodge import radial, spectral, verify
 from edgehodge.cli import main
-from edgehodge.report import RunConfig, run
+from edgehodge.report import RunConfig, render_report, report_to_json, run
 from edgehodge.spectral import FibreSpectrum
 from edgehodge.stratified import builtin_space, model_to_dict
 
@@ -239,6 +239,41 @@ def test_run_computes_each_spectrum_and_mode_once_per_run(monkeypatch):
     second = run(config)
     assert calls == {"mode_exponent": 8, "spectrum_for_predicates": 4}
     assert first == second
+
+
+def _count_window_scans(monkeypatch) -> list:
+    calls = []
+    inner = spectral._window_modes
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+    monkeypatch.setattr(spectral, "_window_modes", counting)
+    return calls
+
+
+def test_run_scans_each_critical_window_once(monkeypatch):
+    calls = _count_window_scans(monkeypatch)
+    run(RunConfig(REPORT_CONFIG))
+    # one scan per (space, weight) cell: 4 spaces x 6 weights
+    assert len(calls) == 24
+
+
+def test_spectral_command_scans_the_window_once(monkeypatch, capsys):
+    calls = _count_window_scans(monkeypatch)
+    assert main(["spectral", "--f", "2", "--a", "0", "--fibre-kind", "sphere2"]) == 0
+    assert len(calls) == 1
+    assert "essentially self-adjoint: yes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("render, name", [(render_report, "report_config.txt"),
+                                          (report_to_json, "report_config.json")])
+def test_run_report_bytes_are_frozen(render, name):
+    # the text and JSON renderings of REPORT_CONFIG, byte for byte; a change
+    # that moves any digit (the recovered exponents among them) regenerates
+    # the file on purpose
+    want = (Path(__file__).parent / "data" / name).read_text()
+    assert render(run(RunConfig(REPORT_CONFIG))) == want
 
 
 @pytest.mark.parametrize("change, message", [
@@ -559,6 +594,22 @@ def test_cone_lab_large_finite_trajectory_recovers_without_warnings():
     assert proc.returncode == 0, proc.stderr
     assert "[pass]" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr and proc.stderr == ""
+
+
+def test_cone_lab_large_fractional_weight_has_zero_slice_constants(capsys):
+    # e = 1 - 2k - 200000/3: 2^(-(e + 1)) overflows a float, K underflows to 0
+    assert main(["cone-lab", "--a", "100000/3", "--betti", "1,1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("slice constant 0.0;") == 2
+
+
+def test_cone_lab_huge_integer_weight_is_rejected_with_the_bound(capsys):
+    # the exact slice constant would have ~2e40 bits; it is refused, not computed
+    assert main(["cone-lab", "--a", "1e40", "--betti", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: slice constant")
+    assert f"exceeds {radial.SLICE_EXPONENT_BOUND}" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_cone_lab_unrepresentable_propagator_is_a_stiffness_error(capsys):

@@ -1,11 +1,16 @@
+import bisect
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from edgehodge import radial
 from edgehodge.errors import (
+    ConfigError,
     InconclusiveSlopeError,
     QuadratureError,
     StiffnessFailureError,
@@ -100,6 +105,33 @@ def test_slice_constant_examples():
     assert slice_constant(0, 2, 0) == Fraction(24, 7)
     assert slice_constant(1, 2, 0) == 2  # exponent zero: interval length 1/2
     assert math.isclose(slice_constant(1, 1, 0), 1.0 / math.log(2.0))
+
+
+def test_slice_constant_large_fractional_exponent_underflows_to_zero():
+    # e = 1 - 200000/3: 2^(-(e + 1)) overflows a float, K = m 2^-m / (1 - 2^-m) does not
+    assert slice_constant(0, 1, Fraction(100000, 3)) == 0.0
+    # large positive exponents already had K = e + 1 in floats
+    assert slice_constant(0, 1, Fraction(-100000, 3)) == pytest.approx(200006 / 3)
+
+
+def test_slice_constant_integer_exponent_beyond_bound_is_config_error():
+    bound = radial.SLICE_EXPONENT_BOUND
+    # e = f - 2k - 2a = -bound - 1 is the last exact constant; one more is refused
+    a = Fraction(bound + 1, 2)
+    assert slice_constant(0, 0, a) == Fraction(bound, 2 ** bound - 1)
+    with pytest.raises(ConfigError, match=str(bound)):
+        slice_constant(0, 0, a + Fraction(1, 2))
+    with pytest.raises(ConfigError, match=str(bound)):
+        slice_constant(0, 1, Fraction(10) ** 40)
+    # a non-integer exponent beyond the float range has no float constant
+    with pytest.raises(ConfigError, match="beyond the float range"):
+        slice_constant(0, 1, Fraction(10 ** 309 + 1, 3))
+
+
+def test_slice_constant_exponent_rounding_to_minus_one_is_the_limit():
+    # float(e) == -1.0 while e != -1: the limit 1/ln 2, not a division by zero
+    a = Fraction(1, 2) + Fraction(1, 10 ** 30)
+    assert slice_constant(1, 2, a) == 1.0 / math.log(2.0)
 
 
 # -- homotopy operator --------------------------------------------------------
@@ -349,3 +381,39 @@ def test_recovery_error_reads_the_tolerance():
     off = ModeExponents(exact.gamma_minus_hat, exact.gamma_plus_hat + 2e-3, False)
     err, ok = recovery_error(off, pair)
     assert err == pytest.approx(2e-3) and not ok
+
+
+# Frozen from the implementation that stored both full solution paths:
+# each (k, lambda^2, f, a, x0, ppd) with the repr of its ModeExponents or
+# the type of the exception it raised.  Every branch of mode_exponent
+# appears: split slopes, deflation, the parallel-start fallback, the
+# double root, every stiffness failure and the rejected x0, on grids
+# whose fit windows are apart (x0 <= 1e-2) or overlap (x0 = 0.05, and
+# x0 = 0.1 with 3 points per decade).
+MODE_EXPONENT_TABLE = json.loads(
+    (Path(__file__).parent / "data" / "mode_exponents.json").read_text())
+
+
+@pytest.mark.parametrize("case", MODE_EXPONENT_TABLE,
+                         ids=[f"{i}-{c['branch']}" for i, c in enumerate(MODE_EXPONENT_TABLE)])
+def test_mode_exponent_bit_exact_to_frozen_table(case):
+    lam2 = float(case["lam2"]) if "." in case["lam2"] else Fraction(case["lam2"])
+    try:
+        result = repr(mode_exponent(case["k"], lam2, case["f"], Fraction(case["a"]),
+                                    x0=case["x0"], points_per_decade=case["ppd"]))
+    except Exception as exc:  # noqa: BLE001 - the table records the type
+        result = "raises " + type(exc).__name__
+    assert result == case["result"]
+
+
+@pytest.mark.parametrize("x0, ppd", [(1e-4, 400), (0.05, 400), (0.1, 3), (1e-10, 2),
+                                     (0.037, 17)])
+def test_lazy_grid_reads_like_log_grid(x0, ppd):
+    grid = radial._LogGrid(x0, ppd)
+    xs = log_grid(x0, ppd)
+    assert len(grid) == len(xs)
+    assert [grid[i] for i in range(len(xs))] == list(xs)
+    assert grid.points(1, len(xs)) == list(xs[1:])
+    for target in (10 * x0, 0.1, x0, 1.0, xs[len(xs) // 2]):
+        assert bisect.bisect_right(grid, target) == bisect.bisect_right(xs, target)
+        assert bisect.bisect_left(grid, target) == bisect.bisect_left(xs, target)

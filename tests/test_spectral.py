@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgehodge.errors import ModelInvariantError
+from edgehodge import spectral
 from edgehodge.spectral import (
     FibreSpectrum,
     boundary_contacts,
@@ -14,6 +15,7 @@ from edgehodge.spectral import (
     l2_cutoff,
     sphere2_spectrum,
     unique_closed_extension_d,
+    window_roots,
 )
 
 from oracles import indicial_pair_closed_form
@@ -231,6 +233,39 @@ def test_window_predicates_match_full_scan(case):
     assert critical_roots(f, a, spec) == crit
     assert boundary_contacts(f, a, spec) == contacts
     assert essentially_selfadjoint(f, a, spec) == (not crit)
+
+
+@st.composite
+def window_cases_with_inf(draw):
+    """``window_cases`` with an infinite top level in some degrees."""
+    f, a, spec = draw(window_cases())
+    levels = [list(lv) + ([(math.inf, 1)] if draw(st.booleans()) else [])
+              for lv in spec.levels]
+    return f, a, FibreSpectrum(levels, "test")
+
+
+@settings(max_examples=200)
+@given(window_cases_with_inf())
+def test_predicates_are_the_parts_of_one_window_scan(case):
+    f, a, spec = case
+    crit, contacts = window_roots(f, a, spec)
+    assert (crit, contacts) == _full_scan(f, a, spec)
+    assert critical_roots(f, a, spec) == crit
+    assert boundary_contacts(f, a, spec) == contacts
+    assert essentially_selfadjoint(f, a, spec) == (not crit)
+
+
+def test_window_roots_scans_the_window_once(monkeypatch):
+    calls = []
+    inner = spectral._window_modes
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+    monkeypatch.setattr(spectral, "_window_modes", counting)
+    crit, contacts = window_roots(2, 0, TORUS)
+    assert len(calls) == 1
+    assert [p.degree for p in crit] == [1] and contacts == []
 
 
 def test_window_predicates_accept_an_infinite_level():
