@@ -17,15 +17,15 @@ fibre cochain spaces.  This module provides:
   window ((f-1)/2 - a, (f+1)/2 - a) the radial coefficient must be
   o(1); decided symbolically for closed-form powers and by a log-log
   slope fit on the last decade for sampled profiles;
-- numerical recovery of indicial exponents by stepping the radial
-  2x2 system x v'(x) = A v(x), A = [[-k, lambda], [lambda, -(f-k-2a)]],
-  from x = 1 down to x0 with its exact one-step propagator (in
-  s = ln x the system has constant coefficients, so one grid step is
-  exp(-hA), in closed form for a symmetric 2x2 A) and regressing
-  log-magnitudes against log x.  Every grid step is taken, in one pass
-  for both solutions; only the states on the last decade [x0, 10 x0]
-  and the first decade [1/10, 1] are kept, and only the grid points
-  those fits read are evaluated.
+- numerical recovery of indicial exponents from the radial 2x2
+  system x v'(x) = A v(x), A = [[-k, lambda], [lambda, -(f-k-2a)]],
+  each in the direction where its solution dominates: gamma- on the
+  last decade [x0, 10 x0], stepping down from x = 1, and gamma+ on the
+  first decade [1/10, 1], stepping up from x0.  In s = ln x the system
+  has constant coefficients, so a grid step is exp(±hA) and the span
+  before a decade is one jump exp(tA), both in closed form for a
+  symmetric 2x2 A; the jump is renormalised so it cannot overflow.
+  Log-magnitudes are regressed against log x on the decade.
 
 The radial grid is logarithmic (default 400 points per decade,
 x0 = 1e-4): power-law solutions are straight lines in these
@@ -37,7 +37,6 @@ from __future__ import annotations
 import bisect
 import math
 import statistics
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -457,15 +456,13 @@ def load_coefficient_table(path: str) -> tuple[tuple[float, ...], tuple[float, .
     return tuple(xs), tuple(vals)
 
 
-def _fit_slope(xs, ys, log_xs=None) -> float:
+def _fit_slope(xs, ys) -> float:
     """Least-squares slope of log y against log x; NaN unless every y is
-    positive and finite and the x are not all equal.  ``log_xs``, when
-    given, is [math.log(x) for x in xs], shared between fits."""
+    positive and finite and the x are not all equal."""
     if not all(math.isfinite(y) and y > 0 for y in ys) or min(xs) == max(xs):
         return math.nan
-    if log_xs is None:
-        log_xs = [math.log(x) for x in xs]
-    return statistics.linear_regression(log_xs, [math.log(y) for y in ys]).slope
+    return statistics.linear_regression([math.log(x) for x in xs],
+                                        [math.log(y) for y in ys]).slope
 
 
 def window_position(k: int, f: int, a) -> str:
@@ -547,56 +544,71 @@ def radial_system_matrix(k: int, lam2: float, f: int, a):
     return ((-float(k), lam), (lam, -(f - k - 2 * af)))
 
 
-def _deflated_norms(direction, path) -> list[float]:
-    """|v - (u.v) u| along ``path``, u the unit vector along ``direction``;
-    a residual within one rounding unit of |v| is noise and reads as 0."""
-    u1, u2 = (c / math.hypot(*direction) for c in direction)
-    out = []
-    for v1, v2 in path:
-        dot = u1 * v1 + u2 * v2
-        w = math.hypot(v1 - u1 * dot, v2 - u2 * dot)
-        out.append(w if w > sys.float_info.epsilon * math.hypot(v1, v2) else 0.0)
-    return out
+def _propagator(t: float, system) -> tuple[float, float, float]:
+    """exp(tA) / (exp(t mu) cosh(t delta)) as its entries (p11, p12, p22),
+    for system = (a11, lambda, a22, mu, delta): A is symmetric with
+    eigenvalues mu ± delta, so exp(t(A - mu)) = cosh(t delta) +
+    sinh(t delta) (A - mu) / delta, and dividing by cosh leaves entries
+    of size at most 2 for any t."""
+    a11, lam, a22, mu, delta = system
+    th = math.tanh(t * delta) / delta
+    return 1 + th * (a11 - mu), th * lam, 1 + th * (a22 - mu)
 
 
-def _step(state, count: int, prop, out=None):
-    """Apply the symmetric one-step propagator prop = (p11, p12, p22)
-    ``count`` times to both solutions of state = (a1, a2, b1, b2),
-    appending each new state to ``out`` when one is given."""
-    p11, p12, p22 = prop
-    a1, a2, b1, b2 = state
-    if out is None:
-        for _ in range(count):
-            a1, a2 = p11 * a1 + p12 * a2, p12 * a1 + p22 * a2
-            b1, b2 = p11 * b1 + p12 * b2, p12 * b1 + p22 * b2
-    else:
-        for _ in range(count):
-            a1, a2 = p11 * a1 + p12 * a2, p12 * a1 + p22 * a2
-            b1, b2 = p11 * b1 + p12 * b2, p12 * b1 + p22 * b2
-            out.append((a1, a2, b1, b2))
-    return a1, a2, b1, b2
+def _decade_slope(system, h: float, skip: int, xs) -> float:
+    """Exponent of the dominant solution of x v'(x) = A v(x) over the grid
+    points xs, taken in stepping order h apart in ln x.
+
+    The fundamental matrix starts at the identity ``skip`` steps before
+    xs[0] and reaches xs[0] in one jump, the renormalised
+    exp(skip h A), whose dropped scale factor no slope reads.  It then
+    crosses the decade one exact step exp(hA) at a time, and the column
+    that is larger at xs[-1] is fitted.
+    """
+    _, _, _, mu, delta = system
+    try:
+        scale = math.exp(h * mu) * math.cosh(h * delta)
+    except OverflowError:
+        raise StiffnessFailureError(
+            f"one-step propagator exp({'-' if h < 0 else ''}hA) overflows "
+            f"(h*delta = {abs(h) * delta:.3g}); the grid is too coarse for "
+            "this mode") from None
+    p11, p12, p22 = (scale * p for p in _propagator(h, system))
+    # the columns (a1, a2) and (b1, b2) of the symmetric jump
+    a1, a2, b2 = _propagator(skip * h, system)
+    b1 = a2
+    path = [(a1, a2, b1, b2)]
+    for _ in range(len(xs) - 1):
+        a1, a2 = p11 * a1 + p12 * a2, p12 * a1 + p22 * a2
+        b1, b2 = p11 * b1 + p12 * b2, p12 * b1 + p22 * b2
+        path.append((a1, a2, b1, b2))
+    col = 0 if math.hypot(a1, a2) >= math.hypot(b1, b2) else 2
+    slope = _fit_slope(xs, [math.hypot(s[col], s[col + 1]) for s in path])
+    if not math.isfinite(slope):
+        raise StiffnessFailureError(
+            "a fitted exponent is not finite: the radial states on its "
+            "decade leave the float range")
+    return slope
 
 
 def mode_exponent(k: int, lam2, f: int, a, x0: float = DEFAULT_X0,
                   points_per_decade: int = POINTS_PER_DECADE) -> ModeExponents:
     """Recover the two indicial exponents of one fibre mode numerically.
 
-    Steps the radial system from x = 1 down every point of the log grid
-    to x0 with its exact one-step propagator exp(-hA), for two
-    orthogonal initial vectors at once, and fits the dominant exponent
-    on the last decade.  When the two fitted slopes come out close, it
-    extracts the recessive exponent by deflating the dominant direction
-    from the second solution on the first decade.  The one pass keeps
-    only the states these fits read: those on the last decade [x0, 10 x0]
-    (the state at x0 among them) and those on the first decade [1/10, 1].
-    Only the grid points a fit reads are evaluated, and the last
-    decade's log x is shared between its two fits.  Exact double roots
-    are flagged and excluded from the tolerance contract; near-double
-    systems, overflow and non-finite fits are reported as stiffness
-    failures.
+    Each exponent is fitted where its solution dominates.  gamma- is the
+    slope on the last decade [x0, 10 x0], stepping down from x = 1 with
+    the exact one-step propagator exp(-hA); gamma+ is the slope on the
+    first decade [1/10, 1], stepping up from x0 with exp(hA).  Each
+    pass crosses the span before its decade in one closed-form jump
+    and steps only the decade's grid points.  Exact double roots are
+    flagged and excluded from the tolerance contract; near-double
+    systems, an overflowing one-step propagator and a decade whose
+    states leave the float range are reported as stiffness failures.
     """
     if not (0 < x0 <= 0.1):
         raise ValueError("x0 must lie in (0, 1/10]")
+    if points_per_decade < 2:
+        raise ValueError("points_per_decade must be at least 2")
     aq = Fraction(a)
     if isinstance(lam2, (int, Fraction)):
         disc_exact = Fraction(f - 2 * aq - 2 * k) ** 2 + 4 * Fraction(lam2)
@@ -614,58 +626,13 @@ def mode_exponent(k: int, lam2, f: int, a, x0: float = DEFAULT_X0,
         )
 
     (a11, lam), (_, a22) = radial_system_matrix(k, float(lam2), f, a)
+    system = (a11, lam, a22, (a11 + a22) / 2, math.sqrt(disc) / 2)
     grid = _LogGrid(x0, points_per_decade)
     n = grid.n
-    # the grid is uniform in s = ln x with step h, so v(s - h) = exp(-hA) v(s);
-    # A is symmetric with eigenvalues mu ± delta, which puts exp(-hA) in
-    # closed form
+    # the grid is uniform in s = ln x with step h
     h = -math.log(x0) / n
-    mu, delta = (a11 + a22) / 2, math.sqrt(disc) / 2
-    try:
-        scale = math.exp(-h * mu)
-        ch, sh = math.cosh(h * delta), math.sinh(h * delta) / delta
-    except OverflowError:
-        raise StiffnessFailureError(
-            f"one-step propagator exp(-hA) overflows (h*delta = {h * delta:.3g}); "
-            "the grid is too coarse for this mode") from None
-    prop = (scale * (ch - sh * (a11 - mu)), scale * -(sh * lam),
-            scale * (ch - sh * (a22 - mu)))
-    # the last decade is grid points 0 .. last - 1, the first decade
-    # early .. n; they overlap when x0 > 1/100
-    last = bisect.bisect_right(grid, 10 * x0)
-    early = bisect.bisect_left(grid, 0.1)
-    # a state (a1, a2, b1, b2) holds the solutions exp(A ln x) e_1 and
-    # exp(A ln x) e_2 at one grid point; top[m] is the one at point n - m
-    top = [(1.0, 0.0, 0.0, 1.0)]
-    state = _step(top[0], n - early, prop, top)
-    state = _step(state, max(0, early - last), prop)
-    low = top[n - last + 1:]  # the overlap of the two decades, if any
-    state = _step(state, min(early, last), prop, low)
-    # a component that overflows stays non-finite down the grid
-    if not all(map(math.isfinite, state)):
-        raise StiffnessFailureError("radial trajectory overflows before x0")
-
-    low.reverse()
-    xs = grid.points(0, last)
-    log_xs = [math.log(x) for x in xs]
-    slopes = [_fit_slope(xs, [math.hypot(s[0], s[1]) for s in low], log_xs),
-              _fit_slope(xs, [math.hypot(s[2], s[3]) for s in low], log_xs)]
-
-    if abs(slopes[0] - slopes[1]) > 0.02:
-        gm, gp = sorted(slopes)
-        return ModeExponents(gm, gp, False)
-
-    gm = slopes[0]
-    top.reverse()
-    y2 = [s[2:] for s in top]
-    wmag = _deflated_norms(state[:2], y2)
-    if max(wmag) < 1e-12 * max(math.hypot(*v) for v in y2):
-        # second solution started parallel to the dominant direction;
-        # deflate the first solution instead
-        wmag = _deflated_norms(state[2:], [s[:2] for s in top])
-    gp = _fit_slope(grid.points(early, n + 1), wmag)
-    # a NaN slope (from a residual lost to rounding, which reads as 0)
-    # fails the split above, so every non-finite fit ends here
-    if not (math.isfinite(gm) and math.isfinite(gp)):
-        raise StiffnessFailureError("a fitted exponent is not finite")
+    last = bisect.bisect_right(grid, 10 * x0)  # last decade: points 0 .. last - 1
+    early = bisect.bisect_left(grid, 0.1)  # first decade: points early .. n
+    gm = _decade_slope(system, -h, n - last + 1, grid.points(0, last)[::-1])
+    gp = _decade_slope(system, h, early, grid.points(early, n + 1))
     return ModeExponents(gm, gp, False)

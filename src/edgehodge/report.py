@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 
 from edgehodge import fibredec, radial, spectral, verify, weights
-from edgehodge.errors import ConfigError, ModelInvariantError
+from edgehodge.errors import ConfigError, ModelInvariantError, StiffnessFailureError
 from edgehodge.stratified import (
     BUILTIN_NAMES,
     EdgeSpaceModel,
@@ -239,10 +239,10 @@ def _radial_section(space: EdgeSpaceModel, a: Fraction, config: RunConfig,
                 exponents[key] = radial.mode_exponent(
                     k, 0, space.f, a, x0=config.x0,
                     points_per_decade=config.points_per_decade)
-            except Exception as exc:  # stiffness: report, do not fail the run
+            except StiffnessFailureError as exc:  # report, do not fail the run
                 exponents[key] = exc
         me = exponents[key]
-        if isinstance(me, Exception):
+        if isinstance(me, StiffnessFailureError):
             modes.append({"degree": k, "lambda2": "0", "error": str(me)})
             continue
         err, ok = radial.recovery_error(me, pair)

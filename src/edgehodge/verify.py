@@ -498,7 +498,8 @@ def radial_checks() -> list[CheckResult]:
     out.append(_result("radial", "homotopy-reconstruction-and-bound", ok))
 
     ok = True
-    cases = [(0, 0, 1, Fraction(0)), (1, 1, 3, Fraction(1, 2)), (0, 1, 2, Fraction(0))]
+    cases = [(0, 0, 1, Fraction(0)), (1, 1, 3, Fraction(1, 2)), (0, 1, 2, Fraction(0)),
+             (0, 49, 2, Fraction(0)), (0, 100, 2, Fraction(0))]
     for k, lam2, f, a in cases:
         pair = spectral.indicial_roots(f, a, k, lam2)
         me = radial.mode_exponent(k, lam2, f, a)

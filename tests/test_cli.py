@@ -578,18 +578,27 @@ def _cli_subprocess(*argv):
 
 @pytest.mark.parametrize("mode", ["0,400", "0,100"])
 def test_cone_lab_unrecoverable_exponent_is_an_error(mode):
-    # the deflated residual of these modes is lost to rounding; a NaN
-    # exponent used to print and pass
-    proc = _cli_subprocess("cone-lab", "--a", "0", "--mode", mode)
+    # at a = -160, gamma- < -321: the dominant solution grows past the
+    # float range across the last decade, which must end in one error
+    # line, not a printed NaN exponent
+    proc = _cli_subprocess("cone-lab", "--a", "-160", "--mode", mode)
     assert proc.returncode == 3
     assert "nan" not in proc.stdout + proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("mode", ["0,49", "0,100", "0,400"])
+def test_cone_lab_large_gap_mode_recovers(mode, capsys):
+    # indicial gaps of 14 to 40: gamma+ is fitted stepping up from x0,
+    # where it dominates
+    assert main(["cone-lab", "--a", "0", "--mode", mode]) == 0
+    assert "[pass]" in capsys.readouterr().out
+
+
 def test_cone_lab_large_finite_trajectory_recovers_without_warnings():
-    # the trajectory reaches ~1e162 at x0 = 1e-100: finite, though its
-    # squared norm is not
+    # x^(-1 - sqrt 2) is ~1e241 at x0 = 1e-100; the jump to each decade
+    # is renormalised, so no state comes near the float range
     proc = _cli_subprocess("cone-lab", "--a", "0", "--x0", "1e-100", "--mode", "0,1")
     assert proc.returncode == 0, proc.stderr
     assert "[pass]" in proc.stdout
@@ -617,6 +626,14 @@ def test_cone_lab_unrepresentable_propagator_is_a_stiffness_error(capsys):
     assert main(["cone-lab", "--a", "0", "--mode", "0,1000000", "--ppd", "2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: one-step propagator") and err.count("\n") == 1
+
+
+def test_run_propagates_a_recovery_error_that_is_not_stiffness(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("not a stiffness failure")
+    monkeypatch.setattr(radial, "mode_exponent", broken)
+    with pytest.raises(ZeroDivisionError):
+        run(RunConfig(REPORT_CONFIG))
 
 
 def test_run_reports_unrepresentable_propagator_as_mode_error():

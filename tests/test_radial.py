@@ -310,6 +310,21 @@ def test_mode_exponent_rejects_bad_x0():
         mode_exponent(0, 0, 1, 0, x0=0.5)
 
 
+def test_mode_exponent_large_gap_scan():
+    # a seeded sample of the modes whose indicial gap is at least 13: the
+    # recessive root of each is fitted where it dominates, never from a
+    # residual of the dominant one
+    modes = [(k, lam2, f, Fraction(i, 4))
+             for f in range(5) for i in range(-40, 41) for k in range(f + 1)
+             for lam2 in (0, 1, 2, 5, 10, 25, 49, 64, 100)]
+    pairs = [(m, indicial_roots(m[2], m[3], m[0], m[1])) for m in modes]
+    large = [(m, p) for m, p in pairs if p.gamma_plus - p.gamma_minus >= 13]
+    sample = random.Random(2026).sample(large, 300)
+    for (k, lam2, f, a), pair in sample:
+        _err, ok = recovery_error(mode_exponent(k, lam2, f, a), pair)
+        assert ok, (k, lam2, f, a)
+
+
 # -- profile I/O -------------------------------------------------------------------
 
 def test_profile_table_roundtrip(tmp_path):
@@ -353,25 +368,36 @@ def test_mode_exponent_x0_not_a_power_of_ten(x0):
     (0, 1, 2, Fraction(0)), (0, 0, 1, Fraction(0)),
     (1, Fraction(9, 4), 2, Fraction(-5, 4))])
 def test_mode_exponent_dominant_root_to_rounding(k, lam2, f, a):
-    # exp(-hA) is exact up to rounding, so the dominant (most negative)
-    # exponent is recovered far below the 1e-3 recovery contract
+    # exp(±hA) is exact up to rounding and each root is fitted where its
+    # solution dominates, so both are recovered far below the 1e-3
+    # recovery contract
     pair = indicial_roots(f, a, k, lam2)
     me = mode_exponent(k, lam2, f, a)
     assert abs(me.gamma_minus_hat - float(pair.gamma_minus)) <= 1e-12
+    assert abs(me.gamma_plus_hat - float(pair.gamma_plus)) <= 1e-12
 
 
 def test_mode_exponent_overflow_is_stiffness_failure():
-    # x^(-1 - sqrt 2) overflows a float long before x = 1e-300
-    with pytest.raises(StiffnessFailureError):
-        mode_exponent(0, 1, 2, 0, x0=1e-300)
+    # h * delta = ln(10)/2 * sqrt(1e6) ~ 1151: the one-step propagator's
+    # cosh overflows a float
+    with pytest.raises(StiffnessFailureError, match="one-step propagator"):
+        mode_exponent(0, 1000000, 2, 0, x0=1e-300, points_per_decade=2)
 
 
-@pytest.mark.parametrize("lam2", [100, 400])
-def test_mode_exponent_non_finite_slope_is_stiffness_failure(lam2):
-    # the recessive solution drops below rounding next to x^(-1 - sqrt(1 + lam2));
-    # its deflated residual has exact zeros and no slope
+def test_mode_exponent_recovers_down_to_x0_1e_300():
+    # x^(-1 - sqrt 2) at x = 1e-300 is beyond the float range; the jump to
+    # each decade is renormalised, so neither fit sees it
+    pair = indicial_roots(2, 0, 0, 1)
+    _err, ok = recovery_error(mode_exponent(0, 1, 2, 0, x0=1e-300), pair)
+    assert ok
+
+
+@pytest.mark.parametrize("ppd", [100, 400])
+def test_mode_exponent_non_finite_slope_is_stiffness_failure(ppd):
+    # gamma- = -1 - sqrt(100001) ~ -317: the dominant solution grows by
+    # 10^317 across the last decade, past the float range on any grid
     with pytest.raises(StiffnessFailureError, match="not finite"):
-        mode_exponent(0, lam2, 2, 0)
+        mode_exponent(0, 100000, 2, 0, points_per_decade=ppd)
 
 
 def test_recovery_error_reads_the_tolerance():
@@ -383,19 +409,22 @@ def test_recovery_error_reads_the_tolerance():
     assert err == pytest.approx(2e-3) and not ok
 
 
-# Frozen from the implementation that stored both full solution paths:
-# each (k, lambda^2, f, a, x0, ppd) with the repr of its ModeExponents or
-# the type of the exception it raised.  Every branch of mode_exponent
-# appears: split slopes, deflation, the parallel-start fallback, the
-# double root, every stiffness failure and the rejected x0, on grids
-# whose fit windows are apart (x0 <= 1e-2) or overlap (x0 = 0.05, and
-# x0 = 0.1 with 3 points per decade).
+# Each (k, lambda^2, f, a, x0, ppd) with the repr of its ModeExponents or
+# the type of the exception it raised.  ``branch`` names the path each
+# row takes: lambda^2 = 0, a small or a large (>= 13) indicial gap, the
+# gap cut, an overflowing one-step propagator, a decade out of the
+# float range, the double root and a rejected x0 or points per decade,
+# on grids whose fit windows are apart (x0 <= 1e-2, down to 1e-300) or
+# overlap (x0 = 0.05, and x0 = 0.1 with 3 points per decade).  ``id``
+# names the test: rows 0-29 keep the branch of the recovery that
+# deflated the dominant direction (split slopes, deflation, its
+# parallel-start fallback, ...), for which they were chosen.
 MODE_EXPONENT_TABLE = json.loads(
     (Path(__file__).parent / "data" / "mode_exponents.json").read_text())
 
 
 @pytest.mark.parametrize("case", MODE_EXPONENT_TABLE,
-                         ids=[f"{i}-{c['branch']}" for i, c in enumerate(MODE_EXPONENT_TABLE)])
+                         ids=[f"{i}-{c['id']}" for i, c in enumerate(MODE_EXPONENT_TABLE)])
 def test_mode_exponent_bit_exact_to_frozen_table(case):
     lam2 = float(case["lam2"]) if "." in case["lam2"] else Fraction(case["lam2"])
     try:
