@@ -22,7 +22,13 @@ from edgehodge.errors import (
     PerversityRangeError,
     VerificationFailure,
 )
-from edgehodge.report import RunConfig, load_space, render_report, report_to_json
+from edgehodge.report import (
+    RunConfig,
+    _parse_fraction as _parse_rational,
+    load_space,
+    render_report,
+    report_to_json,
+)
 from edgehodge.stratified import (
     Perversity,
     catalogue,
@@ -34,13 +40,6 @@ from edgehodge.stratified import (
 EXIT_CONFIG = 2
 EXIT_MODEL = 3
 EXIT_VERIFY = 4
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"not an exact rational: {text!r}") from exc
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ tolerance.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from edgehodge import fibredec, radial, spectral, verify, weights
@@ -26,11 +27,31 @@ from edgehodge.stratified import (
 )
 
 
-def _parse_fraction(text) -> Fraction:
+# Every rational read from a command line or a config (weights,
+# perversities, eigenvalues, lengths) has numerator and denominator of at
+# most this many digits, so str() (4300 digits) and float() (up to about
+# 1.8e308) stay defined on it.
+RATIONAL_DIGITS = 100
+_RATIONAL_BOUND = 10 ** RATIONAL_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
+
+
+def _parse_fraction(raw) -> Fraction:
+    text = str(raw)
+    m = _EXPONENT.search(text)
     try:
-        return Fraction(str(text))
+        # no nonzero mantissa brings so large an exponent back in bounds:
+        # read the mantissa alone rather than let Fraction build 10 ** exp
+        huge = (m is not None and "/" not in text
+                and abs(int(m.group(1))) > len(text) + 2 * RATIONAL_DIGITS)
+        value = Fraction(text[:m.start()] if huge else text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"not an exact rational: {text!r}") from exc
+        raise ConfigError(f"not an exact rational: {raw!r}") from exc
+    if (huge and value) or abs(value.numerator) > _RATIONAL_BOUND \
+            or value.denominator > _RATIONAL_BOUND:
+        raise ConfigError(f"rational out of range: {raw!r} (numerator and "
+                          f"denominator must be at most 10^{RATIONAL_DIGITS})")
+    return value
 
 
 def _is_int(value) -> bool:
@@ -110,11 +131,12 @@ class RunConfig:
     def from_file(path: str) -> "RunConfig":
         try:
             with open(path) as fh:
-                return RunConfig(json.load(fh))
+                data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer past str()'s digit limit
             raise ConfigError(f"malformed config: {exc}") from exc
+        return RunConfig(data)
 
 
 def load_space(entry) -> EdgeSpaceModel:
@@ -167,9 +189,7 @@ def _prov_numeric(value, tol: str):
 def weight_dims_fields(space: EdgeSpaceModel, a: Fraction) -> dict:
     """JSON fields of one weight: the max and min weighted de Rham
     extensions (perversity and dims) and the minimal Hodge dims."""
-    rmax = weights.weighted_derham_dims(space, a, "max")
-    rmin = weights.weighted_derham_dims(space, a, "min")
-    rmh = weights.minimal_hodge_dims(space, a)
+    rmax, rmin, rmh = weights._weight_reports(space, a)
     return {
         "a": str(a),
         "max": {

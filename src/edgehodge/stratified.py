@@ -133,9 +133,8 @@ class Perversity:
 
     def __init__(self, value):
         if isinstance(value, Perversity):
-            self.value = value.value
-        else:
-            self.value = Fraction(value)
+            value = value.value
+        self.value = value if type(value) is Fraction else Fraction(value)
 
     def __add__(self, other):
         return Perversity(self.value + Fraction(other))

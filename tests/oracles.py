@@ -62,6 +62,21 @@ def indicial_pair_closed_form(f: int, a: Fraction, k: int, lam2) -> tuple:
     return centre - half, centre + half
 
 
+def weight_perversities(f: int, a: Fraction) -> tuple[Fraction, Fraction]:
+    """(max, min) perversities of the weight a in the bracket form of the
+    weights module notes, evaluated in Fraction arithmetic:
+    mbar + ceil_strict(a - 1 or a - 1/2) and mlow + ceil_weak(a or
+    a - 1/2), with ceil_strict(t) = floor(t) + 1 and ceil_weak = ceil."""
+    half = Fraction(1, 2)
+    if f % 2 == 1:
+        mlow = mbar = (f - 1) // 2
+        t_max, t_min = a - 1, a
+    else:
+        mlow, mbar = f // 2, f // 2 - 1
+        t_max = t_min = a - half
+    return Fraction(mbar + math.floor(t_max) + 1), Fraction(mlow + math.ceil(t_min))
+
+
 def dense_lists(m) -> list[list[str]]:
     """Row-major rational strings of a matrix, zeros included."""
     return [[str(x) for x in row] for row in m.entries]

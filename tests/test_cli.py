@@ -289,9 +289,13 @@ def test_run_report_bytes_are_frozen(render, name):
     ({"degrees": [0]}, "degrees must be"),
     ({"spaces": "cone-torus"}, "spaces must be a list"),
     ({"spaces": [{"file": 5}]}, "bad space entry"),
+    ({"weights": ["1e5000"]}, "rational out of range: '1e5000'"),
+    ({"weights": ["1/10000000000000000000000000000000000000000000000000000000000000000"
+                  "0000000000000000000000000000000000000"]}, "rational out of range"),
 ], ids=["grid-int", "grid-string", "grid-empty", "weights-int", "suites-int",
         "radial-string", "x0-string", "ppd-zero", "degrees-string",
-        "degrees-short", "spaces-string", "file-not-path"])
+        "degrees-short", "spaces-string", "file-not-path", "weight-huge",
+        "weight-denominator-past-bound"])
 def test_malformed_run_config_exit_code(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"spaces": ["cone-circle"], "weights": ["0"],
@@ -300,6 +304,19 @@ def test_malformed_run_config_exit_code(tmp_path, capsys, change, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("key", ["degrees", "fibre_grid"])
+def test_config_integer_past_digit_limit_exit_code(tmp_path, capsys, key):
+    # json reads a 5000-digit integer only up to str()'s digit limit
+    path = tmp_path / "cfg.json"
+    path.write_text('{"spaces": ["cone-circle"], "suites": false, '
+                    f'"{key}": [0, {"9" * 5000}]}}')
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed config: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
@@ -537,18 +554,36 @@ def test_sparse_restriction_not_a_chain_map_rejected_at_load(tmp_path, capsys):
      "--sizes does not apply to --spectrum"),
     (["spectral", "--f", "2", "--a", "0", "--spectrum", "s.json", "--scale", "1"],
      "--scale does not apply to --spectrum"),
+    (["weights", "--space", "cone-circle", "--a", "1e5000"], "rational out of range"),
+    (["weights", "--space", "cone-circle", "--a", "1e-5000"], "rational out of range"),
+    (["ih", "--space", "cone-circle", "--perversity", "1e5000"], "rational out of range"),
+    (["cone-lab", "--a", "1e5000"], "rational out of range"),
+    (["spectral", "--f", "1", "--a", "1e5000", "--fibre-kind", "circle"],
+     "rational out of range"),
+    (["spectral", "--f", "1", "--a", "1e101", "--fibre-kind", "circle"],
+     "at most 10^100"),
+    # refused from its exponent alone, before 10 ** 1000000 is built
+    (["weights", "--space", "cone-circle", "--a", "1e1000000"], "rational out of range"),
 ], ids=["sizes-not-int", "circle-too-small", "scale-not-rational",
         "spectrum-missing", "spectral-circle-too-small", "spectral-circle-two-sizes",
         "spectral-circle-two-scales", "mode-not-pair",
         "mode-negative-lambda2", "mode-degree", "betti-not-int", "x0-range",
         "ppd-zero", "spectral-negative-f", "count-negative", "sphere2-sizes",
-        "sphere2-scale", "spectrum-file-sizes", "spectrum-file-scale"])
+        "sphere2-scale", "spectrum-file-sizes", "spectrum-file-scale",
+        "weight-huge", "weight-tiny", "perversity-huge", "cone-lab-weight-huge",
+        "spectral-weight-huge", "spectral-weight-past-bound", "weight-exponent-huge"])
+
 def test_bad_cli_argument_exit_code(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_zero_with_a_huge_exponent_is_zero(capsys):
+    assert main(["weights", "--space", "cone-circle", "--a", "0e5000", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["weights"][0]["a"] == "0"
 
 
 def test_cone_lab_x0_not_a_power_of_ten(capsys):
@@ -566,14 +601,20 @@ def test_run_with_x0_not_a_power_of_ten_has_no_error_modes():
     assert all(m.get("double_root") or m["pass"] for m in modes)
 
 
-def _cli_subprocess(*argv):
+def _cli_subprocess(*argv, module="edgehodge.cli"):
     """Run ``python -m edgehodge.cli`` in a fresh interpreter, so numpy
     warnings written to stderr are seen as a user sees them."""
     src = str(Path(edgehodge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-m", "edgehodge.cli", *argv],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_package_runs_as_module():
+    proc = _cli_subprocess("list", module="edgehodge")
+    assert proc.returncode == 0, proc.stderr
+    assert "cone-circle" in proc.stdout and proc.stderr == ""
 
 
 @pytest.mark.parametrize("mode", ["0,400", "0,100"])

@@ -15,6 +15,8 @@ from edgehodge.weights import (
     weighted_derham_dims,
 )
 
+from oracles import weight_perversities
+
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 WEIGHTS = [Fraction(n, 2) for n in range(-4, 5)]
@@ -91,6 +93,22 @@ def test_perversity_order_min_side_dominates():
     for f in range(0, 7):
         for a in WEIGHTS:
             assert min_perversity(f, a).value >= max_perversity(f, a).value
+
+
+# negative, integral and large-denominator weights
+dictionary_weights = st.one_of(
+    st.integers(-10**40, 10**40).map(Fraction),
+    st.fractions(max_denominator=10**30),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+)
+
+
+@given(st.integers(0, 6), dictionary_weights)
+def test_integer_dictionary_matches_bracket_form(f, a):
+    want_max, want_min = weight_perversities(f, a)
+    p_max, p_min = max_perversity(f, a), min_perversity(f, a)
+    assert p_max.value == want_max and p_min.value == want_min
+    assert p_min >= p_max
 
 
 def test_complete_l2_even_base_always_finite():
