@@ -303,7 +303,7 @@ def _cmd_verify(args) -> int:
     try:
         results = verify.run_suites(suites, spaces)
     except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(exc.args[0]) from exc
     payload = {"checks": [
         {"suite": r.suite, "name": r.name, "passed": r.passed, "detail": r.detail}
         for r in results]}

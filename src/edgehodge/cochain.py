@@ -39,6 +39,7 @@ modified in place.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -106,13 +107,6 @@ class QMatrix:
     @staticmethod
     def identity(n: int) -> "QMatrix":
         return _sparse(n, n, tuple({i: 1} for i in range(n)))
-
-    @staticmethod
-    def from_rows(entries: Sequence[Sequence[Rational]], cols: int | None = None) -> "QMatrix":
-        rows = len(entries)
-        if cols is None:
-            cols = len(entries[0]) if rows else 0
-        return QMatrix(rows, cols, entries)
 
     @property
     def entries(self) -> tuple[tuple[Rational, ...], ...]:
@@ -711,16 +705,51 @@ def _brief(x) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+# Every rational read from a model file, a config or a command line has
+# numerator and denominator of at most this many digits, so str() (4300
+# digits) and float() (up to about 1.8e308) stay defined on it.
+RATIONAL_DIGITS = 100
+_RATIONAL_BOUND = 10 ** RATIONAL_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
+
+
+def parse_rational(text: str) -> Rational:
+    """A rational string ("3", "-1/2", "2.5e-3"), integral values as ints.
+
+    Raises ValueError if ``text`` is not a rational and OverflowError if
+    its numerator or denominator passes 10^RATIONAL_DIGITS; callers word
+    the message.  An exponent too large for any nonzero mantissa is
+    refused before ``Fraction`` builds 10 ** exp.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        m = _EXPONENT.search(text)
+        # no nonzero mantissa brings so large an exponent back in bounds:
+        # read the mantissa alone rather than let Fraction build 10 ** exp
+        huge = (m is not None and "/" not in text
+                and abs(int(m.group(1))) > len(text) + 2 * RATIONAL_DIGITS)
+        try:
+            value = _exact(Fraction(text[:m.start()] if huge else text))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {text!r}") from exc
+        if huge and value:
+            raise OverflowError(f"exponent out of range in {text!r}") from None
+    if abs(value.numerator) > _RATIONAL_BOUND or value.denominator > _RATIONAL_BOUND:
+        raise OverflowError(f"rational out of range: {text!r}")
+    return value
+
+
 def _parse_entry(s) -> Rational:
     """One matrix entry: a rational string ("3", "-1/2") or an int."""
     if isinstance(s, str):
         try:
-            return int(s)
+            return parse_rational(s)
+        except OverflowError:
+            raise ModelFormatError(
+                f"rational out of range: {_brief(s)} (numerator and denominator "
+                f"must be at most 10^{RATIONAL_DIGITS})") from None
         except ValueError:
-            pass
-        try:
-            return _exact(Fraction(s))
-        except (ValueError, ZeroDivisionError):
             pass
     elif isinstance(s, (int, Fraction)) and not isinstance(s, bool):
         return _exact(s)

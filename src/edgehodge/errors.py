@@ -2,7 +2,9 @@
 
 The CLI maps these onto exit codes: ConfigError (including
 ModelFormatError) -> 2, model invariant violations -> 3, verification
-failures -> 4.
+failures -> 4.  The closed-form fibre spectra count their zero modes
+exactly and raise none of these; of the fibre layer, only the dense
+eigensolve oracle can fail (EigensolverError).
 """
 
 
@@ -44,10 +46,6 @@ class VerificationFailure(EdgeHodgeError):
 
 class EigensolverError(EdgeHodgeError):
     """Eigensolve did not meet its residual contract."""
-
-
-class UnderResolvedSpectrumError(ModelInvariantError):
-    """Zero-mode count at tolerance disagrees with the exact Betti number."""
 
 
 class QuadratureError(EdgeHodgeError):

@@ -7,35 +7,33 @@ numbers exactly; spectral accuracy is second order in the mesh.  A
 circle with n segments and circumference L carries vertex weight L/n
 and edge weight n/L; products are weighted tensor products.
 
-Every fibre is a weighted product of circles, so its Laplacian is a
-Künneth sum: on each (i, q - i) block it is Δ_a ⊗ 1 + 1 ⊗ Δ_b, and the
-degree-q eigenvalues are sums of ``circle_mode_eigenvalue`` values.
+Every fibre is a weighted product of k circles, so its Laplacian is
+the Kronecker sum of the circles' Laplacians: an eigenvalue is a sum
+of ``circle_mode_eigenvalue`` values, one mode per factor, and in
+degree q each such sum occurs C(k, q) times (once for each choice of
+the q factors whose mode sits in degree 1).  The only zero sum is the
+one of all zero modes, so degree q has exactly C(k, q) zero modes, the
+Betti numbers of the k-torus, with no tolerance involved.
 ``spectrum_for_predicates`` builds the spectrum that way.  The dense
 path (``laplacian_matrix``, ``fibre_spectrum``) solves the symmetrized
-form W^{1/2} Δ W^{-1/2}, which is symmetric positive semidefinite; it
-is the oracle for the closed form and for the mesh-convergence checks.
-The metric weights W are numpy arrays built on first use, for that
-oracle only; the closed form needs no numpy.
-
-The exact Betti numbers that the zero-mode count is checked against
-come from Künneth over Q as well: the graded convolution of each circle
-factor's rational cohomology.  The product cochain complex (``tensor``
-folded over the circles) is built on first use, only for the dense
-oracle, ``verify`` and the tests.
+form W^{1/2} Δ W^{-1/2}, which is symmetric positive semidefinite, and
+counts harmonic modes below a tolerance; it is the oracle for the
+closed form and for the mesh-convergence checks.  The metric weights W
+are numpy arrays and the product cochain complex (``tensor`` folded
+over the circles) is built on first use, for that oracle, ``verify``
+and the tests only; the closed form needs neither.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from edgehodge.cochain import CochainComplex, QMatrix, tensor
-from edgehodge.errors import EigensolverError, UnderResolvedSpectrumError
+from edgehodge.errors import EigensolverError
 from edgehodge.spectral import FibreSpectrum
-from edgehodge.stratified import kunneth_convolution
 
 RESIDUAL_TOL = 1e-9
 ZERO_MODE_TOL = 1e-8
@@ -51,12 +49,6 @@ class DiscreteFibre:
     def complex(self) -> CochainComplex:
         """The rational cochain complex, ``tensor`` of the circle factors'."""
         return reduce(tensor, map(_circle_complex, self.sizes))
-
-    @cached_property
-    def betti(self) -> tuple[int, ...]:
-        """Exact Betti numbers: Künneth over the circle factors' complexes."""
-        return reduce(kunneth_convolution,
-                      (_circle_complex(n).cohomology_dims() for n in self.sizes))
 
     def dim(self, q: int) -> int:
         return self.complex.dim(q)
@@ -215,50 +207,28 @@ def fibre_spectrum(fibre: DiscreteFibre, q: int, count: int,
                           zeros, float(res))
 
 
-def _product_eigenvalues(fibre: DiscreteFibre) -> list[list[float]]:
-    """Full per-degree spectrum of a product-of-circles fibre, ascending.
+def spectrum_for_predicates(fibre: DiscreteFibre, count: int = 8) -> FibreSpectrum:
+    """Per-degree spectrum from the closed form: the C(k, q) zero modes
+    of degree q, stored as exact 0, then its lowest ``count`` nonzero
+    eigenvalues.
 
-    Künneth: each circle factor contributes its n mode eigenvalues to
-    both its degree-0 and its degree-1 part, so a degree-q eigenvalue is
-    a sum over the factors, one mode each, with q factors in degree 1.
+    Each mode tuple's sum is formed once, in factor order; degree q
+    lists every nonzero sum C(k, q) times.  No product complex is built.
     """
-    levels = [[0.0]]
+    sums = [0.0]
     for n, length in zip(fibre.sizes, fibre.lengths):
         circ = [circle_mode_eigenvalue(n, length, m) for m in range(n)]
-        sums = [[v + c for v in lv for c in circ] for lv in levels]
-        # degree q collects the sums whose circle mode sits in degree 0
-        # (from degree q) or in degree 1 (from degree q - 1)
-        levels = [[v for s in sums[max(q - 1, 0):q + 1] for v in s]
-                  for q in range(len(sums) + 1)]
-    return [sorted(lv) for lv in levels]
-
-
-def spectrum_for_predicates(fibre: DiscreteFibre, count: int = 8,
-                            tol: float = ZERO_MODE_TOL) -> FibreSpectrum:
-    """Per-degree spectrum, from the closed form, with zero modes snapped
-    to exact 0 and the lowest ``count`` nonzero eigenvalues after them.
-
-    Values below ``tol * max(norm, 1)`` count as zero modes, where norm
-    is the degree's largest eigenvalue.  The snapped multiplicity must
-    match the exact Betti number, which Künneth gives from each circle
-    factor's rational complex (``DiscreteFibre.betti``); no product
-    complex is built.  A mismatch means the grid is under-resolved and
-    is an error, never a warning.
-    """
-    betti = fibre.betti
+        sums = [v + c for v in sums for c in circ]
+    sums.sort()
+    k = fibre.top_degree
+    betti = tuple(math.comb(k, q) for q in range(k + 1))
     levels = []
-    for q, vals in enumerate(_product_eigenvalues(fibre)):
-        zeros = bisect.bisect_left(vals, tol * max(vals[-1], 1.0))
-        if zeros != betti[q]:
-            raise UnderResolvedSpectrumError(
-                f"degree {q}: {zeros} zero modes at tolerance, Betti is {betti[q]}"
-            )
-        pairs: list[tuple] = []
-        if zeros:
-            pairs.append((0, zeros))
-        for v in vals[zeros:zeros + count]:
-            pairs.append((v, 1))
-        levels.append(pairs)
+    for mult in betti:
+        # sums[0] is the all-zero-modes sum, exactly 0.0; each later sum
+        # fills mult slots, so ceil(count / mult) of them fill count
+        head = sums[1:1 + -(-count // mult)]
+        nonzero = [(v, 1) for v in head for _ in range(mult)][:count]
+        levels.append([(0, mult), *nonzero])
     return FibreSpectrum(levels, "discrete", betti=betti)
 
 

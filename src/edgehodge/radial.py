@@ -190,13 +190,6 @@ class PolyRadialForm:
             {m: _vec_scale(Fraction(-1), v) for m, v in self.beta.items()},
         )
 
-    def alpha_at(self, x: Fraction) -> tuple[Fraction, ...]:
-        n = self.fibre.dim(self.degree)
-        out = tuple(Fraction(0) for _ in range(n))
-        for m, v in self.alpha.items():
-            out = _vec_add(out, _vec_scale(x ** m, v))
-        return out
-
     def sample(self, xs):
         """(|alpha|, |beta|) Euclidean coefficient norms on the grid (numpy)."""
         import numpy as np

@@ -13,10 +13,10 @@ tolerance.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 
 from edgehodge import fibredec, radial, spectral, verify, weights
+from edgehodge.cochain import RATIONAL_DIGITS, parse_rational
 from edgehodge.errors import ConfigError, ModelInvariantError, StiffnessFailureError
 from edgehodge.stratified import (
     BUILTIN_NAMES,
@@ -27,31 +27,16 @@ from edgehodge.stratified import (
 )
 
 
-# Every rational read from a command line or a config (weights,
-# perversities, eigenvalues, lengths) has numerator and denominator of at
-# most this many digits, so str() (4300 digits) and float() (up to about
-# 1.8e308) stay defined on it.
-RATIONAL_DIGITS = 100
-_RATIONAL_BOUND = 10 ** RATIONAL_DIGITS
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
-
-
 def _parse_fraction(raw) -> Fraction:
-    text = str(raw)
-    m = _EXPONENT.search(text)
+    """A rational from a command line or a config, bounded as model-file
+    entries are (``cochain.parse_rational``)."""
     try:
-        # no nonzero mantissa brings so large an exponent back in bounds:
-        # read the mantissa alone rather than let Fraction build 10 ** exp
-        huge = (m is not None and "/" not in text
-                and abs(int(m.group(1))) > len(text) + 2 * RATIONAL_DIGITS)
-        value = Fraction(text[:m.start()] if huge else text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"not an exact rational: {raw!r}") from exc
-    if (huge and value) or abs(value.numerator) > _RATIONAL_BOUND \
-            or value.denominator > _RATIONAL_BOUND:
+        return Fraction(parse_rational(str(raw)))
+    except OverflowError:
         raise ConfigError(f"rational out of range: {raw!r} (numerator and "
-                          f"denominator must be at most 10^{RATIONAL_DIGITS})")
-    return value
+                          f"denominator must be at most 10^{RATIONAL_DIGITS})") from None
+    except ValueError as exc:
+        raise ConfigError(f"not an exact rational: {raw!r}") from exc
 
 
 def _is_int(value) -> bool:
@@ -153,7 +138,7 @@ def load_space(entry) -> EdgeSpaceModel:
         try:
             return builtin_space(entry)
         except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(exc.args[0]) from exc
     raise ConfigError(f"bad space entry: {entry!r}")
 
 

@@ -224,14 +224,6 @@ class RankTable:
         return out
 
 
-@dataclass(frozen=True)
-class IHReport:
-    """Graded intersection cohomology dimensions at one perversity."""
-
-    perversity: Perversity
-    dims: tuple[int, ...]
-
-
 class EdgeSpaceModel:
     """Finite presentation of a space with one simple edge stratum.
 
@@ -508,10 +500,6 @@ def ih_dim(space: EdgeSpaceModel, p, k: int) -> int:
     return dims[k] if k < len(dims) else 0
 
 
-def ih_report(space: EdgeSpaceModel, p) -> IHReport:
-    return IHReport(Perversity(p), ih_dims(space, p))
-
-
 def ih_map_rank(space: EdgeSpaceModel, p_src, p_tgt, k: int) -> int:
     """Rank of the natural map IH^k_{p_src} -> IH^k_{p_tgt}.
 
@@ -561,10 +549,6 @@ def circle_complex() -> CochainComplex:
 
 def point_complex() -> CochainComplex:
     return CochainComplex((1,), ())
-
-
-def two_point_complex() -> CochainComplex:
-    return CochainComplex((2,), ())
 
 
 def interval_complex() -> CochainComplex:

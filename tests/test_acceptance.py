@@ -158,8 +158,10 @@ def test_criterion_07_fibre_spectra():
     # the discrete eigenvalues themselves match the analytic closed form
     ok &= abs(r64.eigenvalues[1]
               - circle_discrete_eigenvalue(64, length, 1)) < 1e-10
-    spec = spectrum_for_predicates(build_fibre("torus", (16, 16)), tol=1e-8)
+    spec = spectrum_for_predicates(build_fibre("torus", (16, 16)))
     ok &= spec.zero_multiplicities() == (1, 2, 1)
+    # the dense eigensolve finds the two harmonic 1-forms at tolerance 1e-8
+    ok &= fibre_spectrum(build_fibre("torus", (16, 16)), 1, 3, tol=1e-8).harmonic_dim == 2
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 10.0
     _record(7, "circle eigenvalue accuracy, convergence rate, torus harmonics",

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,7 @@ def _set_first_entry(data, text):
 @pytest.mark.parametrize("mutate, message", [
     (lambda d: d.update(F=[1, 2]), "F: a complex must be an object"),
     (lambda d: _set_first_entry(d, "1/0"), "F: not an exact rational: '1/0'"),
+    (lambda d: _set_first_entry(d, "1e5000"), "F: rational out of range: '1e5000'"),
     (lambda d: d["restriction"].update(maps="oops"), "restriction: a map must be"),
     (lambda d: d["restriction"].update(maps=[]), "restriction: a map needs 2 matrices"),
     (lambda d: d.update(bigrading="prodcut"),
@@ -342,7 +344,7 @@ def _set_first_entry(data, text):
     (lambda d: d.update(bigrading=None), 'bigrading must be "product" or "none", not None'),
     (lambda d: d.update(name=["x"]), "name must be a string, not ['x']"),
     (lambda d: d.update(description=5), "description must be a string, not 5"),
-], ids=["complex-not-object", "zero-denominator", "maps-string", "maps-empty",
+], ids=["complex-not-object", "zero-denominator", "entry-huge", "maps-string", "maps-empty",
         "bigrading-misspelt", "bigrading-misspelt-no-y", "bigrading-null",
         "name-not-string", "description-not-string"])
 def test_malformed_model_file_exit_code(tmp_path, capsys, mutate, message):
@@ -400,6 +402,52 @@ def test_malformed_sparse_matrix_exit_code(tmp_path, capsys, key, change, messag
     assert captured.out == ""
     assert captured.err.startswith(f"error: {key}: ") and message in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["1e999999999", "1e5000", "1/" + "9" * 101])
+def test_model_entry_out_of_range_exit_code(tmp_path, capsys, value):
+    # refused before Fraction builds 10 ** 999999999 (a ~415 MB integer)
+    data = model_to_dict(builtin_space("cone-circle"))
+    _set_nonzeros(data, "F", lambda nz: nz[0].__setitem__(2, value))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    t0 = time.perf_counter()
+    assert main(["ih", "--file", str(path), "--perversity", "0"]) == 2
+    assert time.perf_counter() - t0 < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    brief = repr(value) if len(repr(value)) <= 60 else repr(value)[:57] + "..."
+    assert captured.err == (f"error: F: rational out of range: {brief} "
+                            "(numerator and denominator must be at most 10^100)\n")
+
+
+_UNKNOWN_SPACE = ("error: unknown space 'nope'; known: cone-circle, cone-torus, "
+                  "cone-sphere2, susp-torus, edge-circle-over-circle, "
+                  "edge-torus-over-circle\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["ih", "--space", "nope", "--perversity", "0"], _UNKNOWN_SPACE),
+    (["complete", "--space", "nope"], _UNKNOWN_SPACE),
+    (["verify", "--all", "--space", "nope"], _UNKNOWN_SPACE),
+    (["verify", "--suites", "nope"],
+     "error: unknown suite 'nope'; known: cochain, stratified, weights, "
+     "spectral, fibredec, radial, cli\n"),
+], ids=["ih", "complete", "verify-space", "verify-suite"])
+def test_unknown_name_error_line(capsys, argv, line):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line
+
+
+def test_run_config_unknown_space_error_line(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"spaces": ["nope"], "suites": False}))
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == _UNKNOWN_SPACE
 
 
 def _json_paths(node, prefix=()):

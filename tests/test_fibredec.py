@@ -1,9 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from edgehodge.errors import UnderResolvedSpectrumError
 from edgehodge.fibredec import (
     build_fibre,
     circle_mode_eigenvalue,
@@ -88,7 +88,7 @@ def test_spectrum_for_predicates_torus_16():
     spec = spectrum_for_predicates(build_fibre("torus", (16, 16)))
     assert spec.zero_multiplicities() == (1, 2, 1)
     assert spec.betti == (1, 2, 1)
-    # snapped zeros are stored exactly
+    # zero modes are stored exactly
     assert spec.eigenvalues(1)[0] == (0, 2)
 
 
@@ -122,7 +122,11 @@ def _closed_form_spectrum(fib):
 @pytest.mark.parametrize("kind, sizes, scale", [
     *(("circle", n, length) for n in range(3, 10) for length in (2 * math.pi, 1.5)),
     ("torus", (6, 8), (2.0, 5.5)),
+    # one short circle and one long one: lowest nonzero modes near 0.26,
+    # largest near 3.7e7, so no relative tolerance separates the zeros
+    ("torus", (8, 8), (0.001, 12.0)),
     ("product", (4, 5, 6), None),
+    ("product", (3, 3, 3, 3), (1.0, 2.0, 3.0, 4.0)),
 ], ids=lambda v: str(v))
 def test_closed_form_spectrum_matches_dense_oracle(kind, sizes, scale):
     fib = build_fibre(kind, sizes, scale)
@@ -155,17 +159,19 @@ def test_closed_form_degenerate_modes_are_equal():
 def test_kunneth_betti_matches_full_reduction(kind, sizes):
     fib = build_fibre(kind, sizes)
     spec = spectrum_for_predicates(fib)
-    # the predicates read Künneth over the circle factors, not the product
+    # the zero modes come from the mode tuples, not the product complex
     assert "complex" not in vars(fib)
-    assert spec.betti == fib.betti
-    assert fib.betti == fib.complex.cohomology_dims()
+    assert spec.betti == fib.complex.cohomology_dims()
 
 
-def test_under_resolution_is_an_error():
-    fib = build_fibre("torus", (4, 4))
-    with pytest.raises(UnderResolvedSpectrumError):
-        # absurd tolerance turns near-zero modes into spurious harmonics
-        spectrum_for_predicates(fib, tol=0.5)
+def test_product_of_eight_circles_is_fast_and_exact():
+    fib = build_fibre("product", (3,) * 8)
+    t0 = time.perf_counter()
+    spec = spectrum_for_predicates(fib, count=1)
+    elapsed = time.perf_counter() - t0
+    assert spec.zero_multiplicities() == tuple(math.comb(8, q) for q in range(9))
+    assert all(len(spec.eigenvalues(q)) == 2 for q in spec.degrees())
+    assert elapsed < 0.05
 
 
 def test_count_larger_than_space_rejected():
@@ -184,12 +190,14 @@ def test_csv_export(tmp_path):
 
 def test_product_eigenvalues_equal_numpy_outer_sums():
     # reference: the Künneth sums built with numpy outer sums and a sort
-    from edgehodge.fibredec import _product_eigenvalues
-
     fib = build_fibre("product", (5, 6, 4), scale=(1.0, 2.5, 3.0))
     levels = [np.zeros(1)]
     for n, length in zip(fib.sizes, fib.lengths):
         circ = np.array([circle_mode_eigenvalue(n, length, m) for m in range(n)])
         sums = [np.add.outer(lv, circ).ravel() for lv in levels]
         levels = [np.concatenate(sums[max(q - 1, 0):q + 1]) for q in range(len(sums) + 1)]
-    assert _product_eigenvalues(fib) == [np.sort(lv).tolist() for lv in levels]
+    spec = spectrum_for_predicates(fib, count=max(len(lv) for lv in levels))
+    got = [[float(v) for v, m in spec.eigenvalues(q) for _ in range(m)]
+           for q in spec.degrees()]
+    assert got == [np.sort(lv).tolist() for lv in levels]
+    assert [spec.eigenvalues(q)[0] for q in spec.degrees()] == [(0, 1), (0, 3), (0, 3), (0, 1)]
