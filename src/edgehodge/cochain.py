@@ -18,13 +18,20 @@ on demand, for tests and oracles; nothing in the engine reads it.
 Every rank, kernel basis and Betti number comes from one elimination,
 ``elim.cancel``, which cancels pairs of cells joined by a nonzero entry
 with a rank-one Schur update each time.  ``reduce_complex`` runs it on
-each differential in turn until every differential is zero: the
-survivors count the Betti numbers, and replaying the recorded steps
-backwards turns each survivor into a cocycle representative
-(``cohomology_inclusion``).  ``cohomology_projection`` reduces the
-transposed complex, and ``kernel_basis`` is the degree-0 inclusion of
-the two-term complex of one matrix.  The rank of a single matrix
-(``QMatrix.rank``, ``induced_map_rank``) is its number of pivots.
+each differential in turn until every differential is zero, and the
+``Reduction`` it returns records the steps.  Its survivors count the
+Betti numbers; replaying the steps backwards turns each survivor into a
+cocycle representative (``Reduction.representatives``,
+``cohomology_inclusion``), and replaying them forwards on the rows of a
+matrix L gives L times those representatives without forming them
+(``Reduction.on_representatives``).  A complex keeps its reduction
+(``CochainComplex.reduction``), so its Betti numbers, its inclusion and
+the replays share one elimination.  ``cohomology_projection`` reduces
+the transposed complex, which it keeps on the complex and which then
+counts the complex's Betti numbers, and ``kernel_basis`` is the
+degree-0 inclusion of the two-term complex of one matrix.  The rank of a
+single matrix (``QMatrix.rank``, ``induced_map_rank``) is its number of
+pivots.
 
 The checks a model load runs, d∘d = 0 (``CochainComplex.verify``) and
 the chain-map property (``ComplexMap.commutes``), accumulate one
@@ -32,8 +39,8 @@ residual row at a time and stop at the first nonzero one
 (``_rows_agree``); they never build the products they compare.
 
 Values are immutable after construction (the only mutation is internal
-memoisation of ranks and Betti numbers), and every operation is a pure
-function.  The row dicts are shared between matrices and are never
+memoisation of ranks, reductions and transposes), and every operation is
+a pure function.  The row dicts are shared between matrices and are never
 modified in place.
 """
 
@@ -203,9 +210,6 @@ class QMatrix:
                 self._rank = elim.rank_sparse([dict(r) for r in self.sparse_rows])
         return self._rank
 
-    def column(self, j: int) -> tuple[Rational, ...]:
-        return tuple(r.get(j, 0) for r in self.sparse_rows)
-
 
 def _rows_agree(a: QMatrix, b: QMatrix, c: QMatrix, d: QMatrix) -> bool:
     """True iff A·B = C·D, with neither product built.
@@ -275,7 +279,11 @@ class Reduction(NamedTuple):
 
     ``survivors[k]`` are the degree-k cells left, one per Betti number;
     ``steps[k]`` are the ``elim.cancel`` steps (b, a, u⁻¹, row b) of d_k,
-    each cancelling a ∈ C^k against b ∈ C^(k+1).
+    each cancelling a ∈ C^k against b ∈ C^(k+1).  Replayed backwards the
+    steps give cocycle representatives (``representatives``); replayed
+    forwards on the rows of a matrix they give its product with them
+    (``on_representatives``), as the rank tables of ``stratified`` read
+    ρ' = p_Y ρ i_M.
     """
 
     survivors: tuple[tuple[int, ...], ...]
@@ -301,6 +309,36 @@ class Reduction(NamedTuple):
             out.append(v)
         return _sparse(len(out), n, tuple(out)).transpose()
 
+    def on_representatives(self, k: int, rows: Iterable[SparseRow]) -> list[SparseRow]:
+        """The rows of L @ representatives(k, n), for the matrix L over
+        C^k given by its sparse ``rows``, without the representatives.
+
+        The inclusion is T_1 ⋯ T_m on the survivors, with T_s the step
+        v[a] := -u⁻¹⟨row b, v⟩ of ``representatives``, so a row ℓ of L
+        passes through the steps first to last: ℓ T_s clears ℓ[a] and
+        subtracts ℓ[a]·u⁻¹·(row b).  No step's row holds the column of
+        an earlier step, so what is left lies on the survivors and on the
+        cells paired downwards, where every representative is zero; the
+        survivors' entries are row ℓ of L i.
+        """
+        steps = self.steps[k]
+        column = {x: j for j, x in enumerate(self.survivors[k])}
+        out = []
+        for r in rows:
+            v = dict(r)
+            for _, a, uinv, row in steps:
+                g = v.pop(a, None)
+                if g is not None:
+                    g *= uinv
+                    for j, w in row.items():
+                        y = v.get(j, 0) - g * w
+                        if y:
+                            v[j] = y
+                        else:
+                            del v[j]
+            out.append({column[x]: _exact(y) for x, y in v.items() if x in column})
+        return out
+
 
 def reduce_complex(c: "CochainComplex") -> Reduction:
     """Cancel pairs of cells until every differential is zero.
@@ -313,7 +351,9 @@ def reduce_complex(c: "CochainComplex") -> Reduction:
     d_(k+1) is reduced).  Each step is a chain homotopy equivalence
     (Kaczynski, Mrozek & Ślusarek 1998), so the survivors count the
     Betti numbers, and the recorded rows give cocycle representatives on
-    demand (``Reduction.representatives``).
+    demand (``Reduction.representatives``) or their products with a
+    matrix (``Reduction.on_representatives``).  ``CochainComplex.reduction``
+    runs it once per complex and keeps the result.
     """
     if not c.verify():
         raise UnverifiedComplexError("d∘d != 0; refusing to compute cohomology")
@@ -339,7 +379,7 @@ class CochainComplex:
     to degree k+1.  A complex with empty ``dims`` is the zero complex.
     """
 
-    __slots__ = ("dims", "d", "_betti", "_verified")
+    __slots__ = ("dims", "d", "_reduction", "_dual", "_verified")
 
     def __init__(self, dims: Sequence[int], d: Sequence[QMatrix]):
         self.dims = tuple(int(x) for x in dims)
@@ -355,7 +395,8 @@ class CochainComplex:
                 raise ShapeMismatchError(
                     f"d[{k}] is {mat.rows}x{mat.cols}, expected {self.dims[k+1]}x{self.dims[k]}"
                 )
-        self._betti = None
+        self._reduction = None
+        self._dual = None
         self._verified = None
 
     @property
@@ -383,10 +424,21 @@ class CochainComplex:
             )
         return self._verified
 
+    def reduction(self) -> Reduction:
+        """``reduce_complex`` of this complex, run on the first call and
+        kept: the Betti numbers, ``cohomology_inclusion`` and the rank
+        tables of ``stratified`` share it."""
+        if self._reduction is None:
+            self._reduction = reduce_complex(self)
+        return self._reduction
+
     def cohomology_dims(self) -> tuple[int, ...]:
-        if self._betti is None:
-            self._betti = tuple(map(len, reduce_complex(self).survivors))
-        return self._betti
+        """Betti numbers, counted by the survivors of the complex's own
+        reduction, or of its transpose's when only ``cohomology_projection``
+        has reduced it."""
+        if self._reduction is None and self._dual is not None:
+            return tuple(map(len, self._dual.reduction().survivors[::-1]))
+        return tuple(map(len, self.reduction().survivors))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in enumerate(self.dims))
@@ -475,6 +527,41 @@ class ComplexMap:
         )
 
 
+def _tensor_offsets(c1: CochainComplex, c2: CochainComplex) -> list[list[int]]:
+    """offsets[n][i]: the first index of block (i, n-i) in degree n of
+    tensor(c1, c2), for i = 0..n+1, so offsets[n][-1] is its dimension."""
+    offsets = []
+    for n in range(c1.top_degree + c2.top_degree + 1):
+        off = [0]
+        for i in range(n + 1):
+            off.append(off[-1] + c1.dim(i) * c2.dim(n - i))
+        offsets.append(off)
+    return offsets
+
+
+def _tensor_row_groups(c1: CochainComplex, c2: CochainComplex, col: list[int], n: int):
+    """The rows of d_n of tensor(c1, c2) in order, one group (left, base,
+    right) per row a of d1 in a row block (i, n+1-i), with ``col`` the
+    offsets of degree n.  Row b of the group is {off + b: v} over
+    (off, v) in ``left``, from d1 ⊗ id, with {base + c: v} over (c, v) in
+    right[b], from (-1)^i id ⊗ d2; the two parts lie in different column
+    blocks, (i-1, n+1-i) and (i, n-i)."""
+    for i in range(n + 2):
+        j = n + 1 - i
+        width = c2.dim(j)
+        if not c1.dim(i) or not width:
+            continue
+        # off the ends d_at gives empty rows, so blocks (-1, j) and
+        # (n+1, -1) are never read
+        d1 = c1.d_at(i - 1).sparse_rows
+        right = [tuple(r.items()) if i % 2 == 0 else tuple((c, -v) for c, v in r.items())
+                 for r in c2.d_at(j - 1).sparse_rows]
+        inner = c2.dim(j - 1)
+        for a in range(c1.dim(i)):
+            yield ([(col[i - 1] + c * width, v) for c, v in d1[a].items()],
+                   col[i] + a * inner, right)
+
+
 def tensor(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
     """Tensor product complex with the usual sign (-1)^i on the second factor.
 
@@ -482,45 +569,54 @@ def tensor(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
     block the first factor index is major.  Row (a, b) of row block
     (i, n+1-i) of d_n is read off row a of d1 and row b of d2: its
     entries lie first in column block (i-1, n+1-i), from d1 ⊗ id, then
-    in column block (i, n-i), from (-1)^i id ⊗ d2.
+    in column block (i, n-i), from (-1)^i id ⊗ d2 (``_tensor_row_groups``).
     """
     if not c1.verify() or not c2.verify():
         raise UnverifiedComplexError("tensor factors must satisfy d∘d = 0")
     if not c1.dims or not c2.dims:
         return ZERO_COMPLEX
-    top = c1.top_degree + c2.top_degree
-    offsets = []  # offsets[n][i]: first index of block (i, n-i), i = 0..n+1
-    for n in range(top + 1):
-        off = [0]
-        for i in range(n + 1):
-            off.append(off[-1] + c1.dim(i) * c2.dim(n - i))
-        offsets.append(off)
+    offsets = _tensor_offsets(c1, c2)
     dims = [off[-1] for off in offsets]
     ds = []
-    for n in range(top):
-        col = offsets[n]
+    for n in range(len(dims) - 1):
         out: list[SparseRow] = []
-        for i in range(n + 2):
-            j = n + 1 - i
-            width = c2.dim(j)
-            if not c1.dim(i) or not width:
-                continue
-            # off the ends d_at gives empty rows, so blocks (-1, j) and
-            # (n+1, -1) are never read
-            d1 = c1.d_at(i - 1).sparse_rows
-            d2 = [tuple(r.items()) if i % 2 == 0 else tuple((c, -v) for c, v in r.items())
-                  for r in c2.d_at(j - 1).sparse_rows]
-            inner = c2.dim(j - 1)
-            for a in range(c1.dim(i)):
-                left = [(col[i - 1] + c * width, v) for c, v in d1[a].items()]
-                base = col[i] + a * inner
-                for b in range(width):
-                    row = {off + b: v for off, v in left}
-                    for c, v in d2[b]:
-                        row[base + c] = v
-                    out.append(row)
+        for left, base, right in _tensor_row_groups(c1, c2, offsets[n], n):
+            for b, r in enumerate(right):
+                row = {off + b: v for off, v in left}
+                for c, v in r:
+                    row[base + c] = v
+                out.append(row)
         ds.append(_sparse(dims[n + 1], dims[n], tuple(out)))
     return CochainComplex(dims, ds)
+
+
+def is_tensor(c: CochainComplex, c1: CochainComplex, c2: CochainComplex) -> bool:
+    """True iff c == tensor(c1, c2), with the product not built: the
+    dimensions agree, and each row of each differential of ``c`` has as
+    many entries as its row of the product, and the product's entries at
+    their columns (``_tensor_row_groups``).  The factors are not checked
+    for d∘d = 0."""
+    if not c1.dims or not c2.dims:
+        return not c.dims
+    offsets = _tensor_offsets(c1, c2)
+    if c.dims != tuple(off[-1] for off in offsets):
+        return False
+    for n, d in enumerate(c.d):
+        rows = iter(d.sparse_rows)
+        for left, base, right in _tensor_row_groups(c1, c2, offsets[n], n):
+            size = len(left)
+            for b, r in enumerate(right):
+                got = next(rows)
+                if len(got) != size + len(r):
+                    return False
+                get = got.get
+                for off, v in left:
+                    if get(off + b) != v:
+                        return False
+                for col, v in r:
+                    if get(base + col) != v:
+                        return False
+    return True
 
 
 def tensor_map_blocks(phi: ComplexMap, psi: ComplexMap) -> list[QMatrix]:
@@ -652,20 +748,23 @@ def _zero_differential(dims: Sequence[int]) -> CochainComplex:
 
 
 def _transpose_complex(c: CochainComplex) -> CochainComplex:
-    """The dual complex with degrees reversed: degree j holds the dual of
-    degree top - j, and its differential out of degree j is d_(top-j-1)^T."""
-    t = CochainComplex(c.dims[::-1], [m.transpose() for m in reversed(c.d)])
-    # (d_(k+1) d_k)^T = d_k^T d_(k+1)^T, so the transpose passes d∘d = 0
-    # exactly when c does
-    t._verified = c._verified
-    return t
+    """The dual complex with degrees reversed, built once and kept on
+    ``c``: degree j holds the dual of degree top - j, and its
+    differential out of degree j is d_(top-j-1)^T."""
+    if c._dual is None:
+        t = CochainComplex(c.dims[::-1], [m.transpose() for m in reversed(c.d)])
+        # (d_(k+1) d_k)^T = d_k^T d_(k+1)^T, so the transpose passes d∘d = 0
+        # exactly when c does
+        t._verified = c._verified
+        c._dual = t
+    return c._dual
 
 
 def cohomology_inclusion(c: CochainComplex) -> ComplexMap:
     """i: H(c) -> c, with H(c) the zero-differential complex of Betti
     dimensions in the degree range of ``c``; the columns of i_k are
     cocycles whose classes form a basis of H^k(c)."""
-    red = reduce_complex(c)
+    red = c.reduction()
     if not c.dims:
         return ComplexMap(ZERO_COMPLEX, c, (), check=False)
     basis = [red.representatives(k, n) for k, n in enumerate(c.dims)]
@@ -677,7 +776,8 @@ def cohomology_projection(c: CochainComplex) -> ComplexMap:
     """p: c -> H(c), read off ``cohomology_inclusion`` of the transposed
     complex.  The rows of p_k are cocycles of the transpose, so p∘d = 0
     and p is a chain map into H(c); they pair perfectly with H^k(c), so
-    p_k ∘ i_k is invertible and p is a quasi-isomorphism."""
+    p_k ∘ i_k is invertible and p is a quasi-isomorphism.  The transpose
+    and its reduction stay on ``c``, whose Betti numbers they count."""
     dual = cohomology_inclusion(_transpose_complex(c))
     top = c.top_degree
     maps = [dual.at(top - k).transpose() for k in range(top + 1)]

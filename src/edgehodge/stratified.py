@@ -32,9 +32,13 @@ where i: H -> C picks cocycle representatives and p: C -> H is a chain
 map onto cohomology (``cochain.cohomology_inclusion`` and
 ``cohomology_projection``).  Both come from ``cochain.reduce_complex``,
 which cancels pairs of cells of M (or of the transposes of B and F)
-until every differential is zero and then replays the recorded
-cancellations backwards from each surviving cell, so i and p cost one
-sparse reduction each and never a kernel basis.
+until every differential is zero; replaying the recorded cancellations
+backwards from each surviving cell gives i, and p is i of the transpose.
+The rank table needs only ρ', so it never forms i_M: it builds the rows
+of p_Y ρ from the rows of p_B and p_F and replays M's cancellations
+forward on them (``Reduction.on_representatives``), which is the
+adjoint of picking representatives.  M and the transposes of B and F
+are reduced once each, and those reductions count the Betti numbers too.
 
 Why the answers agree: let Tot_1(c) be the total complex of M,
 B' ⊗ τ_{<=c}F', Y' with restriction (p_B ⊗ p_F) ∘ ρ.  Because
@@ -82,11 +86,12 @@ c2), so
 
 which is the IH formula when c1 = c2.  ``EdgeSpaceModel.rank_table``
 holds dim M'^k, t and r for k = 0..n and c = -1..f, built once per
-model from ρ' and the Betti numbers; ``ih_dims`` and ``ih_map_rank``
-read every answer from it.  ``minimal_model`` builds the minimal model
-as a model in its own right, and ``total_complex``, ``total_map`` and
-``truncated_tube`` (on either model) stay as the chain-level
-reference; no query builds them.
+model from the rows of ρ' read as above and the Betti numbers;
+``ih_dims`` and ``ih_map_rank`` read every answer from it.
+``minimal_model`` builds the minimal model as a model in its own right
+(with ρ' as the product p_Y ρ i_M), and ``total_complex``,
+``total_map`` and ``truncated_tube`` (on either model) stay as the
+chain-level reference; no query builds them.
 """
 
 from __future__ import annotations
@@ -108,6 +113,7 @@ from edgehodge.cochain import (
     complex_to_dict,
     direct_sum,
     int_from_json,
+    is_tensor,
     map_from_dict,
     map_to_dict,
     mapping_cone,
@@ -278,9 +284,10 @@ class EdgeSpaceModel:
             if not c.verify():
                 raise ModelInvariantError(f"{self.name}: a complex fails d∘d = 0")
         # the tube inclusion id_B ⊗ incl and the minimal model both read Y
-        # in the basis of tensor(B, F), which has d∘d = 0 once B and F do
+        # in the basis of tensor(B, F), which has d∘d = 0 once B and F do;
+        # a Y read from a file is compared with it row by row, unbuilt
         y_product = self._y_from_factors or (
-            self.product_bigrading and self.Y == tensor(self.B, self.F))
+            self.product_bigrading and is_tensor(self.Y, self.B, self.F))
         if not y_product and not self.Y.verify():
             raise ModelInvariantError(f"{self.name}: a complex fails d∘d = 0")
         if self.restriction.source is not self.M and self.restriction.source != self.M:
@@ -407,9 +414,16 @@ class EdgeSpaceModel:
     def rank_table(self) -> RankTable:
         """The table every ``ih_dims`` and ``ih_map_rank`` answer is read
         from (see the module notes), built on the first query and kept on
-        the instance."""
+        the instance.  The rows of ρ'_k are those of p_Y,k ρ_k
+        (``_projected_rows``) with M's reduction replayed on them
+        (``Reduction.on_representatives``), so i_M is never formed."""
         if self._table is None:
-            f_h, b_h, m_h, rho = self._minimal_restriction()
+            if not self.product_bigrading:
+                raise ModelInvariantError(
+                    f"{self.name}: missing bigrading; cannot truncate the tube")
+            p_b, p_f = cohomology_projection(self.B), cohomology_projection(self.F)
+            b_h, f_h = p_b.target, p_f.target
+            red = self.M.reduction()
             rows, ranks = [], []
             for k in range(self.n + 1):
                 # rows of Y'^k in fibre degrees above c form the leading
@@ -418,7 +432,9 @@ class EdgeSpaceModel:
                 for i in range(k + 1):
                     prefix.append(prefix[-1] + b_h.dim(i) * f_h.dim(k - i))
                 t_k = tuple(prefix[max(0, k - c)] for c in range(-1, self.f + 1))
-                rho_rows = rho[k].sparse_rows if k < len(rho) else ()
+                rho_rows = red.on_representatives(
+                    k, _projected_rows(p_b, p_f, self.restriction.at(k), k)
+                ) if k < len(red.steps) else ()
                 rank_of: dict[int, int] = {}
                 for t in t_k:
                     if t not in rank_of:
@@ -426,7 +442,8 @@ class EdgeSpaceModel:
                         rank_of[t] = elim.rank_sparse(lead) if lead else 0
                 rows.append(t_k)
                 ranks.append(tuple(rank_of[t] for t in t_k))
-            m_dims = tuple(m_h.dim(k) for k in range(self.n + 1))
+            m_h = self.M.cohomology_dims()
+            m_dims = tuple(m_h[k] if k < len(m_h) else 0 for k in range(self.n + 1))
             self._table = RankTable(m_dims, tuple(rows), tuple(ranks))
         return self._table
 
@@ -447,6 +464,33 @@ class EdgeSpaceModel:
 
     def __repr__(self):
         return f"EdgeSpaceModel({self.name!r}, n={self.n}, b={self.b}, f={self.f})"
+
+
+def _projected_rows(p_b: ComplexMap, p_f: ComplexMap, rho: QMatrix, k: int) -> list[dict]:
+    """The rows of (p_B ⊗ p_F)_k ρ_k, formed one at a time in the bases of
+    ``tensor``: row (α, β) of block (i, k - i) is the sum over the entries
+    x = p_B,i[α, a] and y = p_F,k-i[β, c] of x·y times row (a, c) of ρ_k,
+    which is row off_i + a·dim F^(k-i) + c.  Zeros are dropped; values
+    are left unnormalised for ``Reduction.on_representatives``."""
+    rho_rows = rho.sparse_rows
+    out = []
+    off = 0
+    for i in range(k + 1):
+        width = p_f.source.dim(k - i)
+        f_rows = p_f.at(k - i).sparse_rows
+        for alpha in p_b.at(i).sparse_rows:
+            for beta in f_rows:
+                acc: dict = {}
+                get = acc.get
+                for a, x in alpha.items():
+                    base = off + a * width
+                    for c, y in beta.items():
+                        xy = x * y
+                        for j, z in rho_rows[base + c].items():
+                            acc[j] = get(j, 0) + xy * z
+                out.append({j: v for j, v in acc.items() if v})
+        off += p_b.source.dim(i) * width
+    return out
 
 
 def kunneth_convolution(b1, b2) -> tuple[int, ...]:

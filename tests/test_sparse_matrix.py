@@ -204,6 +204,21 @@ def test_reduce_complex_matches_dense_reference(c):
         assert dense_rank(both) == dense_rank(d_in) + betti
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_on_representatives_is_rows_times_representatives(data):
+    # replaying the reduction forward on the rows of L is L times the
+    # representatives, on complexes and rows with non-unit pivots
+    c = data.draw(complexes())
+    red = cochain.reduce_complex(c)
+    for k, n in enumerate(c.dims):
+        m = data.draw(matrices(cols=n))
+        mat = q(m)
+        want = mat @ red.representatives(k, n)
+        assert red.on_representatives(k, mat.sparse_rows) == list(want.sparse_rows)
+        assert mat == q(m)  # the rows of L are read, not changed
+
+
 @settings(max_examples=100, deadline=None)
 @given(complexes())
 def test_truncate_matches_dense_reference(c):

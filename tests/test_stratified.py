@@ -586,3 +586,62 @@ def test_minimal_model_matches_chain_level_reference(build):
                 ref = induced_map_rank(phi, k)
                 assert induced_map_rank(minimal.total_map(c1, c2), k) == ref
                 assert ih_map_rank(space, space.f - 1 - c1, space.f - 1 - c2, k) == ref
+
+
+def _every_query(space):
+    """Ask ``space`` every kind of query: IH, induced-map ranks, the max,
+    min and minimal-Hodge weights and the complete-metric verdicts."""
+    from edgehodge.weights import complete_l2, minimal_hodge_dims, weighted_derham_dims
+
+    grid = [Fraction(n, 2) for n in range(-2, 2 * space.f + 3)]
+    for p in grid:
+        ih_dims(space, p)
+        for k in range(space.n + 1):
+            ih_map_rank(space, p, grid[0], k)
+    for a in (Fraction(n, 4) for n in range(-6, 7)):
+        weighted_derham_dims(space, a, "max")
+        weighted_derham_dims(space, a, "min")
+        minimal_hodge_dims(space, a)
+    for k in range(space.n + 2):
+        complete_l2(space, k)
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda name=name: builtin_space(name) for name in BUILTIN_NAMES),
+    # the subdivided-edge model, Y carried in its record
+    lambda: model_from_dict(json.loads(json.dumps(
+        dense_model_dict(_relabelled_edge_torus_over_circle(3, 5))))),
+], ids=[*BUILTIN_NAMES, "subdivided-edge"])
+def test_every_query_reduces_each_complex_once(monkeypatch, build):
+    # the rank table reads ρ' by replaying M's reduction on the rows of
+    # p_Y ρ, so answering everything reduces M, the transpose of B and the
+    # transpose of F once each (F's Betti numbers come from its transpose)
+    # and never forms the cocycle representatives of M
+    from edgehodge import cochain
+
+    space = build()
+    reduced, represented = [], []
+    reduce_complex, representatives = cochain.reduce_complex, cochain.Reduction.representatives
+
+    def counted_reduce(c):
+        red = reduce_complex(c)
+        reduced.append((c, red))
+        return red
+
+    def counted_representatives(red, k, n):
+        represented.append(red)
+        return representatives(red, k, n)
+
+    monkeypatch.setattr(cochain, "reduce_complex", counted_reduce)
+    monkeypatch.setattr(cochain.Reduction, "representatives", counted_representatives)
+    _every_query(space)
+
+    def transpose(c):
+        return cochain.CochainComplex(c.dims[::-1], [m.transpose() for m in reversed(c.d)])
+
+    read = [c for c, _ in reduced]
+    assert len(read) == 3
+    assert sum(c is space.M for c in read) == 1
+    assert transpose(space.B) in read and transpose(space.F) in read
+    m_reduction = next(red for c, red in reduced if c is space.M)
+    assert all(red is not m_reduction for red in represented)
