@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from edgehodge import fibredec, radial, report as report_mod, spectral, verify, weights
+from edgehodge import fibredec, radial, report as report_mod, spectral, verify
 from edgehodge.errors import (
     ConfigError,
     EdgeHodgeError,
@@ -279,16 +279,9 @@ def _cmd_cone_lab(args) -> int:
 
 def _cmd_complete(args) -> int:
     space = load_space({"file": args.file} if args.file else args.space)
-    payload = {"space": space.name, "complete_l2": []}
-    rows = []
-    for k in range(space.n + 1):
-        ans = weights.complete_l2(space, k)
-        payload["complete_l2"].append({
-            "k": k, "verdict": ans.verdict,
-            "perversity": str(ans.perversity.value) if ans.perversity else None,
-            "provenance": "exact"})
-        rows.append([k, ans.verdict,
-                     str(ans.perversity.value) if ans.perversity else "-"])
+    cells = [report_mod.complete_l2_fields(space, k) for k in range(space.n + 1)]
+    payload = {"space": space.name, "complete_l2": cells}
+    rows = [[c["k"], c["verdict"], c["perversity"] or "-"] for c in cells]
     human = (f"complete-metric L2 cohomology on {space.name}:\n"
              + report_mod._fmt_table(["k", "verdict", "perversity"], rows) + "\n")
     _emit(args, payload, human)

@@ -37,10 +37,13 @@ The checks a model load runs, d∘d = 0 (``CochainComplex.verify``) and
 the chain-map property (``ComplexMap.commutes``), accumulate one
 residual row at a time and stop at the first nonzero one
 (``_rows_agree``); they never build the products they compare.
+``is_tensor`` compares a complex with a tensor product row by row in
+the same way, unless ``tensor`` built it from the same two factors.
 
 Values are immutable after construction (the only mutation is internal
-memoisation of ranks, reductions and transposes), and every operation is
-a pure function.  The row dicts are shared between matrices and are never
+memoisation of ranks, reductions, transposes, the d∘d verdict and the
+factors a ``tensor`` was built from), and every operation is a pure
+function.  The row dicts are shared between matrices and are never
 modified in place.
 """
 
@@ -379,7 +382,7 @@ class CochainComplex:
     to degree k+1.  A complex with empty ``dims`` is the zero complex.
     """
 
-    __slots__ = ("dims", "d", "_reduction", "_dual", "_verified")
+    __slots__ = ("dims", "d", "_reduction", "_dual", "_verified", "_factors")
 
     def __init__(self, dims: Sequence[int], d: Sequence[QMatrix]):
         self.dims = tuple(int(x) for x in dims)
@@ -398,6 +401,7 @@ class CochainComplex:
         self._reduction = None
         self._dual = None
         self._verified = None
+        self._factors = None
 
     @property
     def top_degree(self) -> int:
@@ -570,6 +574,7 @@ def tensor(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
     (i, n+1-i) of d_n is read off row a of d1 and row b of d2: its
     entries lie first in column block (i-1, n+1-i), from d1 ⊗ id, then
     in column block (i, n-i), from (-1)^i id ⊗ d2 (``_tensor_row_groups``).
+    The result records its two factors, which ``is_tensor`` reads.
     """
     if not c1.verify() or not c2.verify():
         raise UnverifiedComplexError("tensor factors must satisfy d∘d = 0")
@@ -587,15 +592,20 @@ def tensor(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
                     row[base + c] = v
                 out.append(row)
         ds.append(_sparse(dims[n + 1], dims[n], tuple(out)))
-    return CochainComplex(dims, ds)
+    product = CochainComplex(dims, ds)
+    product._factors = (c1, c2)
+    return product
 
 
 def is_tensor(c: CochainComplex, c1: CochainComplex, c2: CochainComplex) -> bool:
-    """True iff c == tensor(c1, c2), with the product not built: the
-    dimensions agree, and each row of each differential of ``c`` has as
-    many entries as its row of the product, and the product's entries at
-    their columns (``_tensor_row_groups``).  The factors are not checked
-    for d∘d = 0."""
+    """True iff c == tensor(c1, c2), with the product not built: at once
+    when ``tensor`` built ``c`` from these two objects, and otherwise when
+    the dimensions agree, and each row of each differential of ``c`` has
+    as many entries as its row of the product, and the product's entries
+    at their columns (``_tensor_row_groups``).  The factors are not
+    checked for d∘d = 0."""
+    if c._factors is not None and c._factors[0] is c1 and c._factors[1] is c2:
+        return True
     if not c1.dims or not c2.dims:
         return not c.dims
     offsets = _tensor_offsets(c1, c2)

@@ -189,6 +189,18 @@ def weight_dims_fields(space: EdgeSpaceModel, a: Fraction) -> dict:
     }
 
 
+def complete_l2_fields(space: EdgeSpaceModel, k: int) -> dict:
+    """JSON fields of the degree-k complete-metric verdict
+    (``weights.complete_l2``)."""
+    ans = weights.complete_l2(space, k)
+    return {
+        "k": k,
+        "verdict": ans.verdict,
+        "perversity": str(ans.perversity.value) if ans.perversity else None,
+        "provenance": "exact",
+    }
+
+
 def root_fields(critical, contacts) -> dict:
     """JSON fields of one window scan (``spectral.window_roots``): the
     critical root pairs and the window boundary contacts."""
@@ -291,6 +303,9 @@ def run(config: RunConfig) -> dict:
     exponents: dict = {}
 
     for space in spaces:
+        # built first: its p_F reduces the transpose of F, which also counts
+        # F's Betti numbers, so F is not reduced a second time
+        space.rank_table()
         fb = space.F.cohomology_dims()
         if fb not in spectra:
             spectra[fb] = link_spectrum(fb, config.fibre_grid)
@@ -307,14 +322,8 @@ def run(config: RunConfig) -> dict:
         }
         entry["weights"] = [_weight_cell(space, a, spec_obj) for a in config.weights]
         lo, hi = (config.degrees or (0, space.n))
-        for k in range(lo, min(hi, space.n) + 1):
-            ans = weights.complete_l2(space, k)
-            entry["complete_l2"].append({
-                "k": k,
-                "verdict": ans.verdict,
-                "perversity": str(ans.perversity.value) if ans.perversity else None,
-                "provenance": "exact",
-            })
+        entry["complete_l2"] = [complete_l2_fields(space, k)
+                                for k in range(lo, min(hi, space.n) + 1)]
         report["spaces"].append(entry)
 
     if config.suites:

@@ -1,10 +1,13 @@
 """Edge-space models and perversity-indexed intersection cohomology.
 
 A simple edge space is presented by finite rational cochain complexes
-for the link F, the singular stratum B, the boundary Y of the tube
-(identified with B ⊗ F), and the regular part M, together with the
-restriction map M -> Y.  Intersection cohomology for a perversity p is
-computed at chain level from the total complex of the cover {M, tube}:
+for the link F and the singular stratum B, and a restriction map
+ρ: M -> Y from the regular part M to the boundary Y = B ⊗ F of the
+tube; the map carries M as its source and Y as its target.  Every model
+is a product model: the tube is a bundle of truncated cones over B whose
+boundary is the product complex Y.  Intersection cohomology for a
+perversity p is computed at chain level from the total complex of the
+cover {M, tube}:
 
     Tot^s = M^s ⊕ T^s ⊕ Y^(s-1),   D(m, t, y) = (dm, dt, ρm - ιt - dy)
 
@@ -42,10 +45,9 @@ are reduced once each, and those reductions count the Betti numbers too.
 
 Why the answers agree: let Tot_1(c) be the total complex of M,
 B' ⊗ τ_{<=c}F', Y' with restriction (p_B ⊗ p_F) ∘ ρ.  Because
-Y = B ⊗ F at chain level (``validate`` checks a Y read from a file, and
-a file may leave Y out to have it built so), p_B ⊗ p_F is a
-chain map Y -> Y', and it carries the tube inclusion id_B ⊗ incl to
-id_B' ⊗ incl'.  So
+Y = B ⊗ F at chain level (``validate`` checks it with
+``cochain.is_tensor``), p_B ⊗ p_F is a chain map Y -> Y', and it
+carries the tube inclusion id_B ⊗ incl to id_B' ⊗ incl'.  So
 
     (id_M, p_B ⊗ τp_F, p_B ⊗ p_F): Tot(c) -> Tot_1(c)
     (i_M, id, id):                  Tot'(c) -> Tot_1(c)
@@ -231,34 +233,26 @@ class RankTable:
 
 
 class EdgeSpaceModel:
-    """Finite presentation of a space with one simple edge stratum.
-
-    ``Y`` must be the product complex tensor(B, F) (built-ins always
-    are); a model without this bigrading cannot feed the truncated-tube
-    machinery and is rejected by the perversity engine.  A caller that
-    built ``Y`` as tensor(B, F) says so with ``y_from_factors``, and
-    ``validate`` then takes Y as the product without rebuilding it.
+    """Finite presentation of a space with one simple edge stratum: the
+    link F, the stratum B and the restriction ρ: M -> Y, whose source is
+    the regular part ``M`` and whose target ``Y`` must be the product
+    complex tensor(B, F).  ``validate`` checks Y with ``is_tensor``, which
+    answers at once when ``tensor`` built Y from these B and F.
     """
 
     def __init__(self, name: str, n: int, b: int, f: int,
                  F: CochainComplex, B: CochainComplex,
-                 M: CochainComplex, Y: CochainComplex,
-                 restriction: ComplexMap,
-                 product_bigrading: bool = True,
-                 description: str = "",
-                 y_from_factors: bool = False):
+                 restriction: ComplexMap, description: str = ""):
         self.name = name
         self.n = n
         self.b = b
         self.f = f
         self.F = F
         self.B = B
-        self.M = M
-        self.Y = Y
+        self.M = restriction.source
+        self.Y = restriction.target
         self.restriction = restriction
-        self.product_bigrading = product_bigrading
         self.description = description
-        self._y_from_factors = product_bigrading and y_from_factors
         self._ftrunc_cache: dict[int, tuple[CochainComplex, ComplexMap]] = {}
         self._tube_cache: dict[int, tuple[CochainComplex, ComplexMap]] = {}
         self._tot_cache: dict[int, CochainComplex] = {}
@@ -286,17 +280,12 @@ class EdgeSpaceModel:
         # the tube inclusion id_B ⊗ incl and the minimal model both read Y
         # in the basis of tensor(B, F), which has d∘d = 0 once B and F do;
         # a Y read from a file is compared with it row by row, unbuilt
-        y_product = self._y_from_factors or (
-            self.product_bigrading and is_tensor(self.Y, self.B, self.F))
+        y_product = is_tensor(self.Y, self.B, self.F)
         if not y_product and not self.Y.verify():
             raise ModelInvariantError(f"{self.name}: a complex fails d∘d = 0")
-        if self.restriction.source is not self.M and self.restriction.source != self.M:
-            raise ModelInvariantError(f"{self.name}: restriction source is not M")
-        if self.restriction.target is not self.Y and self.restriction.target != self.Y:
-            raise ModelInvariantError(f"{self.name}: restriction target is not Y")
         if not self.restriction.commutes():
             raise ModelInvariantError(f"{self.name}: restriction is not a chain map")
-        if self.product_bigrading and not y_product:
+        if not y_product:
             raise ModelInvariantError(
                 f"{self.name}: Y is not the product complex tensor(B, F)")
 
@@ -318,10 +307,6 @@ class EdgeSpaceModel:
 
     def truncated_tube(self, c: int) -> tuple[CochainComplex, ComplexMap]:
         """Tube complex B ⊗ τ_{<=c}F with its inclusion into Y."""
-        if not self.product_bigrading:
-            raise ModelInvariantError(
-                f"{self.name}: missing bigrading; cannot truncate the tube"
-            )
         if c not in self._tube_cache:
             tf, incl = self._truncated_fibre(c)
             if not tf.dims:
@@ -400,9 +385,6 @@ class EdgeSpaceModel:
         """(F', B', M', ρ'): the cohomology of F, B and M as complexes
         with zero differentials, and the matrices of
         ρ' = (p_B ⊗ p_F) ∘ ρ ∘ i_M from M'^k to (B' ⊗ F')^k."""
-        if not self.product_bigrading:
-            raise ModelInvariantError(
-                f"{self.name}: missing bigrading; cannot truncate the tube")
         p_b = cohomology_projection(self.B)
         p_f = cohomology_projection(self.F)
         i_m = cohomology_inclusion(self.M)
@@ -418,9 +400,6 @@ class EdgeSpaceModel:
         (``_projected_rows``) with M's reduction replayed on them
         (``Reduction.on_representatives``), so i_M is never formed."""
         if self._table is None:
-            if not self.product_bigrading:
-                raise ModelInvariantError(
-                    f"{self.name}: missing bigrading; cannot truncate the tube")
             p_b, p_f = cohomology_projection(self.B), cohomology_projection(self.F)
             b_h, f_h = p_b.target, p_f.target
             red = self.M.reduction()
@@ -455,9 +434,9 @@ class EdgeSpaceModel:
         if self._minimal is None:
             f_h, b_h, m_h, rho = self._minimal_restriction()
             y_h = tensor(b_h, f_h)
-            minimal = EdgeSpaceModel(self.name, self.n, self.b, self.f, f_h, b_h, m_h, y_h,
+            minimal = EdgeSpaceModel(self.name, self.n, self.b, self.f, f_h, b_h,
                                      ComplexMap(m_h, y_h, rho, check=False),
-                                     description=self.description, y_from_factors=True)
+                                     self.description)
             minimal._minimal = minimal
             self._minimal = minimal
         return self._minimal
@@ -507,19 +486,12 @@ def kunneth_convolution(b1, b2) -> tuple[int, ...]:
 def tube_ih(space: EdgeSpaceModel, p) -> tuple[int, ...]:
     """Intersection cohomology of the tube: Kunneth with the truncated cone.
 
-    dims[k] = sum over i+j=k, j <= f-1-p of betti(B)[i] * betti(F)[j].
+    dims[k] = sum over i+j=k, j <= f-1-p of betti(B)[i] * betti(F)[j],
+    which is t(k, -1) - t(k, c) of ``space.rank_table()`` at the cutoff c
+    of p: all rows of Y'^k less those in fibre degrees above c.
     """
-    if not space.product_bigrading:
-        raise ModelInvariantError(f"{space.name}: missing bigrading")
-    cutoff = cone_truncation_cutoff(space.f, p)
-    bb = space.B.cohomology_dims()
-    bf = space.F.cohomology_dims()
-    out = [0] * (space.n + 1)
-    for i, x in enumerate(bb):
-        for j, y in enumerate(bf):
-            if Fraction(j) <= cutoff and i + j <= space.n:
-                out[i + j] += x * y
-    return tuple(out)
+    c = space.effective_cutoff(p)
+    return tuple(rows[0] - rows[c + 1] for rows in space.rank_table().rows)
 
 
 def ih_dims(space: EdgeSpaceModel, p) -> tuple[int, ...]:
@@ -623,12 +595,9 @@ def _diagonal_map(base: CochainComplex, doubled: CochainComplex) -> ComplexMap:
 def _cone_model(name: str, fibre: CochainComplex, description: str) -> EdgeSpaceModel:
     """Truncated cone over the fibre: one point stratum, boundary at x=1."""
     b_cx = point_complex()
-    y = tensor(b_cx, fibre)
-    m = y
-    restriction = ComplexMap.identity(y)
+    restriction = ComplexMap.identity(tensor(b_cx, fibre))
     f = fibre.top_degree
-    return EdgeSpaceModel(name, f + 1, 0, f, fibre, b_cx, m, y, restriction,
-                          description=description, y_from_factors=True)
+    return EdgeSpaceModel(name, f + 1, 0, f, fibre, b_cx, restriction, description)
 
 
 def _closed_model(name: str, base: CochainComplex, fibre: CochainComplex,
@@ -636,17 +605,14 @@ def _closed_model(name: str, base: CochainComplex, fibre: CochainComplex,
     """Fibrewise suspension over the base: two copies of the stratum,
     closed total space, so Poincare duality applies."""
     b_cx = direct_sum(base, base)
-    y = tensor(b_cx, fibre)
-    m = tensor(base, fibre)
     restriction = ComplexMap(
-        m, y,
+        tensor(base, fibre), tensor(b_cx, fibre),
         tensor_map_blocks(_diagonal_map(base, b_cx), ComplexMap.identity(fibre)),
         check=False,
     )
     f = fibre.top_degree
     b = base.top_degree
-    return EdgeSpaceModel(name, b + f + 1, b, f, fibre, b_cx, m, y, restriction,
-                          description=description, y_from_factors=True)
+    return EdgeSpaceModel(name, b + f + 1, b, f, fibre, b_cx, restriction, description)
 
 
 _BUILDERS = {
@@ -700,9 +666,9 @@ def catalogue() -> list[dict]:
 
 
 def model_to_dict(space: EdgeSpaceModel) -> dict:
-    """The model record, with sparse matrices; a product model omits Y,
-    which ``model_from_dict`` rebuilds as tensor(B, F)."""
-    out = {
+    """The model record, with sparse matrices; it omits Y, which
+    ``model_from_dict`` rebuilds as tensor(B, F)."""
+    return {
         "name": space.name,
         "n": space.n,
         "b": space.b,
@@ -711,12 +677,9 @@ def model_to_dict(space: EdgeSpaceModel) -> dict:
         "B": complex_to_dict(space.B),
         "M": complex_to_dict(space.M),
         "restriction": map_to_dict(space.restriction),
-        "bigrading": "product" if space.product_bigrading else "none",
+        "bigrading": "product",
         "description": space.description,
     }
-    if not space.product_bigrading:
-        out["Y"] = complex_to_dict(space.Y)
-    return out
 
 
 def _field(data: dict, key: str, parse, *args):
@@ -730,9 +693,10 @@ def _field(data: dict, key: str, parse, *args):
 
 
 def model_from_dict(data: dict) -> EdgeSpaceModel:
-    """Parse a model record.  A product model may omit Y, which is then
-    built as tensor(B, F) once B and F pass d∘d = 0; a Y in the record
-    is checked against tensor(B, F) by ``EdgeSpaceModel.validate``."""
+    """Parse a model record.  A record may omit Y, which is then built as
+    tensor(B, F) once B and F pass d∘d = 0; a Y in the record is checked
+    against tensor(B, F) by ``EdgeSpaceModel.validate``.  A record with
+    ``"bigrading": "none"`` has no tube to truncate and is refused."""
     if not isinstance(data, dict):
         raise ModelFormatError("a model must be a key/value object")
     f_cx, b_cx, m_cx = (_field(data, k, complex_from_dict) for k in "FBM")
@@ -745,9 +709,9 @@ def model_from_dict(data: dict) -> EdgeSpaceModel:
     if bigrading not in ("product", "none"):
         raise ModelFormatError(
             f'bigrading must be "product" or "none", not {_brief(bigrading)}')
-    product = bigrading == "product"
-    derive_y = product and "Y" not in data
-    if derive_y:
+    if bigrading == "none":
+        raise ModelInvariantError(f"{name}: missing bigrading; cannot truncate the tube")
+    if "Y" not in data:
         if not (b_cx.verify() and f_cx.verify()):
             raise ModelInvariantError(f"{name}: a complex fails d∘d = 0")
         y_cx = tensor(b_cx, f_cx)
@@ -755,11 +719,4 @@ def model_from_dict(data: dict) -> EdgeSpaceModel:
         y_cx = _field(data, "Y", complex_from_dict)
     restriction = _field(data, "restriction", map_from_dict, m_cx, y_cx)
     n, b, f = (int_from_json(data.get(k), k) for k in "nbf")
-    return EdgeSpaceModel(
-        name,
-        n, b, f,
-        f_cx, b_cx, m_cx, y_cx, restriction,
-        product_bigrading=product,
-        description=description,
-        y_from_factors=derive_y,
-    )
+    return EdgeSpaceModel(name, n, b, f, f_cx, b_cx, restriction, description)

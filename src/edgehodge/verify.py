@@ -250,7 +250,7 @@ def stratified_checks(space_names=None) -> list[CheckResult]:
     detail = ""
     for sp in spaces:
         conv = kunneth_convolution(sp.B.cohomology_dims(), sp.F.cohomology_dims())
-        if sp.product_bigrading and tuple(conv) != tuple(sp.Y.cohomology_dims()):
+        if tuple(conv) != tuple(sp.Y.cohomology_dims()):
             ok = False
             detail = sp.name
     out.append(_result("stratified", "y-kunneth", ok, detail))

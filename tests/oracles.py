@@ -97,6 +97,6 @@ def dense_model_dict(space) -> dict:
         "M": cx(space.M),
         "Y": cx(space.Y),
         "restriction": {"maps": [dense_lists(m) for m in space.restriction.maps]},
-        "bigrading": "product" if space.product_bigrading else "none",
+        "bigrading": "product",
         "description": space.description,
     }

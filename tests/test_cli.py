@@ -267,6 +267,30 @@ def test_spectral_command_scans_the_window_once(monkeypatch, capsys):
     assert "essentially self-adjoint: yes" in capsys.readouterr().out
 
 
+def test_run_reduces_three_complexes_per_space(monkeypatch):
+    # M and the transposes of B and F for each of the four spaces: the rank
+    # table is built before F's Betti numbers are read, so those come from
+    # F's transpose and F itself is never reduced
+    from edgehodge import cochain
+
+    reduced = []
+    inner = cochain.reduce_complex
+
+    def counting(c):
+        reduced.append(c)
+        return inner(c)
+    monkeypatch.setattr(cochain, "reduce_complex", counting)
+    run(RunConfig(REPORT_CONFIG))
+    assert len(reduced) == 12
+
+
+def test_verify_all_bytes_are_frozen(capsys):
+    # the text table of every check; a refactor leaves it byte-identical
+    want = (Path(__file__).parent / "data" / "verify_all.txt").read_text()
+    assert main(["verify", "--all"]) == 0
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize("render, name", [(render_report, "report_config.txt"),
                                           (report_to_json, "report_config.json")])
 def test_run_report_bytes_are_frozen(render, name):
@@ -517,6 +541,24 @@ def test_non_product_y_rejected_at_load(tmp_path, capsys, perversity):
     assert captured.out == ""
     assert captured.err == ("model invariant violated: cone-circle: "
                             "Y is not the product complex tensor(B, F)\n")
+
+
+@pytest.mark.parametrize("argv", [["ih", "--perversity", "0"], ["weights", "--a", "0"],
+                                  ["complete"]], ids=["ih", "weights", "complete"])
+@pytest.mark.parametrize("with_y", [True, False], ids=["dense-with-y", "sparse"])
+def test_unbigraded_model_rejected_at_load(tmp_path, capsys, argv, with_y):
+    # a model without the product bigrading has no tube to truncate, so
+    # every query on it ends at load, whether or not the record carries Y
+    space = builtin_space("cone-torus")
+    data = dense_model_dict(space) if with_y else model_to_dict(space)
+    data["bigrading"] = "none"
+    path = tmp_path / "none.json"
+    path.write_text(json.dumps(data))
+    assert main([argv[0], "--file", str(path), *argv[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("model invariant violated: cone-torus: "
+                            "missing bigrading; cannot truncate the tube\n")
 
 
 def test_restriction_not_a_chain_map_rejected_at_load(tmp_path, capsys):

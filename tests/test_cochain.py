@@ -8,6 +8,7 @@ from edgehodge.cochain import (
     CochainComplex,
     ComplexMap,
     QMatrix,
+    ZERO_COMPLEX,
     block_matrix,
     cohomology_dims,
     cohomology_inclusion,
@@ -16,6 +17,7 @@ from edgehodge.cochain import (
     complex_to_dict,
     direct_sum,
     induced_map_rank,
+    is_tensor,
     kernel_basis,
     mapping_cone,
     tensor,
@@ -244,6 +246,45 @@ def test_tensor_matches_kronecker_block_assembly():
             # the same entry order too, so eliminations pivot alike
             assert [[list(r.items()) for r in m.sparse_rows] for m in got.d] == \
                 [[list(r.items()) for r in m.sparse_rows] for m in want.d]
+
+
+def _count_row_walks(monkeypatch) -> list:
+    from edgehodge import cochain
+
+    walked = []
+    inner = cochain._tensor_row_groups
+
+    def counting(*args):
+        walked.append(args[-1])
+        return inner(*args)
+    monkeypatch.setattr(cochain, "_tensor_row_groups", counting)
+    return walked
+
+
+def test_is_tensor_reads_no_row_of_a_product_built_from_the_same_factors(monkeypatch):
+    b, f = circle_complex(), torus_complex()
+    y = tensor(b, f)
+    walked = _count_row_walks(monkeypatch)
+    assert is_tensor(y, b, f)
+    assert walked == []
+    # equal factors that are other objects are compared row by row
+    assert is_tensor(y, circle_complex(), f)
+    assert walked
+    # the shared zero complex records no factors
+    assert tensor(ZERO_COMPLEX, f) is ZERO_COMPLEX and is_tensor(ZERO_COMPLEX, b, f) is False
+
+
+def test_is_tensor_walks_the_rows_of_a_parsed_complex(monkeypatch):
+    b, f = point_complex(), circle_complex()
+    y = tensor(b, f)
+    parsed = complex_from_dict(json.loads(json.dumps(complex_to_dict(y))))
+    walked = _count_row_walks(monkeypatch)
+    assert is_tensor(parsed, b, f)
+    assert walked
+    # negate the degree-0 basis vector: still a complex, but not B ⊗ F
+    d0 = [[-row[0], *row[1:]] for row in parsed.d[0].entries]
+    twisted = CochainComplex(parsed.dims, [QMatrix(len(d0), parsed.dims[0], d0)])
+    assert twisted.verify() and not is_tensor(twisted, b, f)
 
 
 def test_euler_characteristic_identity():
