@@ -2,9 +2,8 @@
 
 The CLI maps these onto exit codes: ConfigError (including
 ModelFormatError) -> 2, model invariant violations -> 3, verification
-failures -> 4.  The closed-form fibre spectra count their zero modes
-exactly and raise none of these; of the fibre layer, only the dense
-eigensolve oracle can fail (EigensolverError).
+failures -> 4.  The fibre layer raises none of these: its spectra come
+in closed form, with their zero modes counted exactly.
 """
 
 
@@ -42,10 +41,6 @@ class ModelFormatError(ConfigError):
 
 class VerificationFailure(EdgeHodgeError):
     """An executable invariant suite reported a failing check."""
-
-
-class EigensolverError(EdgeHodgeError):
-    """Eigensolve did not meet its residual contract."""
 
 
 class QuadratureError(EdgeHodgeError):

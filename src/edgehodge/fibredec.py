@@ -14,14 +14,13 @@ degree q each such sum occurs C(k, q) times (once for each choice of
 the q factors whose mode sits in degree 1).  The only zero sum is the
 one of all zero modes, so degree q has exactly C(k, q) zero modes, the
 Betti numbers of the k-torus, with no tolerance involved.
-``spectrum_for_predicates`` builds the spectrum that way.  The dense
-path (``laplacian_matrix``, ``fibre_spectrum``) solves the symmetrized
-form W^{1/2} Δ W^{-1/2}, which is symmetric positive semidefinite, and
-counts harmonic modes below a tolerance; it is the oracle for the
-closed form and for the mesh-convergence checks.  The metric weights W
-are numpy arrays and the product cochain complex (``tensor`` folded
-over the circles) is built on first use, for that oracle, ``verify``
-and the tests only; the closed form needs neither.
+``spectrum_for_predicates`` builds the spectrum that way.  The circle's
+own modes rest on ``certify_circle_spectrum``, which checks in integers
+that dᵀd of the n-cycle has the eigenvalues 4 sin²(πm/n).
+``laplacian_matrix`` is the symmetrized form W^{1/2} Δ W^{-1/2} as
+dense float rows, for ``verify`` and the tests; the metric weights W
+and the product cochain complex (``tensor`` folded over the circles)
+are built on first use, and the closed form needs neither.
 """
 
 from __future__ import annotations
@@ -32,11 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from edgehodge.cochain import CochainComplex, QMatrix, tensor
-from edgehodge.errors import EigensolverError
 from edgehodge.spectral import FibreSpectrum
-
-RESIDUAL_TOL = 1e-9
-ZERO_MODE_TOL = 1e-8
 
 
 @dataclass
@@ -58,31 +53,17 @@ class DiscreteFibre:
         return len(self.sizes)
 
     @cached_property
-    def weights(self) -> tuple:
-        """Per-degree diagonal inner products (numpy arrays): tensor products
-        of the circle factors' weights, in the blocks of ``tensor``."""
-        import numpy as np
-        weights = [np.ones(1)]
+    def weights(self) -> tuple[tuple[float, ...], ...]:
+        """Per-degree diagonal inner products: tensor products of the
+        circle factors' weights, in the blocks of ``tensor``."""
+        weights = [(1.0,)]
         for n, length in zip(self.sizes, self.lengths):
             h = length / n
-            circle = (np.full(n, h), np.full(n, 1.0 / h))
-            weights = [np.concatenate([np.kron(weights[i], circle[q - i])
-                                       for i in (q - 1, q) if 0 <= i < len(weights)])
+            circle = ((h,) * n, (1.0 / h,) * n)
+            weights = [tuple(x * y for i in (q - 1, q) if 0 <= i < len(weights)
+                             for x in weights[i] for y in circle[q - i])
                        for q in range(len(weights) + 1)]
         return tuple(weights)
-
-    def d_dense(self, q: int):
-        import numpy as np
-        mat = self.complex.d_at(q)
-        out = np.zeros((mat.rows, mat.cols))
-        for i, row in enumerate(mat.sparse_rows):
-            for j, v in row.items():
-                out[i, j] = v
-        return out
-
-    def weight(self, q: int):
-        import numpy as np
-        return self.weights[q] if 0 <= q <= self.top_degree else np.zeros(0)
 
 
 def _circle_complex(n: int) -> CochainComplex:
@@ -142,69 +123,57 @@ def build_fibre(kind: str, sizes, scale=None) -> DiscreteFibre:
     raise ValueError(f"unknown fibre kind {kind!r}")
 
 
-def laplacian_matrix(fibre: DiscreteFibre, q: int):
-    """Symmetrized weighted Hodge Laplacian in degree q, a numpy array."""
-    import numpy as np
+def laplacian_matrix(fibre: DiscreteFibre, q: int) -> list[list[float]]:
+    """Symmetrized weighted Hodge Laplacian in degree q, as dense float
+    rows: the sum over the rows e of d_q of w_(q+1)[e] a aᵀ, with
+    a = W_q^(-1/2) d_q[e], and over the columns v of d_(q-1) of b bᵀ,
+    with b = W_q^(1/2) d_(q-1)[:, v] / w_(q-1)[v]^(1/2).  Each product
+    is added to (i, j) and (j, i) alike, so the matrix is exactly
+    symmetric."""
     if not (0 <= q <= fibre.top_degree):
         raise ValueError("degree out of range")
-    n = fibre.dim(q)
-    w = fibre.weight(q)
-    s = np.zeros((n, n))
-    wq_isqrt = 1.0 / np.sqrt(w)
-    wq_sqrt = np.sqrt(w)
-    d_up = fibre.d_dense(q)
-    if d_up.shape[0]:
-        a = d_up * wq_isqrt[None, :]
-        s += a.T @ (fibre.weight(q + 1)[:, None] * a)
-    d_dn = fibre.d_dense(q - 1)
-    if d_dn.shape[1]:
-        b = (wq_sqrt[:, None] * d_dn) / np.sqrt(fibre.weight(q - 1))[None, :]
-        s += b @ b.T
+    w = fibre.weights
+    s = [[0.0] * fibre.dim(q) for _ in range(fibre.dim(q))]
+
+    def add_outer(vec, factor):
+        for i, x in vec:
+            row = s[i]
+            for j, y in vec:
+                row[j] += x * y * factor
+
+    isqrt = [1.0 / math.sqrt(x) for x in w[q]]
+    for e, row in enumerate(fibre.complex.d_at(q).sparse_rows):
+        add_outer([(j, v * isqrt[j]) for j, v in row.items()], w[q + 1][e])
+    sqrt = [math.sqrt(x) for x in w[q]]
+    for v, col in enumerate(fibre.complex.d_at(q - 1).transpose().sparse_rows):
+        root = math.sqrt(w[q - 1][v])
+        add_outer([(i, sqrt[i] * x / root) for i, x in col.items()], 1.0)
     return s
 
 
-@dataclass
-class SpectrumResult:
-    degree: int
-    eigenvalues: tuple[float, ...]
-    harmonic_dim: int
-    residual_max: float
+def certify_circle_spectrum(dtd: QMatrix) -> bool:
+    """True iff the n x n matrix ``dtd`` has the eigenvalues
+    4 sin²(πm/n), m = 0..n-1, of dᵀd on the n-cycle, decided exactly.
 
-
-def _solve_degree(fibre: DiscreteFibre, q: int, check_count: int,
-                  tol: float) -> tuple:
-    """Full ascending spectrum plus (norm, zero count, max residual)."""
-    import numpy as np
-    s = laplacian_matrix(fibre, q)
-    vals, vecs = np.linalg.eigh(s)
-    n = fibre.dim(q)
-    norm = max(abs(vals[0]), abs(vals[-1])) if n else 0.0
-    res = 0.0
-    for i in range(min(check_count, n)):
-        r = np.linalg.norm(s @ vecs[:, i] - vals[i] * vecs[:, i])
-        res = max(res, r)
-    if n and res > RESIDUAL_TOL * max(norm, 1.0):
-        raise EigensolverError(
-            f"residual {res:.3e} exceeds contract in degree {q}"
-        )
-    zeros = int(np.sum(vals < tol * max(norm, 1.0))) if n else 0
-    return vals, norm, zeros, res
-
-
-def fibre_spectrum(fibre: DiscreteFibre, q: int, count: int,
-                   tol: float = ZERO_MODE_TOL) -> SpectrumResult:
-    """Lowest ``count`` eigenvalues of the degree-q weighted Laplacian.
-
-    The eigensolve must meet the residual contract
-    ||A v - lambda v|| <= 1e-9 ||A|| for every reported pair; failure
-    raises rather than silently truncating.
+    On the n-cycle dᵀd is the circulant 2 - P - P⁻¹ in the cyclic shift
+    P, with (2 - z - 1/z)^j = Σ_t (-1)^t C(2j, j+t) z^t, and tr(P^t) is
+    n when n divides t and 0 otherwise.  So its power sums are
+    tr((dᵀd)^j) = n Σ_(t ≡ 0 mod n) (-1)^t C(2j, j+t); the traces of the
+    powers of ``dtd`` are compared with these for j = 1..n, and by
+    Newton's identities the first n power sums fix the characteristic
+    polynomial.
     """
-    n = fibre.dim(q)
-    if count > n:
-        raise ValueError(f"requested {count} eigenvalues of a {n}-dim space")
-    vals, _norm, zeros, res = _solve_degree(fibre, q, count, tol)
-    return SpectrumResult(q, tuple(float(v) for v in vals[:count]),
-                          zeros, float(res))
+    n = dtd.rows
+    if dtd.cols != n:
+        return False
+    power = QMatrix.identity(n)
+    for j in range(1, n + 1):
+        power = power @ dtd
+        want = n * sum((-1) ** abs(t) * math.comb(2 * j, j + t)
+                       for t in range(-(j // n) * n, j + 1, n))
+        if sum(row.get(i, 0) for i, row in enumerate(power.sparse_rows)) != want:
+            return False
+    return True
 
 
 def spectrum_for_predicates(fibre: DiscreteFibre, count: int = 8) -> FibreSpectrum:

@@ -191,18 +191,29 @@ class PolyRadialForm:
         )
 
     def sample(self, xs):
-        """(|alpha|, |beta|) Euclidean coefficient norms on the grid (numpy)."""
-        import numpy as np
-        xs = np.asarray(xs, dtype=float)
-        na = self.fibre.dim(self.degree)
-        nb = self.fibre.dim(self.degree - 1)
-        avals = np.zeros((len(xs), na))
-        for m, v in self.alpha.items():
-            avals += np.outer(xs ** m, [float(c) for c in v])
-        bvals = np.zeros((len(xs), nb))
-        for m, v in self.beta.items():
-            bvals += np.outer(xs ** m, [float(c) for c in v])
-        return np.linalg.norm(avals, axis=1), np.linalg.norm(bvals, axis=1)
+        """(|alpha|, |beta|) Euclidean coefficient norms on the grid, as
+        lists: |Σ x^m v_m|² = Σ x^(m+m') <v_m, v_m'>, with the Gram
+        coefficients summed exactly and the sum taken by Horner's rule."""
+        xs = [float(x) for x in xs]
+        return _sample_norms(self.alpha, xs), _sample_norms(self.beta, xs)
+
+
+def _sample_norms(coeffs: dict[int, tuple[Fraction, ...]], xs: list[float]) -> list[float]:
+    if not coeffs:
+        return [0.0] * len(xs)
+    gram: dict[int, Fraction] = {}
+    for m, v in coeffs.items():
+        for m2, v2 in coeffs.items():
+            gram[m + m2] = gram.get(m + m2, 0) + sum(a * b for a, b in zip(v, v2))
+    lo, hi = min(gram), max(gram)
+    desc = [float(gram.get(p, 0)) for p in range(hi, lo - 1, -1)]
+    out = []
+    for x in xs:
+        acc = 0.0
+        for g in desc:
+            acc = acc * x + g
+        out.append(math.sqrt(max(acc * x ** lo, 0.0)))
+    return out
 
 
 def radial_pullback(fibre: CochainComplex, k: int, coeffs) -> PolyRadialForm:
@@ -350,7 +361,7 @@ class _LogGrid:
 
     def points(self, lo: int, hi: int) -> list[float]:
         """The grid points lo, ..., hi - 1."""
-        # np.logspace(start, 0, n + 1): the same linspace, with its end exact
+        # 10 ** linspace(start, 0, n + 1), with its end exact
         start, step, n = self.start, self.step, self.n
         return [10.0 ** (i * step + start) if i < n else 1.0 for i in range(lo, hi)]
 
@@ -408,27 +419,27 @@ def homotopy_K_profile(profile: ConeModeProfile, c: float) -> ConeModeProfile:
     the quadrature: a relative discrepancy above 1e-6 raises, which is
     what an under-resolved grid produces.
     """
-    import numpy as np
-    xs = np.asarray(profile.xs)
-    ts = np.asarray(profile.t_samples)
+    xs, ts = profile.xs, profile.t_samples
     if not (xs[0] < c < xs[-1]):
         raise ValueError("c must lie inside the sampled grid")
-    seg = 0.5 * (ts[1:] + ts[:-1]) * np.diff(xs)
-    anti = np.concatenate(([0.0], np.cumsum(seg)))
-    anti_c = float(np.interp(c, xs, anti))
-    fine = anti - anti_c
-    coarse_anti = np.zeros_like(anti)
-    seg2 = 0.5 * (ts[2::2] + ts[:-2:2]) * (xs[2::2] - xs[:-2:2])
-    coarse_anti[2::2] = np.cumsum(seg2)
-    scale = float(np.max(np.abs(fine))) or 1.0
-    err = float(np.max(np.abs(anti[2::2] - coarse_anti[2::2]))) / scale
+    anti = [0.0]
+    for i in range(1, len(xs)):
+        anti.append(anti[-1] + 0.5 * (ts[i] + ts[i - 1]) * (xs[i] - xs[i - 1]))
+    i = bisect.bisect_right(xs, c) - 1
+    anti_c = (anti[i + 1] - anti[i]) / (xs[i + 1] - xs[i]) * (c - xs[i]) + anti[i]
+    fine = [v - anti_c for v in anti]
+    coarse = err = 0.0
+    for i in range(2, len(xs), 2):
+        coarse += 0.5 * (ts[i] + ts[i - 2]) * (xs[i] - xs[i - 2])
+        err = max(err, abs(anti[i] - coarse))
+    err /= max(map(abs, fine)) or 1.0
     if err > 1e-6:
         raise QuadratureError(
             f"trapezoid/half-grid discrepancy {err:.2e}; grid under-resolved"
         )
     return ConeModeProfile(
-        profile.degree - 1, profile.lam2, tuple(float(x) for x in xs),
-        tuple(float(v) for v in fine), tuple(0.0 for _ in xs),
+        profile.degree - 1, profile.lam2, tuple(map(float, xs)),
+        tuple(fine), tuple(0.0 for _ in xs),
     )
 
 

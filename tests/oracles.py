@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own elimination kernel: ranks
 come from sympy's rational row reduction, spectra from the analytic
-closed forms, so a bug in the production path cannot hide itself.
+closed forms and from a dense numpy eigensolve of the fibre Laplacian,
+so a bug in the production path cannot hide itself.
 ``dense_model_dict`` writes model files in the older dense form, which
 the loader still reads and some fixtures edit entry by entry.
 """
@@ -10,9 +11,13 @@ the loader still reads and some fixtures edit entry by entry.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import sympy
+
+RESIDUAL_TOL = 1e-9
 
 
 def sympy_cohomology(cx) -> tuple[int, ...]:
@@ -100,3 +105,84 @@ def dense_model_dict(space) -> dict:
         "bigrading": "product",
         "description": space.description,
     }
+
+
+def _d_dense(fibre, q: int):
+    mat = fibre.complex.d_at(q)
+    out = np.zeros((mat.rows, mat.cols))
+    for i, row in enumerate(mat.sparse_rows):
+        for j, v in row.items():
+            out[i, j] = v
+    return out
+
+
+def _weight(fibre, q: int):
+    return np.asarray(fibre.weights[q]) if 0 <= q <= fibre.top_degree else np.zeros(0)
+
+
+def laplacian_matrix(fibre, q: int):
+    """Symmetrized weighted Hodge Laplacian in degree q, a numpy array."""
+    if not (0 <= q <= fibre.top_degree):
+        raise ValueError("degree out of range")
+    n = fibre.dim(q)
+    w = _weight(fibre, q)
+    s = np.zeros((n, n))
+    wq_isqrt = 1.0 / np.sqrt(w)
+    wq_sqrt = np.sqrt(w)
+    d_up = _d_dense(fibre, q)
+    if d_up.shape[0]:
+        a = d_up * wq_isqrt[None, :]
+        s += a.T @ (_weight(fibre, q + 1)[:, None] * a)
+    d_dn = _d_dense(fibre, q - 1)
+    if d_dn.shape[1]:
+        b = (wq_sqrt[:, None] * d_dn) / np.sqrt(_weight(fibre, q - 1))[None, :]
+        s += b @ b.T
+    return s
+
+
+class EigensolverError(Exception):
+    """Eigensolve did not meet its residual contract."""
+
+
+@dataclass
+class SpectrumResult:
+    degree: int
+    eigenvalues: tuple[float, ...]
+    harmonic_dim: int
+    residual_max: float
+
+
+def _solve_degree(fibre, q: int, check_count: int) -> tuple:
+    """Full ascending spectrum plus (norm, zero count, max residual).
+
+    A zero mode is an eigenvalue below dim · machine-eps · norm, the
+    eigensolver's own error bound."""
+    s = laplacian_matrix(fibre, q)
+    vals, vecs = np.linalg.eigh(s)
+    n = fibre.dim(q)
+    norm = max(abs(vals[0]), abs(vals[-1])) if n else 0.0
+    res = 0.0
+    for i in range(min(check_count, n)):
+        r = np.linalg.norm(s @ vecs[:, i] - vals[i] * vecs[:, i])
+        res = max(res, r)
+    if n and res > RESIDUAL_TOL * max(norm, 1.0):
+        raise EigensolverError(
+            f"residual {res:.3e} exceeds contract in degree {q}"
+        )
+    zeros = int(np.sum(vals < n * np.finfo(float).eps * norm)) if n else 0
+    return vals, norm, zeros, res
+
+
+def fibre_spectrum(fibre, q: int, count: int) -> SpectrumResult:
+    """Lowest ``count`` eigenvalues of the degree-q weighted Laplacian.
+
+    The eigensolve must meet the residual contract
+    ||A v - lambda v|| <= 1e-9 ||A|| for every reported pair; failure
+    raises rather than silently truncating.
+    """
+    n = fibre.dim(q)
+    if count > n:
+        raise ValueError(f"requested {count} eigenvalues of a {n}-dim space")
+    vals, _norm, zeros, res = _solve_degree(fibre, q, count)
+    return SpectrumResult(q, tuple(float(v) for v in vals[:count]),
+                          zeros, float(res))

@@ -692,7 +692,7 @@ def test_run_with_x0_not_a_power_of_ten_has_no_error_modes():
 
 
 def _cli_subprocess(*argv, module="edgehodge.cli"):
-    """Run ``python -m edgehodge.cli`` in a fresh interpreter, so numpy
+    """Run ``python -m edgehodge.cli`` in a fresh interpreter, so
     warnings written to stderr are seen as a user sees them."""
     src = str(Path(edgehodge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

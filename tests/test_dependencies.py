@@ -1,7 +1,6 @@
-"""numpy is the only runtime dependency: the package imports and
-``verify --all`` passes in an interpreter where scipy cannot be found,
-and every command that does not use the dense fibre oracle runs without
-loading numpy."""
+"""The package has no runtime dependency: it imports and every command
+runs in an interpreter where numpy or scipy cannot be found, and
+``verify --all`` prints its frozen table there."""
 
 import math
 import os
@@ -14,16 +13,26 @@ import pytest
 import edgehodge
 from edgehodge.radial import log_grid
 
-BLOCK_SCIPY = """
-import runpy, sys
+# run with the name of the module to block as its first argument
+BLOCKER = """
+import sys
 
-class BlockScipy:
+BLOCKED = sys.argv[1]
+
+
+class Block:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
+        if name == BLOCKED or name.startswith(BLOCKED + "."):
             raise ImportError(f"{name} is blocked")
         return None
 
-sys.meta_path.insert(0, BlockScipy())
+
+sys.meta_path.insert(0, Block())
+"""
+
+BLOCK_SCIPY = BLOCKER + """
+import runpy
+
 import edgehodge.cli
 assert "scipy" not in sys.modules, "importing edgehodge.cli loaded scipy"
 sys.argv = ["edgehodge", "verify", "--all"]
@@ -31,44 +40,56 @@ runpy.run_module("edgehodge.cli", run_name="__main__")
 """
 
 
-def test_runs_without_scipy():
+def _run_blocked(script: str, *args: str) -> subprocess.CompletedProcess:
     src = str(Path(edgehodge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", BLOCK_SCIPY], capture_output=True,
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
                           text=True, env=env, timeout=300)
+
+
+def test_runs_without_scipy():
+    proc = _run_blocked(BLOCK_SCIPY, "scipy")
     assert proc.returncode == 0, proc.stderr
 
 
-NO_NUMPY = """
-import json, sys, tempfile
+BLOCK_NUMPY = BLOCKER + """
+import contextlib, io, json, tempfile
 from pathlib import Path
+
 from edgehodge.cli import main
 
-assert "numpy" not in sys.modules, "importing edgehodge.cli loaded numpy"
-config = Path(tempfile.mkdtemp()) / "run.json"
+tmp = Path(tempfile.mkdtemp())
+config = tmp / "run.json"
 config.write_text(json.dumps({"spaces": ["cone-torus", "edge-torus-over-circle"],
-                              "weights": ["-1/2", "0", "1/2"],
-                              "fibre_grid": [16, 16], "suites": False}))
-for argv in (["ih", "--space", "cone-torus", "--perversity", "mbar"],
-             ["weights", "--space", "susp-torus", "--a", "0", "--a", "1/2"],
-             ["complete", "--space", "edge-circle-over-circle"],
-             ["spectral", "--f", "2", "--a", "0"],
-             ["fibre-spec", "--kind", "torus", "--sizes", "16,16"],
-             ["cone-lab", "--a", "0", "--mode", "0,1"],
-             ["run", "--config", str(config)]):
-    assert main(argv) == 0, argv
-    assert "numpy" not in sys.modules, f"{argv[0]} loaded numpy"
+                              "weights": ["0", "1/2"], "fibre_grid": [8, 8],
+                              "suites": True}))
+
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0, argv
+    return out.getvalue()
+
+
+run("list")
+run("ih", "--space", "cone-torus", "--perversity", "mbar")
+run("weights", "--space", "susp-torus", "--a", "0", "--a", "1/2")
+run("spectral", "--f", "2", "--a", "0", "--fibre-kind", "torus", "--sizes", "16,16")
+run("fibre-spec", "--kind", "circle", "--sizes", "64", "--csv", str(tmp / "spec.csv"))
+run("cone-lab", "--a", "0", "--betti", "1,2,1", "--mode", "0,0", "--mode", "1,1")
+run("complete", "--space", "edge-torus-over-circle")
+assert run("verify", "--all") == Path(sys.argv[2]).read_text()
+json.loads(run("verify", "--all", "--json"))
+json.loads(run("run", "--config", str(config), "--json"))
+assert "numpy" not in sys.modules
 """
 
 
-def test_commands_without_suites_load_no_numpy():
-    # numpy is for the dense fibre oracle (verify, run suites) only
-    src = str(Path(edgehodge.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", NO_NUMPY], capture_output=True,
-                          text=True, env=env, timeout=300)
+def test_every_command_runs_without_numpy():
+    frozen = Path(__file__).parent / "data" / "verify_all.txt"
+    proc = _run_blocked(BLOCK_NUMPY, "numpy", str(frozen))
     assert proc.returncode == 0, proc.stderr
 
 

@@ -4,16 +4,17 @@ import time
 import numpy as np
 import pytest
 
+from edgehodge import fibredec
+from edgehodge.cochain import QMatrix
 from edgehodge.fibredec import (
     build_fibre,
+    certify_circle_spectrum,
     circle_mode_eigenvalue,
     export_spectrum_csv,
-    fibre_spectrum,
-    laplacian_matrix,
     spectrum_for_predicates,
 )
 
-from oracles import circle_discrete_eigenvalue
+from oracles import circle_discrete_eigenvalue, fibre_spectrum, laplacian_matrix
 
 
 def test_build_circle_cell_counts():
@@ -32,7 +33,7 @@ def test_torus_equals_product_of_circles():
     t = build_fibre("torus", (8, 6))
     p = build_fibre("product", (8, 6))
     assert t.complex == p.complex
-    assert all((a == b).all() for a, b in zip(t.weights, p.weights))
+    assert t.weights == p.weights
 
 
 def test_degenerate_sizes_rejected():
@@ -62,9 +63,25 @@ def test_circle_mesh_convergence_rate():
 
 def test_torus_one_form_harmonics():
     fib = build_fibre("torus", (8, 8))
-    res = fibre_spectrum(fib, 1, 4, tol=1e-8)
+    res = fibre_spectrum(fib, 1, 4)
     assert res.harmonic_dim == 2
     assert res.eigenvalues[0] < 1e-12 and res.eigenvalues[1] < 1e-12
+
+
+@pytest.mark.parametrize("kind, sizes, scale", [
+    ("circle", 3, None),
+    ("circle", 64, 2 * math.pi),
+    ("torus", (8, 8), None),
+    ("torus", (16, 16), None),
+    ("torus", (6, 8), (2.0, 5.5)),
+    # lowest nonzero mode 0.26 against a norm near 3.7e7
+    ("torus", (8, 8), (0.001, 12.0)),
+    ("product", (4, 5, 6), None),
+], ids=lambda v: str(v))
+def test_dense_oracle_harmonic_dims_are_betti_numbers(kind, sizes, scale):
+    fib = build_fibre(kind, sizes, scale)
+    dims = tuple(fibre_spectrum(fib, q, 1).harmonic_dim for q in range(fib.top_degree + 1))
+    assert dims == tuple(math.comb(fib.top_degree, q) for q in range(fib.top_degree + 1))
 
 
 def test_constants_harmonic_any_fibre():
@@ -99,6 +116,61 @@ def test_laplacian_symmetric_and_psd():
         assert np.max(np.abs(s - s.T)) <= 1e-15 * max(1.0, np.max(np.abs(s)))
         vals = np.linalg.eigvalsh(s)
         assert vals[0] > -1e-10
+
+
+@pytest.mark.parametrize("kind, sizes, scale", [
+    ("circle", 3, None),
+    ("circle", 12, 1.5),
+    ("circle", 16, math.pi),
+    ("torus", (6, 8), (2.0, 5.5)),
+    ("torus", (8, 8), (0.001, 12.0)),
+    ("product", (4, 5, 6), (1.0, 2.5, 3.0)),
+], ids=lambda v: str(v))
+def test_package_laplacian_matches_dense_reference(kind, sizes, scale):
+    fib = build_fibre(kind, sizes, scale)
+    for q in range(fib.top_degree + 1):
+        s = fibredec.laplacian_matrix(fib, q)
+        assert all(list(col) == row for row, col in zip(s, zip(*s))), q
+        want = laplacian_matrix(fib, q)
+        assert np.max(np.abs(np.array(s) - want)) <= 1e-15 * np.max(np.abs(want)), q
+
+
+def test_circle_laplacian_is_scaled_dtd():
+    # what lets verify read the circle's spectrum from certify_circle_spectrum
+    n, length = 24, 2 * math.pi
+    fib = build_fibre("circle", n, length)
+    d = fib.complex.d_at(0)
+    dtd = np.array((d.transpose() @ d).entries, dtype=float)
+    s = np.array(fibredec.laplacian_matrix(fib, 0))
+    assert np.allclose(s, (n / length) ** 2 * dtd, rtol=1e-14, atol=0)
+
+
+def _cycle_dtd(n):
+    d = build_fibre("circle", n).complex.d_at(0)
+    return d.transpose() @ d
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_certificate_accepts_the_cycle(n):
+    assert certify_circle_spectrum(_cycle_dtd(n))
+
+
+def test_certificate_rejects_wrong_operators():
+    n = 12
+    path_d = QMatrix(n - 1, n, [[-int(j == e) + int(j == e + 1) for j in range(n)]
+                                for e in range(n - 1)])
+    assert not certify_circle_spectrum(path_d.transpose() @ path_d)
+    good = [list(row) for row in _cycle_dtd(n).entries]
+    for i, j in ((0, 0), (0, 1), (5, 4)):
+        bad = [list(row) for row in good]
+        bad[i][j] *= 2
+        assert not certify_circle_spectrum(QMatrix(n, n, bad)), (i, j)
+    # the path's Laplacian has the cycle's trace once its ends are raised
+    # to 2, but not its spectrum
+    ends = [list(row) for row in (path_d.transpose() @ path_d).entries]
+    ends[0][0] = ends[-1][-1] = 2
+    assert not certify_circle_spectrum(QMatrix(n, n, ends))
+    assert not certify_circle_spectrum(QMatrix(n, n + 1, [[0] * (n + 1)] * n))
 
 
 def test_torus_hodge_duality_of_spectra():
