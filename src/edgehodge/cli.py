@@ -146,7 +146,7 @@ def _spectrum_from_args(args) -> spectral.FibreSpectrum:
                 return spectral.FibreSpectrum.from_dict(json.load(fh))
         except OSError as exc:
             raise ConfigError(f"cannot read spectrum file: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed spectrum file: {exc!r}") from exc
     kind = args.fibre_kind
     if kind == "sphere2":

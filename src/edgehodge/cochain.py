@@ -20,18 +20,18 @@ Every rank, kernel basis and Betti number comes from one elimination,
 with a rank-one Schur update each time.  ``reduce_complex`` runs it on
 each differential in turn until every differential is zero, and the
 ``Reduction`` it returns records the steps.  Its survivors count the
-Betti numbers; replaying the steps backwards turns each survivor into a
-cocycle representative (``Reduction.representatives``,
-``cohomology_inclusion``), and replaying them forwards on the rows of a
-matrix L gives L times those representatives without forming them
+Betti numbers; replaying the steps backwards on their rows turns each
+survivor into a cocycle representative (``Reduction.representatives``,
+``cohomology_inclusion``), replaying them backwards on their columns
+gives the projection onto cohomology (``Reduction.projection``,
+``cohomology_projection``), and replaying them forwards on the rows of a
+matrix L gives L times the representatives without forming them
 (``Reduction.on_representatives``).  A complex keeps its reduction
-(``CochainComplex.reduction``), so its Betti numbers, its inclusion and
-the replays share one elimination.  ``cohomology_projection`` reduces
-the transposed complex, which it keeps on the complex and which then
-counts the complex's Betti numbers, and ``kernel_basis`` is the
-degree-0 inclusion of the two-term complex of one matrix.  The rank of a
-single matrix (``QMatrix.rank``, ``induced_map_rank``) is its number of
-pivots.
+(``CochainComplex.reduction``), so its Betti numbers, its inclusion, its
+projection and the replays share one elimination.  ``kernel_basis`` is
+the degree-0 inclusion of the two-term complex of one matrix.  The rank
+of a single matrix (``QMatrix.rank``, ``induced_map_rank``) is its
+number of pivots.
 
 The checks a model load runs, d∘d = 0 (``CochainComplex.verify``) and
 the chain-map property (``ComplexMap.commutes``), accumulate one
@@ -41,10 +41,10 @@ residual row at a time and stop at the first nonzero one
 the same way, unless ``tensor`` built it from the same two factors.
 
 Values are immutable after construction (the only mutation is internal
-memoisation of ranks, reductions, transposes, the d∘d verdict and the
-factors a ``tensor`` was built from), and every operation is a pure
-function.  The row dicts are shared between matrices and are never
-modified in place.
+memoisation of ranks, reductions, the d∘d verdict and the factors a
+``tensor`` was built from), and every operation is a pure function.
+The row dicts are shared between matrices and are never modified in
+place.
 """
 
 from __future__ import annotations
@@ -281,36 +281,52 @@ class Reduction(NamedTuple):
     """A complex cancelled down to zero differentials (``reduce_complex``).
 
     ``survivors[k]`` are the degree-k cells left, one per Betti number;
-    ``steps[k]`` are the ``elim.cancel`` steps (b, a, u⁻¹, row b) of d_k,
-    each cancelling a ∈ C^k against b ∈ C^(k+1).  Replayed backwards the
-    steps give cocycle representatives (``representatives``); replayed
-    forwards on the rows of a matrix they give its product with them
-    (``on_representatives``), as the rank tables of ``stratified`` read
-    ρ' = p_Y ρ i_M.
+    ``steps[k]`` are the ``elim.cancel`` steps (b, a, u⁻¹, row b,
+    column a) of d_k, each cancelling a ∈ C^k against b ∈ C^(k+1).
+    Replayed backwards, their rows give cocycle representatives
+    (``representatives``) and their columns a projection onto cohomology
+    (``projection``); replayed forwards on the rows of a matrix they give
+    its product with the representatives (``on_representatives``), as
+    the rank tables of ``stratified`` read ρ' = p_Y ρ i_M.
     """
 
     survivors: tuple[tuple[int, ...], ...]
-    steps: tuple[tuple[tuple[int, int, Rational, SparseRow], ...], ...]
+    steps: tuple[tuple[tuple[int, int, Rational, SparseRow, SparseRow], ...], ...]
 
     def representatives(self, k: int, n: int) -> QMatrix:
         """n × betti_k matrix of one cocycle per degree-k survivor, whose
         classes form a basis of H^k: e_x pushed through the inclusion of
-        each cancellation, last first, which sets v[a] = -u⁻¹⟨row b, v⟩.
-        It is the identity on the survivors' rows."""
-        steps = self.steps[k][::-1]
+        each cancellation of d_k, last first, which sets
+        v[a] = -u⁻¹⟨row b, v⟩.  It is the identity on the survivors and
+        zero off them and the cells a."""
+        return self._pushed_back(k, n, [(a, uinv, row) for _, a, uinv, row, _
+                                        in reversed(self.steps[k])]).transpose()
+
+    def projection(self, k: int, n: int) -> QMatrix:
+        """betti_k × n matrix p_k of a chain map onto cohomology: row x is
+        e_x pushed through the projection of each cancellation of d_(k-1),
+        last first, which sets v[b] = -u⁻¹⟨column a, v⟩, so p_k d_(k-1) = 0.
+        It is the identity on the survivors and zero off them and the
+        cells b, so p_k @ representatives(k, n) is the identity."""
+        return self._pushed_back(k, n, [(b, uinv, col) for b, _, uinv, _, col
+                                        in reversed(self.steps[k - 1])] if k else ())
+
+    def _pushed_back(self, k: int, n: int, steps) -> QMatrix:
+        """Rows e_x, x a degree-k survivor, pushed through ``steps`` (cell,
+        u⁻¹, vector) in the order given, each setting v[cell] = -u⁻¹⟨vector, v⟩."""
         out = []
         for x in self.survivors[k]:
             v: SparseRow = {x: 1}
-            for _, a, uinv, row in steps:
+            for cell, uinv, vec in steps:
                 s = 0
-                for j, w in row.items():
+                for j, w in vec.items():
                     y = v.get(j)
                     if y is not None:
                         s += w * y
                 if s:
-                    v[a] = _exact(-uinv * s)
+                    v[cell] = _exact(-uinv * s)
             out.append(v)
-        return _sparse(len(out), n, tuple(out)).transpose()
+        return _sparse(len(out), n, tuple(out))
 
     def on_representatives(self, k: int, rows: Iterable[SparseRow]) -> list[SparseRow]:
         """The rows of L @ representatives(k, n), for the matrix L over
@@ -329,7 +345,7 @@ class Reduction(NamedTuple):
         out = []
         for r in rows:
             v = dict(r)
-            for _, a, uinv, row in steps:
+            for _, a, uinv, row, _ in steps:
                 g = v.pop(a, None)
                 if g is not None:
                     g *= uinv
@@ -348,15 +364,15 @@ def reduce_complex(c: "CochainComplex") -> Reduction:
 
     Degree by degree, ``elim.cancel`` reduces d_k with the columns of
     cells already paired in degree k removed.  Each step (b, a, u⁻¹,
-    row b) is the rank-one Schur update d_k - γu⁻¹δ, with γ column a and
-    δ row b, after which row b and column a leave d_k, row a leaves
-    d_(k-1) (zero by then) and column b leaves d_(k+1) (dropped when
-    d_(k+1) is reduced).  Each step is a chain homotopy equivalence
-    (Kaczynski, Mrozek & Ślusarek 1998), so the survivors count the
-    Betti numbers, and the recorded rows give cocycle representatives on
-    demand (``Reduction.representatives``) or their products with a
-    matrix (``Reduction.on_representatives``).  ``CochainComplex.reduction``
-    runs it once per complex and keeps the result.
+    row b, column a) is the rank-one Schur update d_k - γu⁻¹δ, with γ
+    column a and δ row b, after which row b and column a leave d_k, row a
+    leaves d_(k-1) (zero by then) and column b leaves d_(k+1) (dropped
+    when d_(k+1) is reduced).  Each step is a chain homotopy equivalence
+    (Kaczynski, Mrozek & Ślusarek 1998) with its inclusion and projection
+    (Sköldberg, "Morse theory from an algebraic viewpoint", 2006), so the
+    survivors count the Betti numbers and the recorded steps give both
+    maps on demand (``Reduction``).  ``CochainComplex.reduction`` runs it
+    once per complex and keeps the result.
     """
     if not c.verify():
         raise UnverifiedComplexError("d∘d != 0; refusing to compute cohomology")
@@ -367,7 +383,7 @@ def reduce_complex(c: "CochainComplex") -> Reduction:
         steps[k] = tuple(elim.cancel([
             {j: v for j, v in r.items() if j not in gone} if gone else dict(r)
             for r in d.sparse_rows]))
-        for b, a, _, _ in steps[k]:
+        for b, a, _, _, _ in steps[k]:
             gone.add(a)
             paired[k + 1].add(b)
     survivors = tuple(tuple(x for x in range(n) if x not in paired[k])
@@ -382,7 +398,7 @@ class CochainComplex:
     to degree k+1.  A complex with empty ``dims`` is the zero complex.
     """
 
-    __slots__ = ("dims", "d", "_reduction", "_dual", "_verified", "_factors")
+    __slots__ = ("dims", "d", "_reduction", "_verified", "_factors")
 
     def __init__(self, dims: Sequence[int], d: Sequence[QMatrix]):
         self.dims = tuple(int(x) for x in dims)
@@ -399,7 +415,6 @@ class CochainComplex:
                     f"d[{k}] is {mat.rows}x{mat.cols}, expected {self.dims[k+1]}x{self.dims[k]}"
                 )
         self._reduction = None
-        self._dual = None
         self._verified = None
         self._factors = None
 
@@ -430,18 +445,14 @@ class CochainComplex:
 
     def reduction(self) -> Reduction:
         """``reduce_complex`` of this complex, run on the first call and
-        kept: the Betti numbers, ``cohomology_inclusion`` and the rank
+        kept: the Betti numbers, both cohomology maps and the rank
         tables of ``stratified`` share it."""
         if self._reduction is None:
             self._reduction = reduce_complex(self)
         return self._reduction
 
     def cohomology_dims(self) -> tuple[int, ...]:
-        """Betti numbers, counted by the survivors of the complex's own
-        reduction, or of its transpose's when only ``cohomology_projection``
-        has reduced it."""
-        if self._reduction is None and self._dual is not None:
-            return tuple(map(len, self._dual.reduction().survivors[::-1]))
+        """Betti numbers, counted by the survivors of the reduction."""
         return tuple(map(len, self.reduction().survivors))
 
     def euler_characteristic(self) -> int:
@@ -757,44 +768,21 @@ def _zero_differential(dims: Sequence[int]) -> CochainComplex:
                                  for k in range(len(dims) - 1)])
 
 
-def _transpose_complex(c: CochainComplex) -> CochainComplex:
-    """The dual complex with degrees reversed, built once and kept on
-    ``c``: degree j holds the dual of degree top - j, and its
-    differential out of degree j is d_(top-j-1)^T."""
-    if c._dual is None:
-        t = CochainComplex(c.dims[::-1], [m.transpose() for m in reversed(c.d)])
-        # (d_(k+1) d_k)^T = d_k^T d_(k+1)^T, so the transpose passes d∘d = 0
-        # exactly when c does
-        t._verified = c._verified
-        c._dual = t
-    return c._dual
-
-
 def cohomology_inclusion(c: CochainComplex) -> ComplexMap:
     """i: H(c) -> c, with H(c) the zero-differential complex of Betti
     dimensions in the degree range of ``c``; the columns of i_k are
     cocycles whose classes form a basis of H^k(c)."""
     red = c.reduction()
-    if not c.dims:
-        return ComplexMap(ZERO_COMPLEX, c, (), check=False)
-    basis = [red.representatives(k, n) for k, n in enumerate(c.dims)]
-    return ComplexMap(_zero_differential([m.cols for m in basis]), c, basis,
-                      check=False)
+    return ComplexMap(_zero_differential(c.cohomology_dims()), c,
+                      [red.representatives(k, n) for k, n in enumerate(c.dims)], check=False)
 
 
 def cohomology_projection(c: CochainComplex) -> ComplexMap:
-    """p: c -> H(c), read off ``cohomology_inclusion`` of the transposed
-    complex.  The rows of p_k are cocycles of the transpose, so p∘d = 0
-    and p is a chain map into H(c); they pair perfectly with H^k(c), so
-    p_k ∘ i_k is invertible and p is a quasi-isomorphism.  The transpose
-    and its reduction stay on ``c``, whose Betti numbers they count."""
-    dual = cohomology_inclusion(_transpose_complex(c))
-    top = c.top_degree
-    maps = [dual.at(top - k).transpose() for k in range(top + 1)]
-    if not maps:
-        return ComplexMap(c, ZERO_COMPLEX, (), check=False)
-    return ComplexMap(c, _zero_differential([m.rows for m in maps]), maps,
-                      check=False)
+    """p: c -> H(c), from the reduction that gives ``cohomology_inclusion``:
+    p∘d = 0 and p_k ∘ i_k = 1 (``Reduction.projection``)."""
+    red = c.reduction()
+    return ComplexMap(c, _zero_differential(c.cohomology_dims()),
+                      [red.projection(k, n) for k, n in enumerate(c.dims)], check=False)
 
 
 # ---------------------------------------------------------------------------

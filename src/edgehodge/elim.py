@@ -5,11 +5,12 @@
 nonzero with a column a of one of its entries u: a ±1 entry with the
 shortest column, or the entry with the shortest column when the row
 holds no ±1.  It then applies the rank-one Schur update that clears
-column a from every later row, and records the step (b, a, u⁻¹, row b),
-with row b as it stands then, without a.  Every row is reduced against
-all earlier pivots before its turn, so a row that ends empty lies in the
-span of the rows before it: the pivots among the first t rows number the
-rank of those rows.  ``cochain.reduce_complex`` runs it on each
+column a from every later row, and records the step (b, a, u⁻¹, row b,
+column a), with row b ``{column: value}`` and column a ``{row: value}``
+as they stand then, without u.  Every row is reduced against all
+earlier pivots before its turn, so a row that ends empty lies in the
+span of the rows before it: the pivots among the first t rows number
+the rank of those rows.  ``cochain.reduce_complex`` runs it on each
 differential of a complex (Kaczynski, Mrozek & Ślusarek, "Homology
 computation by reduction of chain complexes", 1998), and every rank,
 kernel basis and Betti number of the package comes from it.
@@ -72,7 +73,7 @@ def bareiss_rank(rows):
 
 def cancel(rows: list[dict]) -> list[tuple]:
     """Pair-cancel sparse rows in order; returns the steps (b, a, u⁻¹,
-    row b), one per pivot, in row order (see the module notes).
+    row b, column a), one per pivot, in row order (see the module notes).
 
     Values are ints or Fractions, and an integral result is stored as an
     int.  The rows are consumed: each recorded row b is the input dict.
@@ -102,9 +103,11 @@ def cancel(rows: list[dict]) -> list[tuple]:
         holders = col_rows.pop(a)
         holders.discard(b)
         items = tuple(row.items())
+        col = {}
         for t in holders:
             target = rows[t]
-            g = target.pop(a) * uinv
+            g = col[t] = target.pop(a)
+            g *= uinv
             for j, x in items:
                 w = target.get(j, 0) - g * x
                 if type(w) is not int and w.denominator == 1:
@@ -116,7 +119,7 @@ def cancel(rows: list[dict]) -> list[tuple]:
                 else:
                     del target[j]
                     col_rows[j].discard(t)
-        steps.append((b, a, uinv, row))
+        steps.append((b, a, uinv, row, col))
     return steps
 
 

@@ -161,17 +161,21 @@ def certify_circle_spectrum(dtd: QMatrix) -> bool:
     tr((dᵀd)^j) = n Σ_(t ≡ 0 mod n) (-1)^t C(2j, j+t); the traces of the
     powers of ``dtd`` are compared with these for j = 1..n, and by
     Newton's identities the first n power sums fix the characteristic
-    polynomial.
+    polynomial.  Only the powers M^i up to ⌈n/2⌉ are formed.
     """
     n = dtd.rows
     if dtd.cols != n:
         return False
-    power = QMatrix.identity(n)
+    powers = [QMatrix.identity(n), dtd]
     for j in range(1, n + 1):
-        power = power @ dtd
+        if len(powers) == (j + 1) // 2:
+            powers.append(powers[-1] @ dtd)
         want = n * sum((-1) ** abs(t) * math.comb(2 * j, j + t)
                        for t in range(-(j // n) * n, j + 1, n))
-        if sum(row.get(i, 0) for i, row in enumerate(power.sparse_rows)) != want:
+        # tr(M^j) = tr(AB) = Σ_ij A_ij B_ji with A = M^(j//2), B = M^⌈j/2⌉
+        right = powers[(j + 1) // 2].sparse_rows
+        if want != sum(x * right[c].get(r, 0) for r, row in enumerate(
+                powers[j // 2].sparse_rows) for c, x in row.items()):
             return False
     return True
 

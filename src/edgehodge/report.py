@@ -303,9 +303,6 @@ def run(config: RunConfig) -> dict:
     exponents: dict = {}
 
     for space in spaces:
-        # built first: its p_F reduces the transpose of F, which also counts
-        # F's Betti numbers, so F is not reduced a second time
-        space.rank_table()
         fb = space.F.cohomology_dims()
         if fb not in spectra:
             spectra[fb] = link_spectrum(fb, config.fibre_grid)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from edgehodge.cochain import parse_rational
 from edgehodge.errors import ModelInvariantError
 
 Number = Fraction | float
@@ -123,17 +124,21 @@ class FibreSpectrum:
 
     @staticmethod
     def from_dict(data: dict) -> "FibreSpectrum":
+        """Read a ``to_dict`` record; ValueError on a multiplicity that is
+        not an integer >= 1, and ``cochain.parse_rational``'s errors."""
         levels = []
         for lv in data["degrees"]:
             pairs = []
             for v, m in lv:
+                if type(m) is not int or m < 1:
+                    raise ValueError(f"multiplicity {m!r} is not an integer >= 1")
                 s = str(v)
                 # decimal notation marks a numeric eigenvalue; p/q or a
                 # bare integer is exact
                 if any(ch in s for ch in ".eE"):
-                    pairs.append((float(s), int(m)))
+                    pairs.append((float(s), m))
                 else:
-                    pairs.append((Fraction(s), int(m)))
+                    pairs.append((Fraction(parse_rational(s)), m))
             levels.append(pairs)
         return FibreSpectrum(levels, data.get("provenance", "closed-form"))
 

@@ -34,14 +34,14 @@ differentials, Y' = B' ⊗ F' and restriction ρ' = (p_B ⊗ p_F) ∘ ρ ∘ i_M
 where i: H -> C picks cocycle representatives and p: C -> H is a chain
 map onto cohomology (``cochain.cohomology_inclusion`` and
 ``cohomology_projection``).  Both come from ``cochain.reduce_complex``,
-which cancels pairs of cells of M (or of the transposes of B and F)
-until every differential is zero; replaying the recorded cancellations
-backwards from each surviving cell gives i, and p is i of the transpose.
+which cancels pairs of cells of a complex until every differential is
+zero; replaying the recorded cancellations backwards from each surviving
+cell gives i through the rows they cancel and p through the columns.
 The rank table needs only ρ', so it never forms i_M: it builds the rows
 of p_Y ρ from the rows of p_B and p_F and replays M's cancellations
 forward on them (``Reduction.on_representatives``), which is the
-adjoint of picking representatives.  M and the transposes of B and F
-are reduced once each, and those reductions count the Betti numbers too.
+adjoint of picking representatives.  M, B and F are reduced once each,
+and those reductions count the Betti numbers too.
 
 Why the answers agree: let Tot_1(c) be the total complex of M,
 B' ⊗ τ_{<=c}F', Y' with restriction (p_B ⊗ p_F) ∘ ρ.  Because

@@ -146,9 +146,6 @@ def complete_l2(space: EdgeSpaceModel, k: int) -> CompleteL2Answer:
     """Degree-k L2 Hodge cohomology verdict for a complete edge metric."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    # built first: its p_F reduces the transpose of F, which also counts
-    # F's Betti numbers, so F is not reduced a second time
-    space.rank_table()
     f_betti = space.F.cohomology_dims()
     b = space.b
     # j = k - (b + 1)/2 is an integer only for odd b

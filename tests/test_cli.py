@@ -190,6 +190,21 @@ def test_spectral_from_spectrum_file(tmp_path, capsys):
     assert "essentially self-adjoint: yes" in out
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"degrees": [[["1/0", 1]]]}', "zero denominator"),
+    ('{"degrees": [[["0", 1e400]]]}', "multiplicity inf"),
+    ('{"degrees": [[["0", 1], ["1", 0.5]]]}', "multiplicity 0.5"),
+], ids=["zero-denominator", "infinite-multiplicity", "fractional-multiplicity"])
+def test_malformed_spectrum_file_exit_code(tmp_path, capsys, text, message):
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    assert main(["spectral", "--f", "1", "--a", "0", "--spectrum", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed spectrum file") and message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_run_config_degree_range(tmp_path):
     cfg = {
         "spaces": ["susp-torus"],
@@ -268,9 +283,8 @@ def test_spectral_command_scans_the_window_once(monkeypatch, capsys):
 
 
 def test_run_reduces_three_complexes_per_space(monkeypatch):
-    # M and the transposes of B and F for each of the four spaces: the rank
-    # table is built before F's Betti numbers are read, so those come from
-    # F's transpose and F itself is never reduced
+    # M, B and F once each for each of the four spaces: one reduction per
+    # complex gives its Betti numbers, its inclusion and its projection
     from edgehodge import cochain
 
     reduced = []

@@ -219,6 +219,19 @@ def test_on_representatives_is_rows_times_representatives(data):
         assert mat == q(m)  # the rows of L are read, not changed
 
 
+@settings(max_examples=150, deadline=None)
+@given(complexes())
+def test_projection_kills_coboundaries_and_inverts_representatives(c):
+    # in every degree p_k d_(k-1) = 0 and p_k i_k = 1, on complexes with
+    # non-unit pivots, both read from the one reduction of c
+    red = cochain.reduce_complex(c)
+    for k, n in enumerate(c.dims):
+        p = red.projection(k, n)
+        assert (p.rows, p.cols) == (len(red.survivors[k]), n)
+        assert (p @ c.d_at(k - 1)).is_zero()
+        assert p @ red.representatives(k, n) == QMatrix.identity(p.rows)
+
+
 @settings(max_examples=100, deadline=None)
 @given(complexes())
 def test_truncate_matches_dense_reference(c):

@@ -634,9 +634,9 @@ def _every_query(space):
 ], ids=[*BUILTIN_NAMES, "subdivided-edge"])
 def test_every_query_reduces_each_complex_once(monkeypatch, build):
     # the rank table reads ρ' by replaying M's reduction on the rows of
-    # p_Y ρ, so answering everything reduces M, the transpose of B and the
-    # transpose of F once each (F's Betti numbers come from its transpose)
-    # and never forms the cocycle representatives of M
+    # p_Y ρ, and p_B, p_F come from the reductions of B and F, so answering
+    # everything reduces M, B and F once each (whatever reads their Betti
+    # numbers first) and never forms the cocycle representatives of M
     from edgehodge import cochain
 
     space = build()
@@ -656,12 +656,9 @@ def test_every_query_reduces_each_complex_once(monkeypatch, build):
     monkeypatch.setattr(cochain.Reduction, "representatives", counted_representatives)
     _every_query(space)
 
-    def transpose(c):
-        return cochain.CochainComplex(c.dims[::-1], [m.transpose() for m in reversed(c.d)])
-
     read = [c for c, _ in reduced]
     assert len(read) == 3
-    assert sum(c is space.M for c in read) == 1
-    assert transpose(space.B) in read and transpose(space.F) in read
+    for c in (space.M, space.B, space.F):
+        assert sum(x is c for x in read) == 1
     m_reduction = next(red for c, red in reduced if c is space.M)
     assert all(red is not m_reduction for red in represented)
