@@ -80,6 +80,10 @@ def _parse_perversity(text: str, f: int) -> Perversity:
     return Perversity(_parse_rational(text))
 
 
+def _space_from_args(args):
+    return load_space({"file": args.file} if args.file is not None else args.space)
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if getattr(args, "json", False):
         sys.stdout.write(report_to_json(payload))
@@ -99,23 +103,23 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_ih(args) -> int:
-    space = load_space({"file": args.file} if args.file else args.space)
+    space = _space_from_args(args)
     p = _parse_perversity(args.perversity, space.f)
     dims = ih_dims(space, p)
     payload = {
         "space": space.name,
-        "perversity": str(p.value),
+        "perversity": str(p),
         "dims": {"value": list(dims), "provenance": "exact"},
         "tube_dims": {"value": list(tube_ih(space, p)), "provenance": "exact"},
     }
-    human = (f"IH_p with p = {p.value} on {space.name}:\n  "
+    human = (f"IH_p with p = {p} on {space.name}:\n  "
              + " ".join(map(str, dims)) + "\n")
     _emit(args, payload, human)
     return 0
 
 
 def _cmd_weights(args) -> int:
-    space = load_space({"file": args.file} if args.file else args.space)
+    space = _space_from_args(args)
     rows = []
     payload = {"space": space.name, "weights": []}
     for a_text in args.a:
@@ -278,7 +282,7 @@ def _cmd_cone_lab(args) -> int:
 
 
 def _cmd_complete(args) -> int:
-    space = load_space({"file": args.file} if args.file else args.space)
+    space = _space_from_args(args)
     cells = [report_mod.complete_l2_fields(space, k) for k in range(space.n + 1)]
     payload = {"space": space.name, "complete_l2": cells}
     rows = [[c["k"], c["verdict"], c["perversity"] or "-"] for c in cells]
@@ -326,6 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "cone-level spectral checks for simple edge spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_source(p):
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--space", help="built-in space name")
+        source.add_argument("--file", help="model file instead of a name")
+
     def add_common(p):
         p.add_argument("--out", help="write machine-readable JSON report here")
         p.add_argument("--json", action="store_true",
@@ -336,16 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_list)
 
     p = sub.add_parser("ih", help="intersection cohomology table")
-    p.add_argument("--space", default=None)
-    p.add_argument("--file", default=None, help="model file instead of a name")
+    add_source(p)
     p.add_argument("--perversity", required=True,
                    help="rational value, or mbar / mlow")
     add_common(p)
     p.set_defaults(fn=_cmd_ih)
 
     p = sub.add_parser("weights", help="weighted de Rham and minimal Hodge dims")
-    p.add_argument("--space", default=None)
-    p.add_argument("--file", default=None)
+    add_source(p)
     p.add_argument("--a", action="append", required=True,
                    help="weight as exact rational, repeatable")
     add_common(p)
@@ -382,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_cone_lab)
 
     p = sub.add_parser("complete", help="complete-metric L2 verdicts")
-    p.add_argument("--space", default=None)
-    p.add_argument("--file", default=None)
+    add_source(p)
     add_common(p)
     p.set_defaults(fn=_cmd_complete)
 

@@ -475,11 +475,6 @@ class CochainComplex:
 ZERO_COMPLEX = CochainComplex((), ())
 
 
-def verify_complex(c: CochainComplex) -> bool:
-    """True iff every composite d∘d vanishes (shapes are checked on build)."""
-    return c.verify()
-
-
 def cohomology_dims(c: CochainComplex) -> tuple[int, ...]:
     """Graded dimensions of ker d / im d."""
     return c.cohomology_dims()

@@ -443,23 +443,6 @@ def homotopy_K_profile(profile: ConeModeProfile, c: float) -> ConeModeProfile:
     )
 
 
-def save_coefficient_table(path: str, xs, values) -> None:
-    with open(path, "w") as fh:
-        for x, v in zip(xs, values):
-            fh.write(f"{x!r} {v!r}\n")
-
-
-def load_coefficient_table(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    xs, vals = [], []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if parts:
-                xs.append(float(parts[0]))
-                vals.append(float(parts[1]))
-    return tuple(xs), tuple(vals)
-
-
 def _fit_slope(xs, ys) -> float:
     """Least-squares slope of log y against log x; NaN unless every y is
     positive and finite and the x are not all equal."""

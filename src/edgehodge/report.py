@@ -178,11 +178,11 @@ def weight_dims_fields(space: EdgeSpaceModel, a: Fraction) -> dict:
     return {
         "a": str(a),
         "max": {
-            "perversity": str(rmax.perversity.value),
+            "perversity": str(rmax.perversity),
             "dims": _prov_exact(list(rmax.dims)),
         },
         "min": {
-            "perversity": str(rmin.perversity.value),
+            "perversity": str(rmin.perversity),
             "dims": _prov_exact(list(rmin.dims)),
         },
         "minimal_hodge": {"dims": _prov_exact(list(rmh.dims))},
@@ -196,7 +196,7 @@ def complete_l2_fields(space: EdgeSpaceModel, k: int) -> dict:
     return {
         "k": k,
         "verdict": ans.verdict,
-        "perversity": str(ans.perversity.value) if ans.perversity else None,
+        "perversity": str(ans.perversity) if ans.perversity is not None else None,
         "provenance": "exact",
     }
 

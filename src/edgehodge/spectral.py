@@ -70,6 +70,8 @@ class FibreSpectrum:
     ``levels[q]`` is an ascending list of (eigenvalue, multiplicity)
     pairs; eigenvalues are exact rationals (closed form) or floats
     (discrete computation), with zero modes stored exactly as 0.
+    ``betti`` holds the zero-mode multiplicity of each degree; a
+    ``betti`` argument is only checked against it.
     """
 
     def __init__(self, levels: Sequence[Sequence[tuple]], provenance: str,
@@ -87,12 +89,11 @@ class FibreSpectrum:
                 raise ModelInvariantError(f"degree {q} eigenvalues not sorted")
             norm.append(tuple(pairs))
         self.levels = tuple(norm)
-        if betti is not None:
-            if tuple(self.zero_multiplicities()) != tuple(betti):
-                raise ModelInvariantError(
-                    "zero-mode multiplicities disagree with the Betti numbers"
-                )
-        self._betti = tuple(betti) if betti is not None else None
+        self.betti = tuple(sum(m for v, m in lv if v == 0) for lv in self.levels)
+        if betti is not None and self.betti != tuple(betti):
+            raise ModelInvariantError(
+                "zero-mode multiplicities disagree with the Betti numbers"
+            )
 
     def degrees(self) -> range:
         return range(len(self.levels))
@@ -103,14 +104,7 @@ class FibreSpectrum:
         return ()
 
     def zero_multiplicities(self) -> tuple[int, ...]:
-        out = []
-        for lv in self.levels:
-            out.append(sum(m for v, m in lv if v == 0))
-        return tuple(out)
-
-    @property
-    def betti(self) -> tuple[int, ...]:
-        return self._betti if self._betti is not None else self.zero_multiplicities()
+        return self.betti
 
     def to_dict(self) -> dict:
         return {

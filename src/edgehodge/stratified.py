@@ -16,13 +16,15 @@ where T = B ⊗ τ_{<=c} F is the cone-truncated tube complex with cutoff
     c = f - 1 - p,
 
 evaluated exactly over the rationals (p may be any rational; the
-extended ranges p <= 0 and p >= f are allowed).  The degree left open
-by the usual local truncation table is resolved to zero; this is the
-unique choice consistent with the weighted cone-cohomology dictionary
-and it preserves Poincare duality for extended perversities.  One
-consequence worth knowing: the identity IH_p = H(M) for non-positive
-perversities holds for p <= -1, while p in (-1, 0] still truncates away
-the top fibre degree.
+extended ranges p <= 0 and p >= f are allowed).  A ``Perversity`` is a
+``Fraction``, and ``EdgeSpaceModel.effective_cutoff`` is the one place
+where p becomes an integer cutoff: floor(c), clamped to [-1, f].  The
+degree left open by the usual local truncation table is resolved to
+zero; this is the unique choice consistent with the weighted
+cone-cohomology dictionary and it preserves Poincare duality for
+extended perversities.  One consequence worth knowing: the identity
+IH_p = H(M) for non-positive perversities holds for p <= -1, while p in
+(-1, 0] still truncates away the top fibre degree.
 
 Working at chain level (rather than chasing dimensions through the
 exact sequence) makes the natural maps between perversities honest
@@ -93,7 +95,9 @@ model from the rows of ρ' read as above and the Betti numbers;
 ``minimal_model`` builds the minimal model as a model in its own right
 (with ρ' as the product p_Y ρ i_M), and ``total_complex``,
 ``total_map`` and ``truncated_tube`` (on either model) stay as the
-chain-level reference; no query builds them.
+chain-level reference; no query builds them, and they are rebuilt on
+each call, so a model keeps no cache but its rank table and its
+minimal model.
 """
 
 from __future__ import annotations
@@ -130,55 +134,21 @@ from edgehodge.errors import (
 )
 
 
-class Perversity:
+class Perversity(Fraction):
     """A single rational perversity value at the link codimension f+1.
 
-    The extended ranges p <= 0 and p >= f are allowed; half-integer
-    values arise from the complete-metric dictionary.
+    It is a ``Fraction``, so it compares, hashes and computes as one;
+    arithmetic returns a plain ``Fraction``.  The extended ranges p <= 0
+    and p >= f are allowed; half-integer values arise from the
+    complete-metric dictionary.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ()
 
-    def __init__(self, value):
-        if isinstance(value, Perversity):
-            value = value.value
-        self.value = value if type(value) is Fraction else Fraction(value)
-
-    def __add__(self, other):
-        return Perversity(self.value + Fraction(other))
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        return Perversity(self.value - Fraction(other))
-
-    def __eq__(self, other):
-        return self.value == _pval(other)
-
-    def __le__(self, other):
-        return self.value <= _pval(other)
-
-    def __lt__(self, other):
-        return self.value < _pval(other)
-
-    def __ge__(self, other):
-        return self.value >= _pval(other)
-
-    def __gt__(self, other):
-        return self.value > _pval(other)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"Perversity({self.value})"
-
-
-def _pval(p) -> Fraction:
-    if isinstance(p, Perversity):
-        return p.value
-    return Fraction(p)
+    @property
+    def value(self) -> Fraction:
+        """The perversity itself."""
+        return self
 
 
 def middle_perversities(f: int) -> tuple[int, int]:
@@ -191,11 +161,6 @@ def middle_perversities(f: int) -> tuple[int, int]:
     return f // 2, f // 2 - 1
 
 
-def cone_truncation_cutoff(f: int, p) -> Fraction:
-    """Highest fibre degree kept by perversity p: degrees k <= f - 1 - p."""
-    return Fraction(f - 1) - _pval(p)
-
-
 def cone_local_ih(f_betti, f: int, p, k: int) -> int:
     """Local intersection cohomology of the cone over a link with the
     given Betti numbers: the fibre class survives iff k <= f - 1 - p."""
@@ -203,7 +168,7 @@ def cone_local_ih(f_betti, f: int, p, k: int) -> int:
         raise ValueError("degree must be nonnegative")
     if k >= len(f_betti):
         return 0
-    return f_betti[k] if Fraction(k) <= cone_truncation_cutoff(f, p) else 0
+    return f_betti[k] if k <= f - 1 - Fraction(p) else 0
 
 
 @dataclass(frozen=True)
@@ -253,10 +218,6 @@ class EdgeSpaceModel:
         self.Y = restriction.target
         self.restriction = restriction
         self.description = description
-        self._ftrunc_cache: dict[int, tuple[CochainComplex, ComplexMap]] = {}
-        self._tube_cache: dict[int, tuple[CochainComplex, ComplexMap]] = {}
-        self._tot_cache: dict[int, CochainComplex] = {}
-        self._map_cache: dict[tuple[int, int], ComplexMap] = {}
         self._table: RankTable | None = None
         self._minimal: EdgeSpaceModel | None = None
         self.validate()
@@ -294,75 +255,51 @@ class EdgeSpaceModel:
     def effective_cutoff(self, p) -> int:
         """Integer truncation level in [-1, f] determined by p: the floor
         of f - 1 - p, which is f - 1 + floor(-p)."""
-        v = p.value if isinstance(p, Perversity) else p
-        if not isinstance(v, (int, Fraction)):
-            v = Fraction(v)
-        return max(-1, min(self.f, self.f - 1 + (-v.numerator) // v.denominator))
-
-    def _truncated_fibre(self, c: int) -> tuple[CochainComplex, ComplexMap]:
-        """τ_{<=c}F with its inclusion into F."""
-        if c not in self._ftrunc_cache:
-            self._ftrunc_cache[c] = truncate(self.F, c)
-        return self._ftrunc_cache[c]
+        if not isinstance(p, (int, Fraction)):
+            p = Fraction(p)
+        return max(-1, min(self.f, self.f - 1 + (-p.numerator) // p.denominator))
 
     def truncated_tube(self, c: int) -> tuple[CochainComplex, ComplexMap]:
         """Tube complex B ⊗ τ_{<=c}F with its inclusion into Y."""
-        if c not in self._tube_cache:
-            tf, incl = self._truncated_fibre(c)
-            if not tf.dims:
-                tube = ZERO_COMPLEX
-                iota = ComplexMap(tube, self.Y, (), check=False)
-            else:
-                tube = tensor(self.B, tf)
-                # id_B ⊗ incl lands in tensor(B, F), which is the model's Y
-                iota = ComplexMap(tube, self.Y,
-                                  tensor_map_blocks(ComplexMap.identity(self.B), incl),
-                                  check=False)
-            self._tube_cache[c] = (tube, iota)
-        return self._tube_cache[c]
+        tf, incl = truncate(self.F, c)
+        if not tf.dims:
+            return ZERO_COMPLEX, ComplexMap(ZERO_COMPLEX, self.Y, (), check=False)
+        tube = tensor(self.B, tf)
+        # id_B ⊗ incl lands in tensor(B, F), which is the model's Y
+        return tube, ComplexMap(tube, self.Y,
+                                tensor_map_blocks(ComplexMap.identity(self.B), incl),
+                                check=False)
 
     def total_complex(self, c: int) -> CochainComplex:
         """Mayer-Vietoris total complex for truncation level c."""
-        if c not in self._tot_cache:
-            tube, iota = self.truncated_tube(c)
-            m, y = self.M, self.Y
-            top = max(m.top_degree, tube.top_degree, y.top_degree + 1, 0)
-            dims = [m.dim(s) + tube.dim(s) + y.dim(s - 1) for s in range(top + 1)]
-            ds = []
-            for s in range(top):
-                blocks = [
-                    [m.d_at(s), None, None],
-                    [None, tube.d_at(s), None],
-                    [self.restriction.at(s), -iota.at(s), -y.d_at(s - 1)],
-                ]
-                ds.append(block_matrix(
-                    blocks,
-                    [m.dim(s + 1), tube.dim(s + 1), y.dim(s)],
-                    [m.dim(s), tube.dim(s), y.dim(s - 1)],
-                ))
-            self._tot_cache[c] = CochainComplex(dims, ds)
-        return self._tot_cache[c]
-
-    def _truncation_inclusion(self, c1: int, c2: int) -> ComplexMap:
-        t1, i1 = self._truncated_fibre(c1)
-        t2, _ = self._truncated_fibre(c2)
-        if c1 >= min(c2, self.F.top_degree):
-            return ComplexMap.identity(t1)
-        if not t1.dims:
-            return ComplexMap(t1, t2, (), check=False)
-        return ComplexMap(t1, t2, i1.maps[: c1 + 1], check=False)
+        tube, iota = self.truncated_tube(c)
+        m, y = self.M, self.Y
+        top = max(m.top_degree, tube.top_degree, y.top_degree + 1, 0)
+        dims = [m.dim(s) + tube.dim(s) + y.dim(s - 1) for s in range(top + 1)]
+        ds = []
+        for s in range(top):
+            blocks = [
+                [m.d_at(s), None, None],
+                [None, tube.d_at(s), None],
+                [self.restriction.at(s), -iota.at(s), -y.d_at(s - 1)],
+            ]
+            ds.append(block_matrix(
+                blocks,
+                [m.dim(s + 1), tube.dim(s + 1), y.dim(s)],
+                [m.dim(s), tube.dim(s), y.dim(s - 1)],
+            ))
+        return CochainComplex(dims, ds)
 
     def total_map(self, c1: int, c2: int) -> ComplexMap:
-        """Chain map Tot(c1) -> Tot(c2) for c1 <= c2 (stronger to weaker)."""
-        if (c1, c2) not in self._map_cache:
-            self._map_cache[c1, c2] = self._build_total_map(c1, c2)
-        return self._map_cache[c1, c2]
-
-    def _build_total_map(self, c1: int, c2: int) -> ComplexMap:
+        """Chain map Tot(c1) -> Tot(c2) for c1 <= c2 (stronger to weaker):
+        the identity on M and Y and id_B ⊗ (τ_{<=c1}F -> τ_{<=c2}F) on the
+        tube, whose degrees <= c1 are the inclusion's into F."""
         tot1, tot2 = self.total_complex(c1), self.total_complex(c2)
         tube1, _ = self.truncated_tube(c1)
         tube2, _ = self.truncated_tube(c2)
-        fincl = self._truncation_inclusion(c1, c2)
+        t1, i1 = truncate(self.F, c1)
+        fincl = (ComplexMap.identity(t1) if c1 == c2 else
+                 ComplexMap(t1, truncate(self.F, c2)[0], i1.maps[: c1 + 1], check=False))
         tmaps = tensor_map_blocks(ComplexMap.identity(self.B), fincl) if tube1.dims else ()
         tincl = ComplexMap(tube1, tube2, tmaps, check=False)
         maps = []
@@ -522,7 +459,7 @@ def ih_map_rank(space: EdgeSpaceModel, p_src, p_tgt, k: int) -> int:
     Requires p_src >= p_tgt, i.e. the source truncation is contained in
     the target truncation.
     """
-    if _pval(p_src) < _pval(p_tgt):
+    if Fraction(p_src) < Fraction(p_tgt):
         raise PerversityRangeError(
             "incompatible perversity order: need p_src >= p_tgt"
         )
@@ -540,7 +477,7 @@ def extended_identities(space: EdgeSpaceModel, p) -> tuple[int, ...]:
     absolute branch agrees for p <= -1; at p in (-1, 0] the engine's
     truncation still removes the top fibre degree (see module notes).
     """
-    pv = _pval(p)
+    pv = Fraction(p)
     if pv >= space.f:
         cone = mapping_cone(space.restriction)
         h = cone.cohomology_dims()

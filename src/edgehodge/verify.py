@@ -29,7 +29,6 @@ from edgehodge.stratified import (
     BUILTIN_NAMES,
     builtin_space,
     circle_complex,
-    cone_truncation_cutoff,
     extended_identities,
     ih_dims,
     ih_map_rank,
@@ -225,9 +224,7 @@ def stratified_checks(space_names=None) -> list[CheckResult]:
     detail = ""
     for sp in spaces:
         for p in range(-1, sp.f + 2):
-            cut = cone_truncation_cutoff(sp.f, p)
-            ci = max(-1, min(sp.f, cut.numerator // cut.denominator))
-            tf, _ = truncate(sp.F, ci)
+            tf, _ = truncate(sp.F, sp.effective_cutoff(p))
             brute = cohomology_dims(tensor(sp.B, tf)) if tf.dims else ()
             brute = tuple(brute) + (0,) * (sp.n + 1 - len(brute))
             if brute[: sp.n + 1] != tube_ih(sp, p):

@@ -1,14 +1,14 @@
 """Weight-to-perversity dictionary for weighted L2 de Rham cohomology.
 
-Two rounding brackets drive everything: ceil_strict(t) is the least
-integer strictly greater than t, ceil_weak(t) the least integer >= t.
+Two rounding brackets drive everything: floor(t) + 1, the least
+integer strictly greater than t, and ceil(t), the least integer >= t.
 For an incomplete edge metric with weight a the max/min extensions of d
 compute intersection cohomology at the perversities
 
-    max:  mbar + ceil_strict(a - 1)    (f odd)
-          mbar + ceil_strict(a - 1/2)  (f even)
-    min:  mlow + ceil_weak(a)          (f odd)
-          mlow + ceil_weak(a - 1/2)    (f even)
+    max:  mbar + floor(a - 1) + 1    (f odd)
+          mbar + floor(a - 1/2) + 1  (f even)
+    min:  mlow + ceil(a)             (f odd)
+          mlow + ceil(a - 1/2)       (f even)
 
 and the minimal Hodge cohomology is the image of the min-perversity
 group in the max-perversity one.  For a complete edge metric, degree k
@@ -36,18 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from edgehodge.stratified import EdgeSpaceModel, Perversity, middle_perversities
-
-
-def ceil_strict(t) -> int:
-    """Least integer strictly greater than t."""
-    t = Fraction(t)
-    return t.numerator // t.denominator + 1
-
-
-def ceil_weak(t) -> int:
-    """Least integer greater than or equal to t."""
-    t = Fraction(t)
-    return -((-t.numerator) // t.denominator)
 
 
 @dataclass(frozen=True)
@@ -152,6 +140,6 @@ def complete_l2(space: EdgeSpaceModel, k: int) -> CompleteL2Answer:
     j = k - (b + 1) // 2
     if b % 2 == 1 and 0 <= j < len(f_betti) and f_betti[j] > 0:
         return CompleteL2Answer(k, False, None, None)
-    p = Perversity(Fraction(2 * (space.f - k) + b, 2))
+    p = Perversity(2 * (space.f - k) + b, 2)
     c = space.effective_cutoff(p)
     return CompleteL2Answer(k, True, space.rank_table().map_rank(k, c, c), p)

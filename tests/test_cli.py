@@ -479,6 +479,25 @@ def test_unknown_name_error_line(capsys, argv, line):
     assert captured.err == line
 
 
+@pytest.mark.parametrize("command, rest", [
+    ("ih", ["--perversity", "0"]),
+    ("weights", ["--a", "0"]),
+    ("complete", []),
+])
+@pytest.mark.parametrize("source, message", [
+    ([], "one of the arguments --space --file is required"),
+    (["--space", "cone-circle", "--file", "model.json"],
+     "argument --file: not allowed with argument --space"),
+], ids=["neither", "both"])
+def test_space_and_file_are_one_required_choice(capsys, command, rest, source, message):
+    # exactly one of --space and --file; argparse refuses anything else
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, *rest])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_run_config_unknown_space_error_line(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"spaces": ["nope"], "suites": False}))

@@ -22,7 +22,6 @@ from edgehodge.cochain import (
     mapping_cone,
     tensor,
     truncate,
-    verify_complex,
 )
 from edgehodge.errors import ShapeMismatchError, UnverifiedComplexError
 from edgehodge.stratified import (
@@ -38,19 +37,19 @@ from oracles import convolution, sympy_cohomology
 
 
 def test_verify_circle():
-    assert verify_complex(circle_complex())
+    assert circle_complex().verify()
 
 
 def test_verify_rejects_nonzero_composite():
     bad = CochainComplex((1, 1, 1), [QMatrix(1, 1, [[1]]), QMatrix(1, 1, [[1]])])
-    assert not verify_complex(bad)
+    assert not bad.verify()
     with pytest.raises(UnverifiedComplexError):
         cohomology_dims(bad)
 
 
 def test_verify_zero_differentials():
     cx = CochainComplex((3, 5), [QMatrix.zeros(5, 3)])
-    assert verify_complex(cx)
+    assert cx.verify()
 
 
 def test_shape_mismatch_rejected():
@@ -93,7 +92,7 @@ def test_tensor_kunneth_convolution_random_pairs():
     for a in pool:
         for b in pool:
             t = tensor(a, b)
-            assert verify_complex(t)
+            assert t.verify()
             assert cohomology_dims(t) == convolution(
                 cohomology_dims(a), cohomology_dims(b))
 

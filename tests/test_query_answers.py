@@ -47,14 +47,14 @@ def query_answers(space) -> dict:
         cell = {}
         for ext in ("max", "min"):
             r = weighted_derham_dims(space, a, ext)
-            cell[ext] = {"perversity": str(r.perversity.value), "dims": list(r.dims)}
+            cell[ext] = {"perversity": str(r.perversity), "dims": list(r.dims)}
         cell["minimal_hodge"] = list(minimal_hodge_dims(space, a).dims)
         weights[str(a)] = cell
     l2 = []
     for k in range(space.n + 3):
         ans = complete_l2(space, k)
         l2.append({"verdict": ans.verdict,
-                   "perversity": str(ans.perversity.value) if ans.perversity else None})
+                   "perversity": str(ans.perversity) if ans.perversity is not None else None})
     return {"ih": ih, "weights": weights, "complete_l2": l2}
 
 

@@ -24,7 +24,6 @@ from edgehodge.radial import (
     homotopy_K_profile,
     homotopy_bound_coefficient,
     homotopy_operator_estimate,
-    load_coefficient_table,
     local_cohomology,
     log_grid,
     min_membership,
@@ -33,7 +32,6 @@ from edgehodge.radial import (
     pullback_norm,
     radial_pullback,
     recovery_error,
-    save_coefficient_table,
     scale_radial,
     slice_constant,
     window_position,
@@ -325,16 +323,7 @@ def test_mode_exponent_large_gap_scan():
         assert ok, (k, lam2, f, a)
 
 
-# -- profile I/O -------------------------------------------------------------------
-
-def test_profile_table_roundtrip(tmp_path):
-    prof = power_profile(1, 0, Fraction(1, 2), x0=1e-2, points_per_decade=10)
-    path = tmp_path / "alpha.txt"
-    save_coefficient_table(str(path), prof.xs, prof.a_samples)
-    xs, vals = load_coefficient_table(str(path))
-    assert xs == prof.xs
-    assert vals == prof.a_samples
-
+# -- profile validation ------------------------------------------------------------
 
 def test_profile_validation():
     xs = (0.1, 0.05, 1.0)

@@ -267,6 +267,25 @@ def test_queries_build_no_total_complex(monkeypatch):
         assert _every_answer(builtin_space(name)) == before[name], name
 
 
+_MODEL_DATA = {"name", "n", "b", "f", "F", "B", "M", "Y", "restriction", "description"}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_models_keep_no_cache_but_the_rank_table(name):
+    # the chain-level reference is rebuilt on each call: after every query
+    # and every reference call a model holds its data, _table and _minimal
+    space = builtin_space(name)
+    _every_answer(space)
+    minimal = space.minimal_model()
+    for model in (space, minimal):
+        for c in range(-1, model.f + 1):
+            model.truncated_tube(c)
+            model.total_map(-1, c)
+            model.total_map(c, model.f)
+        assert set(vars(model)) == _MODEL_DATA | {"_table", "_minimal"}
+    assert minimal._minimal is minimal
+
+
 def test_loads_multiply_no_matrices(monkeypatch):
     # d∘d, the chain-map property and Y = B ⊗ F are checked row by row: with
     # QMatrix.__matmul__ made to raise, a dense record that carries Y and
@@ -379,10 +398,20 @@ def test_model_invariants_enforced():
 
 def test_perversity_arithmetic():
     p = Perversity(Fraction(1, 2))
-    assert (p + 1).value == Fraction(3, 2)
-    assert (p - 2).value == Fraction(-3, 2)
+    assert p + 1 == Fraction(3, 2)
+    assert p - 2 == Fraction(-3, 2)
     assert Perversity("5/2") == Perversity(Fraction(5, 2))
     assert Perversity(1) > 0
+
+
+def test_perversity_is_a_fraction():
+    p = Perversity(5, 2)
+    assert isinstance(p, Fraction) and p == Fraction(5, 2)
+    assert hash(p) == hash(Fraction(5, 2)) and str(p) == "5/2"
+    assert p.value is p
+    assert not hasattr(p, "__dict__")
+    # zero is falsy, as a Fraction is; readers test a perversity against None
+    assert not Perversity(0) and str(Perversity(0)) == "0"
 
 
 def _random_small_models(seed):

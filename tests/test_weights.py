@@ -3,11 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from edgehodge import spectral
+from edgehodge import report, spectral
 from edgehodge.stratified import BUILTIN_NAMES, builtin_space, ih_dims, middle_perversities
 from edgehodge.weights import (
-    ceil_strict,
-    ceil_weak,
     complete_l2,
     max_perversity,
     min_perversity,
@@ -17,27 +15,8 @@ from edgehodge.weights import (
 
 from oracles import weight_perversities
 
-rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 WEIGHTS = [Fraction(n, 2) for n in range(-4, 5)]
-
-
-def test_ceil_examples():
-    assert ceil_strict(-1) == 0
-    assert ceil_weak(0) == 0
-    assert ceil_strict(Fraction(-1, 2)) == 0
-    assert ceil_strict(0) == 1
-
-
-@given(rationals)
-def test_ceil_bracket_relation(t):
-    # strict and weak brackets agree off the integers and differ by one on them
-    if t.denominator == 1:
-        assert ceil_strict(t) == ceil_weak(t) + 1
-    else:
-        assert ceil_strict(t) == ceil_weak(t)
-    assert ceil_strict(t) > t >= ceil_strict(t) - 1
-    assert ceil_weak(t) >= t > ceil_weak(t) - 1
 
 
 def test_weight_zero_gives_middle_perversities():
@@ -158,3 +137,10 @@ def test_monotone_in_weight_on_cone_models():
 def test_bad_extension_name_rejected():
     with pytest.raises(ValueError):
         weighted_derham_dims(builtin_space("cone-circle"), 0, "both")
+
+
+def test_complete_l2_perversity_zero_prints_as_zero():
+    # degree 1 of the cone over a circle sits at perversity 0, which is falsy
+    space = builtin_space("cone-circle")
+    assert complete_l2(space, 1).perversity == 0
+    assert report.complete_l2_fields(space, 1)["perversity"] == "0"
