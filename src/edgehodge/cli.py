@@ -85,13 +85,16 @@ def _space_from_args(args):
 
 
 def _emit(args, payload: dict, human: str) -> None:
+    if getattr(args, "out", None):
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(report_to_json(payload))
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     if getattr(args, "json", False):
         sys.stdout.write(report_to_json(payload))
     else:
         sys.stdout.write(human)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(report_to_json(payload))
 
 
 def _cmd_list(args) -> int:
@@ -205,7 +208,10 @@ def _cmd_fibre_spec(args) -> int:
     fib = _build_fibre(args.kind, sizes if len(sizes) > 1 else sizes[0], scale)
     spec_obj = fibredec.spectrum_for_predicates(fib, count=args.count)
     if args.csv:
-        fibredec.export_spectrum_csv(args.csv, spec_obj)
+        try:
+            fibredec.export_spectrum_csv(args.csv, spec_obj)
+        except OSError as exc:
+            raise ConfigError(f"cannot write CSV: {exc}") from exc
     payload = {"fibre": {"kind": args.kind, "sizes": list(sizes)},
                "betti": list(spec_obj.betti),
                "spectrum": spec_obj.to_dict()}

@@ -25,7 +25,9 @@ fibre cochain spaces.  This module provides:
   has constant coefficients, so a grid step is exp(±hA) and the span
   before a decade is one jump exp(tA), both in closed form for a
   symmetric 2x2 A; the jump is renormalised so it cannot overflow.
-  Log-magnitudes are regressed against log x on the decade.
+  Log-magnitudes are regressed against log x on the decade.  The fit
+  serves ``cone-lab`` and ``verify``; run reports read the exact check
+  ``system_has_roots`` instead.
 
 The radial grid is logarithmic (default 400 points per decade,
 x0 = 1e-4): power-law solutions are straight lines in these
@@ -529,6 +531,15 @@ def radial_system_matrix(k: int, lam2: float, f: int, a):
     lam = math.sqrt(float(lam2))
     af = float(Fraction(a))
     return ((-float(k), lam), (lam, -(f - k - 2 * af)))
+
+
+def system_has_roots(k: int, lam2, f: int, a, gamma_minus, gamma_plus) -> bool:
+    """Whether gamma- and gamma+ are the eigenvalues of the mode system's
+    A = [[-k, lambda], [lambda, -(f-k-2a)]], decided in Q for rational
+    lambda^2 and roots: tr A = gamma- + gamma+ and det A = gamma- gamma+."""
+    a22 = 2 * Fraction(a) + k - f
+    return (a22 - k == gamma_minus + gamma_plus
+            and -k * a22 - Fraction(lam2) == gamma_minus * gamma_plus)
 
 
 def _propagator(t: float, system) -> tuple[float, float, float]:

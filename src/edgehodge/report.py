@@ -1,13 +1,14 @@
 """Config-driven runs and report assembly.
 
 A run configuration names spaces (built-in names or model files),
-weights, the fibre grid, radial parameters, and which verification
+weights, the degree range, the fibre grid and which verification
 suites to execute.  ``run`` produces a deterministic report structure;
 ``render_report`` lays it out as aligned text tables and the same
 structure serializes to JSON for machine consumption.  Every numeric
-entry carries its provenance: engine dimensions and predicates are
-exact, eigenvalues and recovered exponents are numeric with their
-tolerance.
+entry carries its provenance: engine dimensions, predicates and the
+radial mode exponents (closed-form roots, checked exactly) are exact;
+critical roots at a float eigenvalue of a discretized link are
+numeric(1ulp).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from edgehodge import fibredec, radial, spectral, verify, weights
 from edgehodge.cochain import RATIONAL_DIGITS, parse_rational
-from edgehodge.errors import ConfigError, ModelInvariantError, StiffnessFailureError
+from edgehodge.errors import ConfigError, ModelInvariantError
 from edgehodge.stratified import (
     BUILTIN_NAMES,
     EdgeSpaceModel,
@@ -48,12 +49,19 @@ def _is_space_entry(entry) -> bool:
         isinstance(entry, dict) and isinstance(entry.get("file"), str))
 
 
+CONFIG_KEYS = ("spaces", "weights", "degrees", "fibre_grid", "suites")
+
+
 class RunConfig:
     """Validated run configuration."""
 
     def __init__(self, data: dict):
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a key/value object")
+        for key in data:
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {key!r} (known keys: "
+                                  f"{', '.join(CONFIG_KEYS)})")
         self.spaces = data.get("spaces", list(BUILTIN_NAMES))
         if not isinstance(self.spaces, list):
             raise ConfigError("spaces must be a list of names or {\"file\": path} objects")
@@ -81,20 +89,6 @@ class RunConfig:
         self.fibre_grid = tuple(grid)
         if any(g < 3 for g in self.fibre_grid):
             raise ConfigError("fibre grid sizes must be >= 3")
-        rad = data.get("radial", {})
-        if not isinstance(rad, dict):
-            raise ConfigError("radial must be a key/value object")
-        x0 = rad.get("x0", radial.DEFAULT_X0)
-        try:
-            self.x0 = float(x0)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"radial x0 is not a number: {x0!r}") from exc
-        if not (0 < self.x0 <= 0.1):
-            raise ConfigError("radial x0 must lie in (0, 1/10]")
-        self.points_per_decade = rad.get("points_per_decade", radial.POINTS_PER_DECADE)
-        # the slope fit needs two grid points in the last decade
-        if not (_is_int(self.points_per_decade) and self.points_per_decade >= 2):
-            raise ConfigError("radial points_per_decade must be an integer >= 2")
         suites = data.get("suites", True)
         if suites is True:
             self.suites = list(verify.SUITES)
@@ -167,10 +161,6 @@ def _prov_exact(value):
     return {"value": value, "provenance": "exact"}
 
 
-def _prov_numeric(value, tol: str):
-    return {"value": value, "provenance": f"numeric({tol})"}
-
-
 def weight_dims_fields(space: EdgeSpaceModel, a: Fraction) -> dict:
     """JSON fields of one weight: the max and min weighted de Rham
     extensions (perversity and dims) and the minimal Hodge dims."""
@@ -235,11 +225,9 @@ def _weight_cell(space: EdgeSpaceModel, a: Fraction, spec_obj) -> dict:
     }
 
 
-def _radial_section(space: EdgeSpaceModel, a: Fraction, config: RunConfig,
-                    exponents: dict) -> dict:
-    """Radial lab entries of one space.  ``exponents`` holds the
-    recovered exponents (or the recovery error) per (k, f, a), so a run
-    solves each distinct mode once."""
+def _radial_section(space: EdgeSpaceModel, a: Fraction) -> dict:
+    """Radial lab entries of one space: local cohomology, pullback
+    thresholds and the exactly checked zero-mode roots in degrees 0, 1."""
     fb = space.F.cohomology_dims()
     table = radial.local_cohomology(fb, space.f, a)
     modes = []
@@ -250,28 +238,10 @@ def _radial_section(space: EdgeSpaceModel, a: Fraction, config: RunConfig,
         if pair.double_root:
             modes.append({"degree": k, "lambda2": "0", "double_root": True})
             continue
-        key = (k, space.f, a)
-        if key not in exponents:
-            try:
-                exponents[key] = radial.mode_exponent(
-                    k, 0, space.f, a, x0=config.x0,
-                    points_per_decade=config.points_per_decade)
-            except StiffnessFailureError as exc:  # report, do not fail the run
-                exponents[key] = exc
-        me = exponents[key]
-        if isinstance(me, StiffnessFailureError):
-            modes.append({"degree": k, "lambda2": "0", "error": str(me)})
-            continue
-        err, ok = radial.recovery_error(me, pair)
-        modes.append({
-            "degree": k,
-            "lambda2": "0",
-            "exponents": _prov_numeric(
-                [me.gamma_minus_hat, me.gamma_plus_hat], "tol=1e-3"),
-            "closed_form": [str(pair.gamma_minus), str(pair.gamma_plus)],
-            "max_error": repr(err),
-            "pass": ok,
-        })
+        gm, gp = pair.gamma_minus, pair.gamma_plus
+        modes.append({"degree": k, "lambda2": "0",
+                      "exponents": _prov_exact([str(gm), str(gp)]),
+                      "pass": radial.system_has_roots(k, 0, space.f, a, gm, gp)})
     return {
         "local_cohomology": {
             "max": _prov_exact(list(table.max_dims)),
@@ -294,13 +264,12 @@ def run(config: RunConfig) -> dict:
     """Execute a configured run; deterministic output ordering.
 
     Link spectra (keyed by the link's Betti numbers, the grid being
-    fixed per config) and radial exponents (keyed by (k, f, a)) are
-    computed once per run; nothing is kept between runs.
+    fixed per config) are computed once per run; nothing is kept
+    between runs.
     """
     spaces = [load_space(e) for e in config.spaces]
     report: dict = {"config": config.data, "spaces": [], "suites": []}
     spectra: dict = {}
-    exponents: dict = {}
 
     for space in spaces:
         fb = space.F.cohomology_dims()
@@ -315,7 +284,7 @@ def run(config: RunConfig) -> dict:
             "middle_perversities": list(middle_perversities(space.f)),
             "weights": [],
             "complete_l2": [],
-            "radial": _radial_section(space, config.weights[0], config, exponents),
+            "radial": _radial_section(space, config.weights[0]),
         }
         entry["weights"] = [_weight_cell(space, a, spec_obj) for a in config.weights]
         lo, hi = (config.degrees or (0, space.n))

@@ -255,7 +255,7 @@ class EdgeSpaceModel:
     def effective_cutoff(self, p) -> int:
         """Integer truncation level in [-1, f] determined by p: the floor
         of f - 1 - p, which is f - 1 + floor(-p)."""
-        if not isinstance(p, (int, Fraction)):
+        if not hasattr(p, "denominator"):  # int, Fraction and Perversity have both
             p = Fraction(p)
         return max(-1, min(self.f, self.f - 1 + (-p.numerator) // p.denominator))
 

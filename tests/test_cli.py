@@ -234,7 +234,7 @@ REPORT_CONFIG = {
 def test_run_computes_each_spectrum_and_mode_once_per_run(monkeypatch):
     from edgehodge import fibredec, radial
 
-    calls = {"mode_exponent": 0, "spectrum_for_predicates": 0}
+    calls = {"mode_exponent": 0, "system_has_roots": 0, "spectrum_for_predicates": 0}
 
     def counting(module, name):
         inner = getattr(module, name)
@@ -245,16 +245,30 @@ def test_run_computes_each_spectrum_and_mode_once_per_run(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(radial, "mode_exponent")
+    counting(radial, "system_has_roots")
     counting(fibredec, "spectrum_for_predicates")
     config = RunConfig(REPORT_CONFIG)
     # two torus links and one circle link; at a = -5/4 no mode is a
-    # double root, so (k, f) in {0, 1} x {1, 2} gives four radial solves
+    # double root, so each space's modes in degrees 0 and 1 are checked
+    # exactly, once each, and none is fitted numerically
     first = run(config)
-    assert calls == {"mode_exponent": 4, "spectrum_for_predicates": 2}
+    assert calls == {"mode_exponent": 0, "system_has_roots": 8,
+                     "spectrum_for_predicates": 2}
     # a second run repeats the work: no cache outlives a run
     second = run(config)
-    assert calls == {"mode_exponent": 8, "spectrum_for_predicates": 4}
+    assert calls == {"mode_exponent": 0, "system_has_roots": 16,
+                     "spectrum_for_predicates": 4}
     assert first == second
+
+
+def test_run_needs_no_numeric_recovery(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("run reports read no numeric recovery")
+    monkeypatch.setattr(radial, "mode_exponent", broken)
+    rep = run(RunConfig(REPORT_CONFIG))
+    modes = [m for s in rep["spaces"] for m in s["radial"]["mode_exponents"]]
+    assert len(modes) == 8 and all(m["pass"] for m in modes)
+    assert all(m["exponents"]["provenance"] == "exact" for m in modes)
 
 
 def _count_window_scans(monkeypatch) -> list:
@@ -309,8 +323,7 @@ def test_verify_all_bytes_are_frozen(capsys):
                                           (report_to_json, "report_config.json")])
 def test_run_report_bytes_are_frozen(render, name):
     # the text and JSON renderings of REPORT_CONFIG, byte for byte; a change
-    # that moves any digit (the recovered exponents among them) regenerates
-    # the file on purpose
+    # that moves any digit regenerates the file on purpose
     want = (Path(__file__).parent / "data" / name).read_text()
     assert render(run(RunConfig(REPORT_CONFIG))) == want
 
@@ -321,9 +334,9 @@ def test_run_report_bytes_are_frozen(render, name):
     ({"fibre_grid": []}, "fibre grid must be a list"),
     ({"weights": 5}, "weights must be a list"),
     ({"suites": 5}, "suites must be"),
-    ({"radial": "x"}, "radial must be"),
-    ({"radial": {"x0": "abc"}}, "radial x0 is not a number"),
-    ({"radial": {"points_per_decade": 0}}, "points_per_decade must be"),
+    ({"radial": {"x0": 1e-4}}, "unknown config key 'radial' (known keys: spaces, "
+                               "weights, degrees, fibre_grid, suites)"),
+    ({"weight": ["0"]}, "unknown config key 'weight'"),
     ({"degrees": "ab"}, "degrees must be"),
     ({"degrees": [0]}, "degrees must be"),
     ({"spaces": "cone-torus"}, "spaces must be a list"),
@@ -332,7 +345,7 @@ def test_run_report_bytes_are_frozen(render, name):
     ({"weights": ["1/10000000000000000000000000000000000000000000000000000000000000000"
                   "0000000000000000000000000000000000000"]}, "rational out of range"),
 ], ids=["grid-int", "grid-string", "grid-empty", "weights-int", "suites-int",
-        "radial-string", "x0-string", "ppd-zero", "degrees-string",
+        "radial-key", "weight-misspelt", "degrees-string",
         "degrees-short", "spaces-string", "file-not-path", "weight-huge",
         "weight-denominator-past-bound"])
 def test_malformed_run_config_exit_code(tmp_path, capsys, change, message):
@@ -343,6 +356,23 @@ def test_malformed_run_config_exit_code(tmp_path, capsys, change, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["list", "--out", "{missing}"],
+    ["list", "--out", "{directory}"],
+    ["ih", "--space", "cone-circle", "--perversity", "0", "--out", "{missing}"],
+    ["weights", "--space", "cone-circle", "--a", "0", "--out", "{missing}"],
+    ["fibre-spec", "--kind", "circle", "--sizes", "6", "--csv", "{missing}"],
+], ids=["list-missing-dir", "list-directory", "ih-missing-dir", "weights-missing-dir",
+        "csv-missing-dir"])
+def test_unwritable_output_path_exit_code(tmp_path, capsys, argv):
+    paths = {"missing": str(tmp_path / "absent" / "out"), "directory": str(tmp_path)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
@@ -715,15 +745,6 @@ def test_cone_lab_x0_not_a_power_of_ten(capsys):
     assert mode["pass"] is True
 
 
-def test_run_with_x0_not_a_power_of_ten_has_no_error_modes():
-    rep = run(RunConfig({"spaces": ["cone-torus", "edge-circle-over-circle"],
-                         "weights": ["-1", "0", "1/2"], "fibre_grid": [8],
-                         "suites": False, "radial": {"x0": 0.05}}))
-    modes = [m for s in rep["spaces"] for m in s["radial"]["mode_exponents"]]
-    assert modes and not any("error" in m for m in modes)
-    assert all(m.get("double_root") or m["pass"] for m in modes)
-
-
 def _cli_subprocess(*argv, module="edgehodge.cli"):
     """Run ``python -m edgehodge.cli`` in a fresh interpreter, so
     warnings written to stderr are seen as a user sees them."""
@@ -790,19 +811,3 @@ def test_cone_lab_unrepresentable_propagator_is_a_stiffness_error(capsys):
     assert main(["cone-lab", "--a", "0", "--mode", "0,1000000", "--ppd", "2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: one-step propagator") and err.count("\n") == 1
-
-
-def test_run_propagates_a_recovery_error_that_is_not_stiffness(monkeypatch):
-    def broken(*args, **kwargs):
-        raise ZeroDivisionError("not a stiffness failure")
-    monkeypatch.setattr(radial, "mode_exponent", broken)
-    with pytest.raises(ZeroDivisionError):
-        run(RunConfig(REPORT_CONFIG))
-
-
-def test_run_reports_unrepresentable_propagator_as_mode_error():
-    rep = run(RunConfig({"spaces": ["cone-torus"], "weights": ["1000"],
-                         "fibre_grid": [4, 4], "suites": False,
-                         "radial": {"points_per_decade": 2}}))
-    modes = rep["spaces"][0]["radial"]["mode_exponents"]
-    assert modes and all("one-step propagator" in m["error"] for m in modes)

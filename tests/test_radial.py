@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from edgehodge import radial
 from edgehodge.errors import (
@@ -34,6 +35,7 @@ from edgehodge.radial import (
     recovery_error,
     scale_radial,
     slice_constant,
+    system_has_roots,
     window_position,
 )
 from edgehodge.spectral import indicial_roots
@@ -396,6 +398,41 @@ def test_recovery_error_reads_the_tolerance():
     off = ModeExponents(exact.gamma_minus_hat, exact.gamma_plus_hat + 2e-3, False)
     err, ok = recovery_error(off, pair)
     assert err == pytest.approx(2e-3) and not ok
+
+
+@st.composite
+def exact_modes(draw):
+    """(k, f, a, lambda^2) whose indicial pair is rational: lambda^2 =
+    ((g + t)^2 - g^2) / 4 with g = |f - 2a - 2k| makes the discriminant
+    the square (g + t)^2."""
+    k, f = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    a = Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 12)))
+    t = Fraction(draw(st.integers(0, 60)), draw(st.integers(1, 12)))
+    g = abs(f - 2 * a - 2 * k)
+    return k, f, a, ((g + t) ** 2 - g ** 2) / 4
+
+
+@given(exact_modes())
+def test_exact_check_accepts_every_rational_pair(mode):
+    k, f, a, lam2 = mode
+    pair = indicial_roots(f, a, k, lam2)
+    assert pair.exact
+    assert system_has_roots(k, lam2, f, a, pair.gamma_minus, pair.gamma_plus)
+
+
+@given(exact_modes())
+def test_exact_check_rejects_a_wrong_pair(mode):
+    k, f, a, lam2 = mode
+    pair = indicial_roots(f, a, k, lam2)
+    gm, gp = pair.gamma_minus, pair.gamma_plus
+    half = Fraction(1, 2)
+    assert not system_has_roots(k, lam2, f, a, gm + half, gp)
+    assert not system_has_roots(k, lam2, f, a, gm, gp - half)
+    assert not system_has_roots(k, lam2 + Fraction(1, 3), f, a, gm, gp)
+    # the pair of degree k + 1 is the same pair exactly when f - 2a = 2k + 1
+    other = indicial_roots(f, a, k + 1, lam2)
+    if other.exact and (other.gamma_minus, other.gamma_plus) != (gm, gp):
+        assert not system_has_roots(k, lam2, f, a, other.gamma_minus, other.gamma_plus)
 
 
 # Each (k, lambda^2, f, a, x0, ppd) with the repr of its ModeExponents or
