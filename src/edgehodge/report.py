@@ -4,17 +4,19 @@ A run configuration names spaces (built-in names or model files),
 weights, the degree range, the fibre grid and which verification
 suites to execute.  ``run`` produces a deterministic report structure;
 ``render_report`` lays it out as aligned text tables and the same
-structure serializes to JSON for machine consumption.  Every numeric
-entry carries its provenance: engine dimensions, predicates and the
-radial mode exponents (closed-form roots, checked exactly) are exact;
-critical roots at a float eigenvalue of a discretized link are
-numeric(1ulp).
+structure serializes to JSON for machine consumption
+(``report_to_json``, whose bytes equal ``json.dumps(indent=2)``).
+Every numeric entry carries its provenance: engine dimensions,
+predicates and the radial mode exponents (closed-form roots, checked
+exactly) are exact; critical roots and window boundary contacts at a
+float eigenvalue of a discretized link are numeric(1ulp).
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from edgehodge import fibredec, radial, spectral, verify, weights
 from edgehodge.cochain import RATIONAL_DIGITS, parse_rational
@@ -213,35 +215,44 @@ def root_fields(critical, contacts) -> dict:
     }
 
 
-def _weight_cell(space: EdgeSpaceModel, a: Fraction, spec_obj) -> dict:
-    critical, contacts = spectral.window_roots(space.f, a, spec_obj)
+def _link_window(fb: tuple, a: Fraction, spec_obj) -> tuple:
+    """The parts of a weight cell that depend only on the link (its Betti
+    numbers, hence f) and a: one window scan and the unique-closed-
+    extension test."""
+    f = len(fb) - 1
+    critical, contacts = spectral.window_roots(f, a, spec_obj)
+    return critical, contacts, spectral.unique_closed_extension_d(f, a, fb)
+
+
+def _weight_cell(space: EdgeSpaceModel, a: Fraction, window: tuple) -> dict:
+    critical, contacts, uce = window
     return {
         **weight_dims_fields(space, a),
-        "unique_closed_extension": _prov_exact(
-            spectral.unique_closed_extension_d(space.f, a, space.F.cohomology_dims())
-        ),
+        "unique_closed_extension": _prov_exact(uce),
         "essentially_selfadjoint": _prov_exact(not critical),
         **root_fields(critical, contacts),
     }
 
 
-def _radial_section(space: EdgeSpaceModel, a: Fraction) -> dict:
-    """Radial lab entries of one space: local cohomology, pullback
-    thresholds and the exactly checked zero-mode roots in degrees 0, 1."""
-    fb = space.F.cohomology_dims()
-    table = radial.local_cohomology(fb, space.f, a)
+def _radial_values(fb: tuple, a: Fraction) -> tuple:
+    """The radial lab's answers for a link with Betti numbers fb at
+    weight a: local cohomology, pullback thresholds and the exactly
+    checked zero-mode roots in degrees 0 and 1, as (degree, root pair,
+    pass) with pass None at a double root."""
+    f = len(fb) - 1
     modes = []
-    for k in (0, 1):
-        if k > space.f:
-            continue
-        pair = spectral.indicial_roots(space.f, a, k, 0)
-        if pair.double_root:
-            modes.append({"degree": k, "lambda2": "0", "double_root": True})
-            continue
-        gm, gp = pair.gamma_minus, pair.gamma_plus
-        modes.append({"degree": k, "lambda2": "0",
-                      "exponents": _prov_exact([str(gm), str(gp)]),
-                      "pass": radial.system_has_roots(k, 0, space.f, a, gm, gp)})
+    for k in range(min(f, 1) + 1):
+        pair = spectral.indicial_roots(f, a, k, 0)
+        ok = None if pair.double_root else radial.system_has_roots(
+            k, 0, f, a, pair.gamma_minus, pair.gamma_plus)
+        modes.append((k, pair, ok))
+    return (radial.local_cohomology(fb, f, a),
+            [radial.pullback_norm(k, f, a) for k in range(f + 1)], modes)
+
+
+def _radial_section(values: tuple) -> dict:
+    """Radial lab entries of one space, built fresh from ``_radial_values``."""
+    table, pullbacks, modes = values
     return {
         "local_cohomology": {
             "max": _prov_exact(list(table.max_dims)),
@@ -253,44 +264,58 @@ def _radial_section(space: EdgeSpaceModel, a: Fraction) -> dict:
                 "finite": pb.finite,
                 "weight_integral": str(pb.value) if pb.finite else None,
             }
-            for k, pb in ((k, radial.pullback_norm(k, space.f, a))
-                          for k in range(space.f + 1))
+            for k, pb in enumerate(pullbacks)
         ],
-        "mode_exponents": modes,
+        "mode_exponents": [
+            {"degree": k, "lambda2": "0", "double_root": True} if ok is None else
+            {"degree": k, "lambda2": "0",
+             "exponents": _prov_exact([str(pair.gamma_minus), str(pair.gamma_plus)]),
+             "pass": ok}
+            for k, pair, ok in modes
+        ],
     }
 
 
 def run(config: RunConfig) -> dict:
     """Execute a configured run; deterministic output ordering.
 
-    Link spectra (keyed by the link's Betti numbers, the grid being
-    fixed per config) are computed once per run; nothing is kept
-    between runs.
+    What depends only on a space's link is computed once per run: the
+    link spectrum (keyed by the link's Betti numbers, the grid being
+    fixed per config), and, keyed by (Betti numbers, a), each weight's
+    window scan and closed-extension test and the radial section's
+    values.  Every report entry gets dicts of its own, and nothing is
+    kept between runs.
     """
     spaces = [load_space(e) for e in config.spaces]
     report: dict = {"config": config.data, "spaces": [], "suites": []}
     spectra: dict = {}
+    windows: dict = {}  # (link Betti numbers, a) -> _link_window
+    radials: dict = {}  # (link Betti numbers, a) -> _radial_values
+    a0 = config.weights[0]
 
     for space in spaces:
         fb = space.F.cohomology_dims()
         if fb not in spectra:
             spectra[fb] = link_spectrum(fb, config.fibre_grid)
-        spec_obj = spectra[fb]
-        entry = {
+        if (fb, a0) not in radials:
+            radials[fb, a0] = _radial_values(fb, a0)
+        cells = []
+        for a in config.weights:
+            if (fb, a) not in windows:
+                windows[fb, a] = _link_window(fb, a, spectra[fb])
+            cells.append(_weight_cell(space, a, windows[fb, a]))
+        lo, hi = (config.degrees or (0, space.n))
+        report["spaces"].append({
             "name": space.name,
             "n": space.n,
             "b": space.b,
             "f": space.f,
             "middle_perversities": list(middle_perversities(space.f)),
-            "weights": [],
-            "complete_l2": [],
-            "radial": _radial_section(space, config.weights[0]),
-        }
-        entry["weights"] = [_weight_cell(space, a, spec_obj) for a in config.weights]
-        lo, hi = (config.degrees or (0, space.n))
-        entry["complete_l2"] = [complete_l2_fields(space, k)
-                                for k in range(lo, min(hi, space.n) + 1)]
-        report["spaces"].append(entry)
+            "weights": cells,
+            "complete_l2": [complete_l2_fields(space, k)
+                            for k in range(lo, min(hi, space.n) + 1)],
+            "radial": _radial_section(radials[fb, a0]),
+        })
 
     if config.suites:
         names = [s for s in config.spaces if isinstance(s, str)]
@@ -303,8 +328,72 @@ def run(config: RunConfig) -> dict:
     return report
 
 
+_INF = float("inf")
+
+
+def _float_json(x: float) -> str:
+    """A float as json writes it: its repr, or NaN and +-Infinity."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_json(value, pad: str, out: list) -> None:
+    """Append the ``indent=2`` JSON text of value, nested at pad, to out."""
+    if isinstance(value, str):
+        out.append(_json_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_json(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(_json_str(key))
+            out.append(": ")
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """The JSON text of a report or payload, newline-terminated.  Its
+    bytes equal ``json.dumps(report, indent=2) + "\n"`` for str keys;
+    any other key or value type raises TypeError."""
+    out: list = []
+    _write_json(report, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _fmt_table(headers, rows) -> str:

@@ -248,15 +248,16 @@ def test_run_computes_each_spectrum_and_mode_once_per_run(monkeypatch):
     counting(radial, "system_has_roots")
     counting(fibredec, "spectrum_for_predicates")
     config = RunConfig(REPORT_CONFIG)
-    # two torus links and one circle link; at a = -5/4 no mode is a
-    # double root, so each space's modes in degrees 0 and 1 are checked
-    # exactly, once each, and none is fitted numerically
+    # three spaces share the torus link and one has the circle link; at
+    # a = -5/4 no mode is a double root, so each link's modes in degrees
+    # 0 and 1 are checked exactly, once each, and none is fitted
+    # numerically
     first = run(config)
-    assert calls == {"mode_exponent": 0, "system_has_roots": 8,
+    assert calls == {"mode_exponent": 0, "system_has_roots": 4,
                      "spectrum_for_predicates": 2}
     # a second run repeats the work: no cache outlives a run
     second = run(config)
-    assert calls == {"mode_exponent": 0, "system_has_roots": 16,
+    assert calls == {"mode_exponent": 0, "system_has_roots": 8,
                      "spectrum_for_predicates": 4}
     assert first == second
 
@@ -285,8 +286,26 @@ def _count_window_scans(monkeypatch) -> list:
 def test_run_scans_each_critical_window_once(monkeypatch):
     calls = _count_window_scans(monkeypatch)
     run(RunConfig(REPORT_CONFIG))
-    # one scan per (space, weight) cell: 4 spaces x 6 weights
-    assert len(calls) == 24
+    # one scan per (link, weight): the torus and circle links x 6 weights,
+    # where there are 4 spaces x 6 weights = 24 cells
+    assert len(calls) == 12
+    assert len({(f, a) for f, a, _spec in calls}) == 12
+
+
+def test_run_report_shares_no_mutable_object():
+    # the per-run memo hands out values, never a dict or list that two
+    # places of the report would then share
+    seen = set()
+
+    def walk(node):
+        if isinstance(node, (dict, list)):
+            assert id(node) not in seen
+            seen.add(id(node))
+            for child in (node.values() if isinstance(node, dict) else node):
+                walk(child)
+    report = run(RunConfig(REPORT_CONFIG))
+    walk(report)
+    assert len(seen) > 400
 
 
 def test_spectral_command_scans_the_window_once(monkeypatch, capsys):
