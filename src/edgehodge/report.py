@@ -195,7 +195,8 @@ def complete_l2_fields(space: EdgeSpaceModel, k: int) -> dict:
 
 def root_fields(critical, contacts) -> dict:
     """JSON fields of one window scan (``spectral.window_roots``): the
-    critical root pairs and the window boundary contacts."""
+    critical root pairs and the window boundary contacts, each exact at a
+    rational lambda^2 and numeric(1ulp) at a float one."""
     return {
         "critical_roots": [
             {
@@ -209,7 +210,8 @@ def root_fields(critical, contacts) -> dict:
             for p in critical
         ],
         "boundary_contacts": [
-            {"degree": q, "lambda2": str(v)}
+            {"degree": q, "lambda2": str(v),
+             "provenance": "exact" if isinstance(v, Fraction) else "numeric(1ulp)"}
             for q, v in contacts
         ],
     }
@@ -241,7 +243,7 @@ def _radial_values(fb: tuple, a: Fraction) -> tuple:
     pass) with pass None at a double root."""
     f = len(fb) - 1
     modes = []
-    for k in range(min(f, 1) + 1):
+    for k in range(min(f, 1) + 1):  # degrees 0 and 1, as far as f goes
         pair = spectral.indicial_roots(f, a, k, 0)
         ok = None if pair.double_root else radial.system_has_roots(
             k, 0, f, a, pair.gamma_minus, pair.gamma_plus)
@@ -387,9 +389,9 @@ def _write_json(value, pad: str, out: list) -> None:
 
 
 def report_to_json(report: dict) -> str:
-    """The JSON text of a report or payload, newline-terminated.  Its
-    bytes equal ``json.dumps(report, indent=2) + "\n"`` for str keys;
-    any other key or value type raises TypeError."""
+    """The JSON text of a report or payload and a final newline.  Its
+    bytes equal ``json.dumps(report, indent=2)``'s and the newline; a key
+    that is not a str, or a value json cannot write, raises TypeError."""
     out: list = []
     _write_json(report, "", out)
     out.append("\n")
