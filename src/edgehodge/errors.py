@@ -3,7 +3,10 @@
 The CLI maps these onto exit codes: ConfigError (including
 ModelFormatError) -> 2, model invariant violations -> 3, verification
 failures -> 4.  The fibre layer raises none of these: its spectra come
-in closed form, with their zero modes counted exactly.
+in closed form, with their zero modes counted exactly.  Neither does
+minimal-domain membership, which is decided exactly from a mode's
+exponent; the one numeric failure left is StiffnessFailureError, from
+the radial exponent fit that ``cone-lab`` and ``verify`` run.
 """
 
 
@@ -41,14 +44,6 @@ class ModelFormatError(ConfigError):
 
 class VerificationFailure(EdgeHodgeError):
     """An executable invariant suite reported a failing check."""
-
-
-class QuadratureError(EdgeHodgeError):
-    """Sampled-profile quadrature failed its self-consistency check."""
-
-
-class InconclusiveSlopeError(EdgeHodgeError):
-    """Fitted decay exponent too close to zero to decide membership."""
 
 
 class StiffnessFailureError(EdgeHodgeError):

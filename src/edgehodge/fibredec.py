@@ -30,8 +30,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from edgehodge.cochain import CochainComplex, QMatrix, tensor
+from edgehodge.cochain import CochainComplex, QMatrix, _sparse, tensor
 from edgehodge.spectral import FibreSpectrum
+
+# most mode tuples (the product of the grid sizes) a fibre may have:
+# its spectrum forms and sorts one eigenvalue sum per tuple
+MAX_MODE_TUPLES = 10 ** 6
 
 
 @dataclass
@@ -67,11 +71,10 @@ class DiscreteFibre:
 
 
 def _circle_complex(n: int) -> CochainComplex:
-    d0 = [[0] * n for _ in range(n)]
-    for e in range(n):
-        d0[e][e] = -1
-        d0[e][(e + 1) % n] = 1
-    return CochainComplex((n, n), [QMatrix(n, n, d0)])
+    """The n-cycle: edge e runs from vertex e to vertex e + 1 mod n, each
+    row's columns in ascending order, as ``QMatrix`` stores them."""
+    rows = tuple({e: -1, e + 1: 1} for e in range(n - 1)) + ({0: 1, n - 1: -1},)
+    return CochainComplex((n, n), [_sparse(n, n, rows)])
 
 
 def _circle_fibre(n: int, length: float) -> DiscreteFibre:
@@ -93,7 +96,8 @@ def build_fibre(kind: str, sizes, scale=None) -> DiscreteFibre:
     is one grid size per circle factor (>= 3 each).  ``scale`` gives
     the circumference of each factor (scalar or per-factor sequence;
     default 2*pi), exposing the quasi-isometry freedom used to move
-    eigenvalues out of critical windows.
+    eigenvalues out of critical windows.  A grid with more than
+    MAX_MODE_TUPLES mode tuples is refused with ValueError.
     """
     if isinstance(sizes, int):
         sizes = (sizes,)
@@ -110,17 +114,21 @@ def build_fibre(kind: str, sizes, scale=None) -> DiscreteFibre:
     if kind == "circle":
         if len(sizes) != 1:
             raise ValueError("circle takes one grid size")
-        return _circle_fibre(sizes[0], lengths[0])
-    if kind in ("torus", "product"):
+    elif kind in ("torus", "product"):
         if kind == "torus" and len(sizes) != 2:
             raise ValueError("torus takes two grid sizes")
         if len(sizes) < 2:
             raise ValueError("product needs at least two circle factors")
-        fib = _circle_fibre(sizes[0], lengths[0])
-        for s, length in zip(sizes[1:], lengths[1:]):
-            fib = _product_fibre(fib, _circle_fibre(s, length), kind)
-        return fib
-    raise ValueError(f"unknown fibre kind {kind!r}")
+    else:
+        raise ValueError(f"unknown fibre kind {kind!r}")
+    fib = _circle_fibre(sizes[0], lengths[0])
+    for s, length in zip(sizes[1:], lengths[1:]):
+        fib = _product_fibre(fib, _circle_fibre(s, length), kind)
+    tuples = math.prod(sizes)
+    if tuples > MAX_MODE_TUPLES:
+        raise ValueError(f"grid sizes {','.join(map(str, sizes))} give {tuples} "
+                         f"mode tuples, more than the {MAX_MODE_TUPLES} allowed")
+    return fib
 
 
 def laplacian_matrix(fibre: DiscreteFibre, q: int) -> list[list[float]]:

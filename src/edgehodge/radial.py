@@ -9,14 +9,13 @@ fibre cochain spaces.  This module provides:
 - the pullback-norm threshold and its weight integral
   ∫_0^1 x^(f-2k-2a) dx, which is finite iff k < (f+1)/2 - a;
 - the slice constant K = (∫_{1/2}^1 x^(f-2k-2a) dx)^(-1);
-- the radial homotopy operator K_c(omega) = ∫_c^x beta(s) ds with an
-  exact path for polynomial radial profiles and a quadrature path for
-  sampled ones, plus the closed-form bound coefficient for its
-  operator norm (log case at k = (f+1)/2 - a handled separately);
-- minimal-domain membership for fibre-harmonic modes: inside the open
-  window ((f-1)/2 - a, (f+1)/2 - a) the radial coefficient must be
-  o(1); decided symbolically for closed-form powers and by a log-log
-  slope fit on the last decade for sampled profiles;
+- the radial homotopy operator K_c(omega) = ∫_c^x beta(s) ds, exact
+  for polynomial radial profiles, plus the closed-form bound
+  coefficient for its operator norm (log case at k = (f+1)/2 - a
+  handled separately);
+- minimal-domain membership for a fibre-harmonic mode x^gamma: inside
+  the open window ((f-1)/2 - a, (f+1)/2 - a) the radial coefficient
+  must be o(1), i.e. gamma > 0, decided exactly from the exponent;
 - numerical recovery of indicial exponents from the radial 2x2
   system x v'(x) = A v(x), A = [[-k, lambda], [lambda, -(f-k-2a)]],
   each in the direction where its solution dominates: gamma- on the
@@ -43,16 +42,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from edgehodge.cochain import CochainComplex, QMatrix
-from edgehodge.errors import (
-    ConfigError,
-    InconclusiveSlopeError,
-    QuadratureError,
-    StiffnessFailureError,
-)
+from edgehodge.errors import ConfigError, StiffnessFailureError
 
 DEFAULT_X0 = 1e-4
 POINTS_PER_DECADE = 400
-SLOPE_DECISION_TOL = 1e-3
 RECOVERY_TOL = 1e-3
 # largest |e + 1| at which slice_constant computes the exact constant
 SLICE_EXPONENT_BOUND = 10_000
@@ -340,7 +333,7 @@ def homotopy_operator_estimate(form: PolyRadialForm, f: int, a, c,
 
 
 # ---------------------------------------------------------------------------
-# sampled single-mode profiles
+# the logarithmic radial grid
 
 
 class _LogGrid:
@@ -374,77 +367,6 @@ def log_grid(x0: float = DEFAULT_X0, points_per_decade: int = POINTS_PER_DECADE)
     return tuple(grid.points(0, len(grid)))
 
 
-@dataclass
-class ConeModeProfile:
-    """Sampled radial coefficient pair of one fibre mode.
-
-    ``a_samples`` is the tangential coefficient, ``t_samples`` its
-    dx-partner.  ``closed_form_exponent`` tags profiles known to be a
-    pure power x^gamma, which lets membership tests skip numerics.
-    """
-
-    degree: int
-    lam2: float
-    xs: tuple[float, ...]
-    a_samples: tuple[float, ...]
-    t_samples: tuple[float, ...]
-    closed_form_exponent: Fraction | float | None = None
-
-    def __post_init__(self):
-        if len(self.xs) != len(self.a_samples) or len(self.xs) != len(self.t_samples):
-            raise ValueError("sample arrays must match the grid")
-        if any(self.xs[i] >= self.xs[i + 1] for i in range(len(self.xs) - 1)):
-            raise ValueError("grid must be strictly increasing")
-        if not all(map(math.isfinite, self.a_samples)) or not all(
-                map(math.isfinite, self.t_samples)):
-            raise ValueError("samples must be finite")
-
-
-def power_profile(k: int, lam2, gamma, x0: float = DEFAULT_X0,
-                  points_per_decade: int = POINTS_PER_DECADE) -> ConeModeProfile:
-    """Profile a(x) = x^gamma (t = 0) with its closed-form tag."""
-    xs = log_grid(x0, points_per_decade)
-    gf = float(gamma)
-    return ConeModeProfile(
-        k, float(lam2), xs,
-        tuple(x ** gf for x in xs),
-        tuple(0.0 for _ in xs),
-        closed_form_exponent=Fraction(gamma) if isinstance(gamma, (int, Fraction)) else float(gamma),
-    )
-
-
-def homotopy_K_profile(profile: ConeModeProfile, c: float) -> ConeModeProfile:
-    """Sampled K_c for a single-mode profile: integrate the dx-coefficient
-    from c to each grid point by the trapezoid rule.
-
-    A Richardson comparison against the half-resolution integral guards
-    the quadrature: a relative discrepancy above 1e-6 raises, which is
-    what an under-resolved grid produces.
-    """
-    xs, ts = profile.xs, profile.t_samples
-    if not (xs[0] < c < xs[-1]):
-        raise ValueError("c must lie inside the sampled grid")
-    anti = [0.0]
-    for i in range(1, len(xs)):
-        anti.append(anti[-1] + 0.5 * (ts[i] + ts[i - 1]) * (xs[i] - xs[i - 1]))
-    i = bisect.bisect_right(xs, c) - 1
-    anti_c = (anti[i + 1] - anti[i]) / (xs[i + 1] - xs[i]) * (c - xs[i]) + anti[i]
-    fine = [v - anti_c for v in anti]
-    coarse = err = 0.0
-    for i in range(2, len(xs), 2):
-        coarse += 0.5 * (ts[i] + ts[i - 2]) * (xs[i] - xs[i - 2])
-        err = max(err, abs(anti[i] - coarse))
-    err /= max(map(abs, fine)) or 1.0
-    if err > 1e-6:
-        raise QuadratureError(
-            f"trapezoid/half-grid discrepancy {err:.2e}; grid under-resolved"
-        )
-    return ConeModeProfile(
-        profile.degree - 1, profile.lam2, tuple(map(float, xs)),
-        tuple(fine), tuple(0.0 for _ in xs),
-    )
-
-
 def _fit_slope(xs, ys) -> float:
     """Least-squares slope of log y against log x; NaN unless every y is
     positive and finite and the x are not all equal."""
@@ -452,6 +374,10 @@ def _fit_slope(xs, ys) -> float:
         return math.nan
     return statistics.linear_regression([math.log(x) for x in xs],
                                         [math.log(y) for y in ys]).slope
+
+
+# ---------------------------------------------------------------------------
+# minimal-domain membership
 
 
 def window_position(k: int, f: int, a) -> str:
@@ -468,42 +394,21 @@ def window_position(k: int, f: int, a) -> str:
     return "inside" if lo < kq < hi else "outside"
 
 
-def min_membership(k: int, f: int, a, profile: ConeModeProfile) -> bool:
-    """Minimal-domain membership of a fibre-harmonic mode profile.
+def min_membership(k: int, f: int, a, gamma) -> bool:
+    """Minimal-domain membership of the fibre-harmonic mode x^gamma,
+    for an exact exponent gamma.
 
     Outside the open window ((f-1)/2 - a, (f+1)/2 - a), endpoints
     included, every max-domain profile belongs: the integral casework
     gives the radial coefficients enough decay to kill the boundary
     pairing, so the answer is True.  Strictly inside the window the
-    tangential coefficient must be o(1): decided exactly for
-    closed-form powers, otherwise by the sign of the fitted log-log
-    slope over the last decade.  Use ``window_position`` when a report
-    should flag the endpoint case as "boundary".
+    tangential coefficient must be o(1), which x^gamma is iff
+    gamma > 0.  Use ``window_position`` when a report should flag the
+    endpoint case as "boundary".
     """
-    a = Fraction(a)
-    lo = Fraction(f - 1, 2) - a
-    hi = Fraction(f + 1, 2) - a
-    kq = Fraction(k)
-    if not (lo < kq < hi):
+    if window_position(k, f, a) != "inside":
         return True
-    gamma = profile.closed_form_exponent
-    if gamma is not None:
-        return gamma > 0
-    tail = [(x, abs(v)) for x, v in zip(profile.xs, profile.a_samples)
-            if x <= 10 * profile.xs[0]]
-    if all(v == 0.0 for _, v in tail):
-        return True
-    if any(v == 0.0 for _, v in tail):
-        raise InconclusiveSlopeError("tangential coefficient vanishes on part of the tail")
-    slope = _fit_slope([x for x, _ in tail], [v for _, v in tail])
-    if not math.isfinite(slope):
-        raise InconclusiveSlopeError(
-            f"no tail slope can be fitted to {len(tail)} sample(s) in the last decade")
-    if abs(slope) < SLOPE_DECISION_TOL:
-        raise InconclusiveSlopeError(
-            f"fitted exponent {slope:.2e} within {SLOPE_DECISION_TOL} of zero"
-        )
-    return slope > 0
+    return Fraction(gamma) > 0
 
 
 # ---------------------------------------------------------------------------

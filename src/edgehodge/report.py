@@ -146,17 +146,21 @@ def link_spectrum(link_betti, grid) -> spectral.FibreSpectrum:
     fibres are never meshed).
     """
     fb = tuple(link_betti)
-    if fb == (1, 1):
-        fib = fibredec.build_fibre("circle", grid[0])
-        return fibredec.spectrum_for_predicates(fib)
-    if fb == (1, 2, 1):
-        fib = fibredec.build_fibre("torus", (grid[0], grid[-1]))
-        return fibredec.spectrum_for_predicates(fib)
     if fb == (1, 0, 1):
         return spectral.sphere2_spectrum()
-    raise ModelInvariantError(
-        f"no spectrum source for link with Betti numbers {fb}"
-    )
+    if fb == (1, 1):
+        kind, sizes = "circle", grid[0]
+    elif fb == (1, 2, 1):
+        kind, sizes = "torus", (grid[0], grid[-1])
+    else:
+        raise ModelInvariantError(
+            f"no spectrum source for link with Betti numbers {fb}"
+        )
+    try:
+        fib = fibredec.build_fibre(kind, sizes)
+    except ValueError as exc:
+        raise ConfigError(f"bad fibre grid: {exc}") from exc
+    return fibredec.spectrum_for_predicates(fib)
 
 
 def _prov_exact(value):

@@ -11,10 +11,10 @@ when (f - 2a - 2k)^2 + 4 lambda^2 < 1; critical pairs are what
 obstructs essential self-adjointness.  All window comparisons are done
 in exact rational arithmetic whenever lambda^2 is rational, so the
 predicates cannot flip on rounding; a pair landing exactly on the
-window boundary is classified non-critical and surfaced separately by
-``boundary_contacts``.  ``window_roots`` answers both from one scan of
-the window; ``critical_roots``, ``boundary_contacts`` and
-``essentially_selfadjoint`` read its parts.
+window boundary is classified non-critical and surfaced separately as
+a boundary contact.  ``window_roots`` answers both from one scan of the
+window; the ``spectral`` command and ``report.run`` read both parts,
+and ``essentially_selfadjoint``, which ``verify`` reads, the first.
 """
 
 from __future__ import annotations
@@ -213,20 +213,6 @@ def window_roots(f: int, a, spec: FibreSpectrum
     return critical, contacts
 
 
-def critical_roots(f: int, a, spec: FibreSpectrum) -> list[IndicialRootPair]:
-    """All root pairs strictly inside the critical weight window."""
-    return window_roots(f, a, spec)[0]
-
-
-def boundary_contacts(f: int, a, spec: FibreSpectrum) -> list[tuple[int, Number]]:
-    """(degree, lambda^2) pairs landing exactly on the window boundary.
-
-    These are classified non-critical, but the closed-window caveat
-    means downstream conclusions deserve a warning, so the CLI surfaces
-    them."""
-    return window_roots(f, a, spec)[1]
-
-
 def essentially_selfadjoint(f: int, a, spec: FibreSpectrum) -> bool:
     """True iff no indicial root lies in the critical window."""
     return not window_roots(f, a, spec)[0]
@@ -247,16 +233,3 @@ def unique_closed_extension_d(f: int, a, f_betti: Sequence[int]) -> bool:
         return True
     return f_betti[q] == 0
 
-
-def l2_cutoff(gamma, f: int, a) -> tuple[bool, Number]:
-    """Weighted-L2 membership of a mode decaying like x^gamma, plus the
-    critical weight delta(gamma) = gamma + (f+1)/2 - a."""
-    a = Fraction(a)
-    gamma = _as_number(gamma)
-    threshold = a - Fraction(f, 2)
-    member = gamma > threshold
-    if isinstance(gamma, Fraction):
-        delta = gamma + Fraction(f + 1, 2) - a
-    else:
-        delta = gamma + float(Fraction(f + 1, 2) - a)
-    return member, delta

@@ -517,9 +517,9 @@ def radial_checks() -> list[CheckResult]:
             hi = Fraction(f + 1, 2) - a
             for k in range(0, f + 1):
                 if lo < k < hi:
-                    if radial.min_membership(k, f, a, radial.power_profile(k, 0, 1)) is not True:
+                    if radial.min_membership(k, f, a, 1) is not True:
                         ok = False
-                    if radial.min_membership(k, f, a, radial.power_profile(k, 0, 0)) is not False:
+                    if radial.min_membership(k, f, a, 0) is not False:
                         ok = False
     out.append(_result("radial", "window-dichotomy", ok))
     return out

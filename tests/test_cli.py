@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import edgehodge
-from edgehodge import radial, spectral, verify
+from edgehodge import fibredec, radial, spectral, verify
 from edgehodge.cli import main
 from edgehodge.report import RunConfig, render_report, report_to_json, run
 from edgehodge.spectral import FibreSpectrum
@@ -694,6 +694,26 @@ def test_sparse_restriction_not_a_chain_map_rejected_at_load(tmp_path, capsys):
     assert main(["ih", "--file", str(path), "--perversity", "0"]) == 3
     assert capsys.readouterr().err == ("model invariant violated: cone-circle: "
                                        "restriction is not a chain map\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fibre-spec", "--kind", "circle", "--sizes", "100000000"],
+    ["spectral", "--f", "2", "--a", "0", "--fibre-kind", "torus", "--sizes", "100000,100000"],
+    ["run", "--config", "{config}"],
+], ids=["fibre-spec", "spectral", "run"])
+def test_oversized_fibre_grid_refused_before_any_sum(tmp_path, monkeypatch, capsys, argv):
+    # refused before any of its 10^8 or more mode sums, or any eigenvalue, is formed
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"fibre_grid": [100000000]}))
+
+    def no_eigenvalues(*args):
+        raise AssertionError("an eigenvalue was formed")
+    monkeypatch.setattr(fibredec, "circle_mode_eigenvalue", no_eigenvalues)
+    start = time.perf_counter()
+    assert main([arg.format(config=config) for arg in argv]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "mode tuples, more than the 1000000 allowed" in err
 
 
 @pytest.mark.parametrize("argv, message", [

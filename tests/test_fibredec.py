@@ -41,6 +41,19 @@ def test_degenerate_sizes_rejected():
         build_fibre("circle", 2)
 
 
+def test_grid_bound_refuses_before_any_eigenvalue(monkeypatch):
+    def no_eigenvalues(*args):
+        raise AssertionError("an eigenvalue was formed")
+    monkeypatch.setattr(fibredec, "circle_mode_eigenvalue", no_eigenvalues)
+    assert build_fibre("torus", (1000, 1000)).sizes == (1000, 1000)
+    with pytest.raises(ValueError, match="1001000 mode tuples, more than the 1000000"):
+        build_fibre("torus", (1000, 1001))
+    with pytest.raises(ValueError, match="mode tuples"):
+        build_fibre("circle", 10 ** 8)
+    with pytest.raises(AssertionError):
+        spectrum_for_predicates(build_fibre("circle", 4))
+
+
 def test_circle_spectrum_against_analytic_discrete_oracle():
     n, L = 64, 2 * math.pi
     fib = build_fibre("circle", n, L)

@@ -10,26 +10,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edgehodge import radial
-from edgehodge.errors import (
-    ConfigError,
-    InconclusiveSlopeError,
-    QuadratureError,
-    StiffnessFailureError,
-)
+from edgehodge.errors import ConfigError, StiffnessFailureError
 from edgehodge.radial import (
-    ConeModeProfile,
     ModeExponents,
     PolyRadialForm,
     d_cone,
     homotopy_K,
-    homotopy_K_profile,
     homotopy_bound_coefficient,
     homotopy_operator_estimate,
     local_cohomology,
     log_grid,
     min_membership,
     mode_exponent,
-    power_profile,
     pullback_norm,
     radial_pullback,
     recovery_error,
@@ -173,22 +165,6 @@ def test_homotopy_polynomial_beta_closed_form():
     assert not kc.beta
 
 
-def test_homotopy_sampled_profile_matches_closed_form():
-    xs = log_grid(1e-4, 400)
-    prof = ConeModeProfile(1, 0.0, xs, tuple(0.0 for _ in xs), xs)
-    kp = homotopy_K_profile(prof, 0.75)
-    expect = np.array([(x * x - 0.5625) / 2.0 for x in xs])
-    assert float(np.max(np.abs(np.array(kp.a_samples) - expect))) < 5e-7
-
-
-def test_homotopy_sampled_underresolved_grid_raises():
-    xs = log_grid(1e-4, 3)
-    prof = ConeModeProfile(1, 0.0, xs, tuple(0.0 for _ in xs),
-                           tuple(math.sin(40 * x) for x in xs))
-    with pytest.raises(QuadratureError):
-        homotopy_K_profile(prof, 0.75)
-
-
 def test_homotopy_operator_norm_estimate():
     rng = random.Random(3)
     for power in (1, 2):
@@ -220,42 +196,21 @@ def test_homotopy_bound_requires_hypothesis():
 # -- membership ----------------------------------------------------------------
 
 def test_membership_window_constant_fails():
-    assert min_membership(1, 2, 0, power_profile(1, 0, 0)) is False
+    assert min_membership(1, 2, 0, 0) is False
+    assert min_membership(1, 2, 0, Fraction(-1, 5)) is False
 
 
 def test_membership_window_decaying_power_passes():
-    assert min_membership(1, 2, 0, power_profile(1, 0, Fraction(1, 2))) is True
+    assert min_membership(1, 2, 0, Fraction(1, 2)) is True
+    assert min_membership(1, 2, 0, Fraction(3, 10)) is True
 
 
 def test_membership_outside_window_always_true():
     # k = 1 with f = 3 sits at the window edge; the pairing still dies
-    assert min_membership(1, 3, 0, power_profile(1, 0, 0)) is True
+    assert min_membership(1, 3, 0, 0) is True
     assert window_position(1, 3, 0) == "boundary"
-    assert min_membership(0, 3, 0, power_profile(0, 0, 0)) is True
+    assert min_membership(0, 3, 0, 0) is True
     assert window_position(0, 3, 0) == "outside"
-
-
-def test_membership_numeric_slope_paths():
-    xs = log_grid(1e-4, 120)
-    grow = ConeModeProfile(1, 0.0, xs, tuple(x ** 0.3 for x in xs),
-                           tuple(0.0 for _ in xs))
-    assert min_membership(1, 2, 0, grow) is True
-    flat = ConeModeProfile(1, 0.0, xs, tuple(1.0 for _ in xs),
-                           tuple(0.0 for _ in xs))
-    with pytest.raises(InconclusiveSlopeError):
-        min_membership(1, 2, 0, flat)
-    negative = ConeModeProfile(1, 0.0, xs, tuple(x ** -0.2 for x in xs),
-                               tuple(0.0 for _ in xs))
-    assert min_membership(1, 2, 0, negative) is False
-
-
-def test_membership_rejects_a_slope_that_cannot_be_fitted():
-    # only the first sample lies in the last decade, so the log-log fit
-    # has one point and its slope is NaN: neither a pass nor a fail
-    one_point_tail = ConeModeProfile(1, 0.0, (0.01, 0.5, 1.0), (1.0, 1.0, 1.0),
-                                     (0.0, 0.0, 0.0))
-    with pytest.raises(InconclusiveSlopeError):
-        min_membership(1, 2, 0, one_point_tail)
 
 
 def test_window_dichotomy_symbolic():
@@ -265,8 +220,8 @@ def test_window_dichotomy_symbolic():
             hi = Fraction(f + 1, 2) - a
             for k in range(0, f + 1):
                 if lo < Fraction(k) < hi:
-                    assert min_membership(k, f, a, power_profile(k, 0, 1)) is True
-                    assert min_membership(k, f, a, power_profile(k, 0, 0)) is False
+                    assert min_membership(k, f, a, 1) is True
+                    assert min_membership(k, f, a, 0) is False
 
 
 # -- exponent recovery -----------------------------------------------------------
@@ -323,16 +278,6 @@ def test_mode_exponent_large_gap_scan():
     for (k, lam2, f, a), pair in sample:
         _err, ok = recovery_error(mode_exponent(k, lam2, f, a), pair)
         assert ok, (k, lam2, f, a)
-
-
-# -- profile validation ------------------------------------------------------------
-
-def test_profile_validation():
-    xs = (0.1, 0.05, 1.0)
-    with pytest.raises(ValueError):
-        ConeModeProfile(1, 0.0, xs, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        ConeModeProfile(1, 0.0, (0.1, 1.0), (float("nan"), 1.0), (0.0, 0.0))
 
 
 @pytest.mark.parametrize("x0", [0.05, 0.02, 0.003])

@@ -8,11 +8,8 @@ from edgehodge.errors import ModelInvariantError
 from edgehodge import spectral
 from edgehodge.spectral import (
     FibreSpectrum,
-    boundary_contacts,
-    critical_roots,
     essentially_selfadjoint,
     indicial_roots,
-    l2_cutoff,
     sphere2_spectrum,
     unique_closed_extension_d,
     window_roots,
@@ -107,12 +104,12 @@ def test_window_quantity_equivalent_to_root_location(f, k, a, lam2):
 
 
 def test_critical_roots_parity_window_empty():
-    assert critical_roots(1, 0, CIRCLE) == []
+    assert window_roots(1, 0, CIRCLE)[0] == []
     assert essentially_selfadjoint(1, 0, CIRCLE)
 
 
 def test_critical_roots_torus_harmonic_one_forms():
-    crits = critical_roots(2, 0, TORUS)
+    crits = window_roots(2, 0, TORUS)[0]
     assert len(crits) == 1
     pair = crits[0]
     assert pair.degree == 1 and pair.lam2 == 0
@@ -121,14 +118,13 @@ def test_critical_roots_torus_harmonic_one_forms():
 
 
 def test_critical_roots_sphere_spectral_gap():
-    assert critical_roots(2, 0, sphere2_spectrum()) == []
+    assert window_roots(2, 0, sphere2_spectrum())[0] == []
     assert essentially_selfadjoint(2, 0, sphere2_spectrum())
 
 
 def test_boundary_contact_classified_noncritical():
     spec = FibreSpectrum([[(0, 1)], [(Fraction(1, 4), 1)]], "closed-form")
-    assert critical_roots(2, 0, spec) == []
-    assert boundary_contacts(2, 0, spec) == [(1, Fraction(1, 4))]
+    assert window_roots(2, 0, spec) == ([], [(1, Fraction(1, 4))])
 
 
 def test_unique_closed_extension_examples():
@@ -144,15 +140,6 @@ def test_selfadjoint_implies_unique_extension():
                 a = Fraction(n, 2)
                 if essentially_selfadjoint(f, a, spec):
                     assert unique_closed_extension_d(f, a, spec.betti)
-
-
-def test_l2_cutoff_examples():
-    member, delta = l2_cutoff(0, 1, 0)
-    assert member and delta == 1
-    member, _ = l2_cutoff(Fraction(-1, 2), 1, 0)
-    assert not member  # strict inequality at the threshold
-    member, delta = l2_cutoff(-1, 1, 0)
-    assert not member and delta == 0
 
 
 def test_spectrum_validation():
@@ -230,8 +217,7 @@ def window_cases(draw):
 def test_window_predicates_match_full_scan(case):
     f, a, spec = case
     crit, contacts = _full_scan(f, a, spec)
-    assert critical_roots(f, a, spec) == crit
-    assert boundary_contacts(f, a, spec) == contacts
+    assert window_roots(f, a, spec) == (crit, contacts)
     assert essentially_selfadjoint(f, a, spec) == (not crit)
 
 
@@ -250,8 +236,6 @@ def test_predicates_are_the_parts_of_one_window_scan(case):
     f, a, spec = case
     crit, contacts = window_roots(f, a, spec)
     assert (crit, contacts) == _full_scan(f, a, spec)
-    assert critical_roots(f, a, spec) == crit
-    assert boundary_contacts(f, a, spec) == contacts
     assert essentially_selfadjoint(f, a, spec) == (not crit)
 
 
@@ -271,5 +255,5 @@ def test_window_roots_scans_the_window_once(monkeypatch):
 def test_window_predicates_accept_an_infinite_level():
     # "1e999" in a spectrum file parses to inf; the scan must still stop
     spec = FibreSpectrum.from_dict({"degrees": [[["0", 1], ["1e999", 1]]]})
-    assert boundary_contacts(1, 0, spec) == [(0, Fraction(0))]
-    assert critical_roots(1, 0, spec) == [] and essentially_selfadjoint(1, 0, spec)
+    assert window_roots(1, 0, spec) == ([], [(0, Fraction(0))])
+    assert essentially_selfadjoint(1, 0, spec)

@@ -68,6 +68,34 @@ def test_minimal_hodge_collapse_under_unique_extension():
                 assert mx == mn == mh, (name, a)
 
 
+QUARTER_WEIGHTS = [Fraction(n, 4) for n in range(-12, 13)]
+
+
+def _duality(space) -> tuple[bool, bool]:
+    """Whether, for every a in QUARTER_WEIGHTS, dim H^k_max(a) equals
+    dim H^(n-k)_min(-a), and whether the minimal Hodge dims at -a are
+    those at a in reverse order."""
+    ext = all(weighted_derham_dims(space, a, "max").dims
+              == weighted_derham_dims(space, -a, "min").dims[::-1]
+              for a in QUARTER_WEIGHTS)
+    hodge = all(minimal_hodge_dims(space, -a).dims
+                == minimal_hodge_dims(space, a).dims[::-1]
+                for a in QUARTER_WEIGHTS)
+    return ext, hodge
+
+
+@pytest.mark.parametrize("name", ["susp-torus", "edge-circle-over-circle",
+                                  "edge-torus-over-circle"])
+def test_weighted_duality_on_closed_builtins(name):
+    assert _duality(builtin_space(name)) == (True, True)
+
+
+@pytest.mark.parametrize("name", ["cone-circle", "cone-torus", "cone-sphere2"])
+def test_weighted_duality_fails_on_cone_models(name):
+    # the cone models have boundary at x = 1, so neither duality holds
+    assert _duality(builtin_space(name)) == (False, False)
+
+
 def test_perversity_order_min_side_dominates():
     for f in range(0, 7):
         for a in WEIGHTS:
