@@ -805,6 +805,12 @@ RATIONAL_DIGITS = 100
 _RATIONAL_BOUND = 10 ** RATIONAL_DIGITS
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
 
+# A complex read from a model file has at most this many cells in all its
+# degrees together, and so has the Y = B ⊗ F its B and F imply
+# (``stratified.model_from_dict``).  Parsing keeps a row per cell, so a
+# larger record is refused from its dimensions, before any row exists.
+MAX_COMPLEX_CELLS = 10 ** 6
+
 
 def parse_rational(text: str) -> Rational:
     """A rational string ("3", "-1/2", "2.5e-3"), integral values as ints.
@@ -926,6 +932,13 @@ def int_from_json(value, what: str) -> int:
     raise ModelFormatError(f"{what} must be a nonnegative integer, not {_brief(value)}")
 
 
+def check_cells(cells: int, what: str) -> None:
+    """Refuse ``what`` of more than MAX_COMPLEX_CELLS cells."""
+    if cells > MAX_COMPLEX_CELLS:
+        raise ModelFormatError(
+            f"{what} of {cells} cells is more than the {MAX_COMPLEX_CELLS} allowed")
+
+
 def complex_to_dict(c: CochainComplex) -> dict:
     return {
         "dims": list(c.dims),
@@ -944,6 +957,7 @@ def complex_from_dict(data: dict) -> CochainComplex:
         raise ModelFormatError(
             f"differentials must be a list of matrices, not {_brief(diffs)}")
     dims = [int_from_json(x, "a dimension") for x in dims]
+    check_cells(sum(dims), "a complex")
     if len(diffs) != max(len(dims) - 1, 0):
         raise ShapeMismatchError(
             f"{len(dims)} degrees need {max(len(dims) - 1, 0)} differentials, got {len(diffs)}"

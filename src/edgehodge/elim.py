@@ -10,10 +10,13 @@ column a), with row b ``{column: value}`` and column a ``{row: value}``
 as they stand then, without u.  Every row is reduced against all
 earlier pivots before its turn, so a row that ends empty lies in the
 span of the rows before it: the pivots among the first t rows number
-the rank of those rows.  ``cochain.reduce_complex`` runs it on each
-differential of a complex (Kaczynski, Mrozek & Ślusarek, "Homology
-computation by reduction of chain complexes", 1998), and every rank,
-kernel basis and Betti number of the package comes from it.
+the rank of those rows.  ``rank_sparse`` counts the pivots, for the
+rank of one matrix or, with ``leading``, for the ranks of several
+leading blocks of rows from one pass.  ``cochain.reduce_complex``
+runs it on each differential of a complex (Kaczynski, Mrozek &
+Ślusarek, "Homology computation by reduction of chain complexes",
+1998), and every rank, kernel basis and Betti number of the package
+comes from it.
 
 ``bareiss_rank``, a dense fraction-free elimination, has no caller in
 the package.  It stays as the tests' independent dense reference, and
@@ -22,7 +25,9 @@ the traced benchmark (``perfbench/layertrace.py``) resolves it by name.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from typing import Sequence
 
 
 def bareiss_rank(rows):
@@ -90,9 +95,23 @@ def cancel(rows: list[dict]) -> list[tuple]:
     for b, row in enumerate(rows):
         if not row:
             continue
-        a = min(row, key=lambda j: (row[j] not in (1, -1), len(col_rows[j])))
+        # a ±1 entry with the shortest column, else the entry with the
+        # shortest column, the first in row order on ties; no column is
+        # shorter than 1 (it holds row b), so a ±1 there ends the search
+        a = -1
+        unit = False
+        best = 0
+        for j, v in row.items():
+            n = len(col_rows[j])
+            if v == 1 or v == -1:
+                if not unit or n < best:
+                    a, best, unit = j, n, True
+                    if n == 1:
+                        break
+            elif not unit and (a < 0 or n < best):
+                a, best = j, n
         u = row.pop(a)
-        if u in (1, -1):
+        if unit:
             uinv = u
         else:
             uinv = 1 / Fraction(u)
@@ -123,7 +142,17 @@ def cancel(rows: list[dict]) -> list[tuple]:
     return steps
 
 
-def rank_sparse(rows: list[dict]) -> int:
+def rank_sparse(rows: list[dict], leading: Sequence[int] | None = None):
     """Exact rank of sparse {col: value} rows (consumed): the number of
-    ``cancel`` pivots."""
-    return len(cancel(rows))
+    ``cancel`` pivots.
+
+    With ``leading``, a sequence of row counts t, it returns instead the
+    tuple of the ranks of the first t rows, one per t, from the same one
+    pass: the pivot rows come in row order, so the rank of the first t
+    rows is the number of pivot rows below t.  Rows past the largest t
+    cost work and change no answer."""
+    steps = cancel(rows)
+    if leading is None:
+        return len(steps)
+    pivots = [step[0] for step in steps]
+    return tuple(bisect_left(pivots, t) for t in leading)

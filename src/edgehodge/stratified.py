@@ -39,11 +39,12 @@ map onto cohomology (``cochain.cohomology_inclusion`` and
 which cancels pairs of cells of a complex until every differential is
 zero; replaying the recorded cancellations backwards from each surviving
 cell gives i through the rows they cancel and p through the columns.
-The rank table needs only ρ', so it never forms i_M: it builds the rows
-of p_Y ρ from the rows of p_B and p_F and replays M's cancellations
-forward on them (``Reduction.on_representatives``), which is the
-adjoint of picking representatives.  M, B and F are reduced once each,
-and those reductions count the Betti numbers too.
+The rank table needs only ρ', so it never forms i_M or a ComplexMap: it
+builds the rows of p_Y ρ from the rows of p_B and p_F, read from the
+reductions of B and F (``Reduction.projection``), and replays M's
+cancellations forward on them (``Reduction.on_representatives``), which
+is the adjoint of picking representatives.  M, B and F are reduced once
+each, and those reductions count the Betti numbers too.
 
 Why the answers agree: let Tot_1(c) be the total complex of M,
 B' ⊗ τ_{<=c}F', Y' with restriction (p_B ⊗ p_F) ∘ ρ.  Because
@@ -80,8 +81,9 @@ those rows,
 
 In the bases of ``tensor`` the rows of Y'^k come in blocks (i, k - i)
 with i ascending, so the rows above c are a prefix and r(k, c) is the
-rank of a leading block of rows: ``elim.rank_sparse`` of the first
-t(k, c) rows of ρ'_k, once per distinct t.  The map Tot'(c1) -> Tot'(c2) for
+rank of a leading block of rows: the rank of the first t(k, c) rows of
+ρ'_k, every t of degree k read from one ``elim.rank_sparse`` pass over
+those rows (its ``leading`` ranks).  The map Tot'(c1) -> Tot'(c2) for
 c1 <= c2 is injective on the ker A part (M' ⊕ T'_c1 sits inside
 M' ⊕ T'_c2) and onto on the coker A part (im A at c1 lies in im A at
 c2), so
@@ -90,8 +92,10 @@ c2), so
 
 which is the IH formula when c1 = c2.  ``EdgeSpaceModel.rank_table``
 holds dim M'^k, t and r for k = 0..n and c = -1..f, built once per
-model from the rows of ρ' read as above and the Betti numbers;
-``ih_dims`` and ``ih_map_rank`` read every answer from it.
+model from the rows of ρ' read as above and the Betti numbers, and with
+them the answers: for every pair c1 <= c2 the tuple of these ranks over
+k = 0..n (``RankTable.dims``).  ``ih_dims`` and ``ih_map_rank`` read every
+answer from it, and so do the queries of ``weights``.
 ``minimal_model`` builds the minimal model as a model in its own right
 (with ρ' as the product p_Y ρ i_M), and ``total_complex``,
 ``total_map`` and ``truncated_tube`` (on either model) stay as the
@@ -102,7 +106,7 @@ minimal model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from edgehodge import elim
@@ -110,9 +114,11 @@ from edgehodge.cochain import (
     CochainComplex,
     ComplexMap,
     QMatrix,
+    SparseRow,
     ZERO_COMPLEX,
     _brief,
     block_matrix,
+    check_cells,
     cohomology_inclusion,
     cohomology_projection,
     complex_from_dict,
@@ -179,12 +185,23 @@ class RankTable:
     For k = 0..n and c = -1..f, with column c + 1: ``m_dims[k]`` is
     dim M'^k, ``rows[k][c + 1]`` is t(k, c), the number of rows of Y'^k
     in fibre degrees above c, and ``ranks[k][c + 1]`` is r(k, c), the
-    rank of those rows of ρ'_k.
+    rank of those rows of ρ'_k.  ``dims`` holds the answers, filled by
+    ``map_rank`` when the table is made: for each cutoff pair
+    -1 <= c1 <= c2 <= f, ``dims[c1, c2]`` is the tuple over k = 0..n of
+    the ranks IH^k at c1 -> IH^k at c2, the IH dimensions when c1 == c2.
     """
 
     m_dims: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
     ranks: tuple[tuple[int, ...], ...]
+    dims: dict[tuple[int, int], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, top = len(self.m_dims), len(self.rows[0]) - 1  # top = f + 1
+        object.__setattr__(self, "dims", {
+            (c1, c2): tuple(self.map_rank(k, c1, c2) for k in range(n))
+            for c1 in range(-1, top) for c2 in range(c1, top)})
 
     def map_rank(self, k: int, c1: int, c2: int) -> int:
         """Rank of IH^k at cutoff c1 -> IH^k at cutoff c2 >= c1; the IH
@@ -331,35 +348,34 @@ class EdgeSpaceModel:
         return p_f.target, p_b.target, i_m.source, rho
 
     def rank_table(self) -> RankTable:
-        """The table every ``ih_dims`` and ``ih_map_rank`` answer is read
-        from (see the module notes), built on the first query and kept on
-        the instance.  The rows of ρ'_k are those of p_Y,k ρ_k
-        (``_projected_rows``) with M's reduction replayed on them
-        (``Reduction.on_representatives``), so i_M is never formed."""
+        """The table every query reads its answer from (see the module
+        notes), built on the first query and kept on the instance.  The
+        rows of ρ'_k are those of p_Y,k ρ_k (``_projected_rows``, from the
+        rows of ``Reduction.projection`` of B and F) with M's reduction
+        replayed on them (``Reduction.on_representatives``), so i_M is
+        never formed; one ``elim.rank_sparse`` pass over the rows of ρ'_k
+        gives r(k, c) at every cutoff."""
         if self._table is None:
-            p_b, p_f = cohomology_projection(self.B), cohomology_projection(self.F)
-            b_h, f_h = p_b.target, p_f.target
+            top = self.n + 1
+            p_b, p_f = _projection_rows(self.B, top), _projection_rows(self.F, top)
+            b_dims = [self.B.dim(i) for i in range(top)]
+            f_dims = [self.F.dim(j) for j in range(top)]
             red = self.M.reduction()
             rows, ranks = [], []
-            for k in range(self.n + 1):
+            for k in range(top):
                 # rows of Y'^k in fibre degrees above c form the leading
                 # blocks (i, k - i) with i < k - c
                 prefix = [0]
                 for i in range(k + 1):
-                    prefix.append(prefix[-1] + b_h.dim(i) * f_h.dim(k - i))
+                    prefix.append(prefix[-1] + len(p_b[i]) * len(p_f[k - i]))
                 t_k = tuple(prefix[max(0, k - c)] for c in range(-1, self.f + 1))
-                rho_rows = red.on_representatives(
-                    k, _projected_rows(p_b, p_f, self.restriction.at(k), k)
+                rho_rows = red.on_representatives(k, _projected_rows(
+                    p_b, p_f, b_dims, f_dims, self.restriction.at(k), k)
                 ) if k < len(red.steps) else ()
-                rank_of: dict[int, int] = {}
-                for t in t_k:
-                    if t not in rank_of:
-                        lead = [dict(r) for r in rho_rows[:t] if r]
-                        rank_of[t] = elim.rank_sparse(lead) if lead else 0
                 rows.append(t_k)
-                ranks.append(tuple(rank_of[t] for t in t_k))
+                ranks.append(elim.rank_sparse(rho_rows, t_k) if rho_rows else (0,) * len(t_k))
             m_h = self.M.cohomology_dims()
-            m_dims = tuple(m_h[k] if k < len(m_h) else 0 for k in range(self.n + 1))
+            m_dims = tuple(m_h[k] if k < len(m_h) else 0 for k in range(top))
             self._table = RankTable(m_dims, tuple(rows), tuple(ranks))
         return self._table
 
@@ -382,9 +398,19 @@ class EdgeSpaceModel:
         return f"EdgeSpaceModel({self.name!r}, n={self.n}, b={self.b}, f={self.f})"
 
 
-def _projected_rows(p_b: ComplexMap, p_f: ComplexMap, rho: QMatrix, k: int) -> list[dict]:
+def _projection_rows(c: CochainComplex, top: int) -> list[tuple[SparseRow, ...]]:
+    """The rows of the projection p_j: C^j -> H^j (``Reduction.projection``)
+    for j = 0..top-1, one per Betti number; none off the degrees of c."""
+    red = c.reduction()
+    return [red.projection(j, c.dims[j]).sparse_rows if j < len(c.dims) else ()
+            for j in range(top)]
+
+
+def _projected_rows(p_b, p_f, b_dims, f_dims, rho: QMatrix, k: int) -> list[dict]:
     """The rows of (p_B ⊗ p_F)_k ρ_k, formed one at a time in the bases of
-    ``tensor``: row (α, β) of block (i, k - i) is the sum over the entries
+    ``tensor``, from the rows ``p_b[i]`` of p_B,i and ``p_f[j]`` of p_F,j
+    and the dimensions ``b_dims[i]`` and ``f_dims[j]`` of B^i and F^j: row
+    (α, β) of block (i, k - i) is the sum over the entries
     x = p_B,i[α, a] and y = p_F,k-i[β, c] of x·y times row (a, c) of ρ_k,
     which is row off_i + a·dim F^(k-i) + c.  Zeros are dropped; values
     are left unnormalised for ``Reduction.on_representatives``."""
@@ -392,9 +418,9 @@ def _projected_rows(p_b: ComplexMap, p_f: ComplexMap, rho: QMatrix, k: int) -> l
     out = []
     off = 0
     for i in range(k + 1):
-        width = p_f.source.dim(k - i)
-        f_rows = p_f.at(k - i).sparse_rows
-        for alpha in p_b.at(i).sparse_rows:
+        width = f_dims[k - i]
+        f_rows = p_f[k - i]
+        for alpha in p_b[i]:
             for beta in f_rows:
                 acc: dict = {}
                 get = acc.get
@@ -405,7 +431,7 @@ def _projected_rows(p_b: ComplexMap, p_f: ComplexMap, rho: QMatrix, k: int) -> l
                         for j, z in rho_rows[base + c].items():
                             acc[j] = get(j, 0) + xy * z
                 out.append({j: v for j, v in acc.items() if v})
-        off += p_b.source.dim(i) * width
+        off += b_dims[i] * width
     return out
 
 
@@ -435,14 +461,13 @@ def ih_dims(space: EdgeSpaceModel, p) -> tuple[int, ...]:
     """Graded intersection cohomology of the space at perversity p, in
     degrees 0..n.
 
-    Read from ``space.rank_table()``: dim M'^s - r(s, c) + t(s-1, c) -
-    r(s-1, c) at the cutoff c of p (see the module notes), which equals
-    the cohomology of the chain-level total complex
+    The answer ``dims[c, c]`` of ``space.rank_table()`` at the cutoff c
+    of p: dim M'^s - r(s, c) + t(s-1, c) - r(s-1, c) (see the module
+    notes), which equals the cohomology of the chain-level total complex
     ``space.total_complex(c)``.
     """
     c = space.effective_cutoff(p)
-    table = space.rank_table()
-    return tuple(table.map_rank(s, c, c) for s in range(space.n + 1))
+    return space.rank_table().dims[c, c]
 
 
 def ih_dim(space: EdgeSpaceModel, p, k: int) -> int:
@@ -457,7 +482,9 @@ def ih_map_rank(space: EdgeSpaceModel, p_src, p_tgt, k: int) -> int:
     """Rank of the natural map IH^k_{p_src} -> IH^k_{p_tgt}.
 
     Requires p_src >= p_tgt, i.e. the source truncation is contained in
-    the target truncation.
+    the target truncation, and k >= 0; both are checked before the rank
+    table is read.  The answer is degree k of ``dims[c_src, c_tgt]``, 0
+    above degree n.
     """
     if Fraction(p_src) < Fraction(p_tgt):
         raise PerversityRangeError(
@@ -465,8 +492,9 @@ def ih_map_rank(space: EdgeSpaceModel, p_src, p_tgt, k: int) -> int:
         )
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    return space.rank_table().map_rank(
-        k, space.effective_cutoff(p_src), space.effective_cutoff(p_tgt))
+    dims = space.rank_table().dims[space.effective_cutoff(p_src),
+                                   space.effective_cutoff(p_tgt)]
+    return dims[k] if k < len(dims) else 0
 
 
 def extended_identities(space: EdgeSpaceModel, p) -> tuple[int, ...]:
@@ -632,11 +660,15 @@ def _field(data: dict, key: str, parse, *args):
 def model_from_dict(data: dict) -> EdgeSpaceModel:
     """Parse a model record.  A record may omit Y, which is then built as
     tensor(B, F) once B and F pass d∘d = 0; a Y in the record is checked
-    against tensor(B, F) by ``EdgeSpaceModel.validate``.  A record with
-    ``"bigrading": "none"`` has no tube to truncate and is refused."""
+    against tensor(B, F) by ``EdgeSpaceModel.validate``.  Each complex,
+    and the Y that B and F imply, may have at most
+    ``cochain.MAX_COMPLEX_CELLS`` cells; the product is checked before Y
+    or the restriction is read.  A record with ``"bigrading": "none"``
+    has no tube to truncate and is refused."""
     if not isinstance(data, dict):
         raise ModelFormatError("a model must be a key/value object")
     f_cx, b_cx, m_cx = (_field(data, k, complex_from_dict) for k in "FBM")
+    check_cells(sum(b_cx.dims) * sum(f_cx.dims), "Y = B ⊗ F")
     name = data.get("name", "unnamed")
     description = data.get("description", "")
     for key, value in (("name", name), ("description", description)):

@@ -25,9 +25,12 @@ floor divisions:
           mlow - ((d - 2n) // 2d)          (f even)
 
 so a query resolves its weight to two integer perversities, and so to
-two truncation cutoffs of the space's rank table, without any Fraction
-arithmetic.  The complete-metric test is in integers as well: j is an
-integer only for odd b, and then j = k - (b + 1) // 2.
+two truncation cutoffs c1 <= c2 of the space's rank table, without any
+Fraction arithmetic, and its graded dimensions are one lookup in the
+table's answers, ``RankTable.dims[c1, c2]``.  The complete-metric test
+is in integers as well: j is an integer only for odd b, and then
+j = k - (b + 1) // 2; a finite degree reads its IH dimension from the
+same table.
 """
 
 from __future__ import annotations
@@ -85,11 +88,10 @@ def _min_value(f: int, a: Fraction) -> int:
 def _report(space: EdgeSpaceModel, a: Fraction, ext: str, p_src: int,
             p_tgt: int) -> WeightedReport:
     """The report of ``ext`` at weight a, with perversity p_src: the ranks
-    of IH^k_{p_src} -> IH^k_{p_tgt}, k = 0..n, read at their two cutoffs
-    (the IH dimensions when p_src == p_tgt)."""
-    c_src, c_tgt = space.effective_cutoff(p_src), space.effective_cutoff(p_tgt)
-    table = space.rank_table()
-    dims = tuple(table.map_rank(k, c_src, c_tgt) for k in range(space.n + 1))
+    of IH^k_{p_src} -> IH^k_{p_tgt}, k = 0..n, read from the rank table's
+    answers at their two cutoffs (the IH dimensions when p_src == p_tgt)."""
+    dims = space.rank_table().dims[space.effective_cutoff(p_src),
+                                   space.effective_cutoff(p_tgt)]
     return WeightedReport(a, ext, dims, Perversity(p_src))
 
 
@@ -142,4 +144,5 @@ def complete_l2(space: EdgeSpaceModel, k: int) -> CompleteL2Answer:
         return CompleteL2Answer(k, False, None, None)
     p = Perversity(2 * (space.f - k) + b, 2)
     c = space.effective_cutoff(p)
-    return CompleteL2Answer(k, True, space.rank_table().map_rank(k, c, c), p)
+    dims = space.rank_table().dims[c, c]
+    return CompleteL2Answer(k, True, dims[k] if k < len(dims) else 0, p)

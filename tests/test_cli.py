@@ -508,6 +508,39 @@ def test_model_entry_out_of_range_exit_code(tmp_path, capsys, value):
                             "(numerator and denominator must be at most 10^100)\n")
 
 
+def _bare_complex(dims):
+    return {"dims": dims, "differentials": [{"rows": 0, "cols": 0, "nz": []}] * (len(dims) - 1)}
+
+
+@pytest.mark.parametrize("f_dims, b_dims, message", [
+    ([10 ** 12], [1], "error: F: a complex of 1000000000000 cells is more than the "
+                      "1000000 allowed\n"),
+    ([1000], [1001], "error: Y = B ⊗ F of 1001000 cells is more than the "
+                     "1000000 allowed\n"),
+], ids=["huge-F", "huge-product"])
+def test_model_too_many_cells_exit_code(tmp_path, capsys, f_dims, b_dims, message):
+    # refused from the declared dimensions, before any row of F, of Y or of
+    # the restriction is allocated; each factor of the product passes alone
+    import tracemalloc
+
+    data = {"name": "huge", "n": 1, "b": 0, "f": 0,
+            "F": _bare_complex(f_dims), "B": _bare_complex(b_dims),
+            "M": _bare_complex([1]), "restriction": {"maps": []}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        assert main(["ih", "--file", str(path), "--perversity", "0"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert tracemalloc.get_traced_memory()[1] < 2_000_000
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 _UNKNOWN_SPACE = ("error: unknown space 'nope'; known: cone-circle, cone-torus, "
                   "cone-sphere2, susp-torus, edge-circle-over-circle, "
                   "edge-torus-over-circle\n")

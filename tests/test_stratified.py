@@ -595,6 +595,45 @@ def test_sum_map_model_restriction_spans_two_fibre_degrees():
     assert table.ranks[1] == (1, 1, 0)
 
 
+@pytest.mark.parametrize("build", [
+    _sum_map_model, _zero_restriction_model,
+    *(lambda name=name: builtin_space(name) for name in BUILTIN_NAMES),
+], ids=["circle-sum-map", "torus-zero-restriction", *BUILTIN_NAMES])
+def test_dims_table_holds_every_map_rank(build):
+    # every cutoff pair c1 <= c2 has the ranks of IH^k at c1 -> IH^k at c2
+    # for k = 0..n, equal to the table's formula and to the chain-level
+    # rank of Tot(c1) -> Tot(c2) on cohomology
+    from edgehodge.cochain import induced_map_rank
+
+    space = build()
+    table = space.rank_table()
+    cuts = range(-1, space.f + 1)
+    assert set(table.dims) == {(c1, c2) for c1 in cuts for c2 in cuts if c1 <= c2}
+    for (c1, c2), dims in table.dims.items():
+        assert len(dims) == space.n + 1
+        phi = space.total_map(c1, c2)
+        for k, rank in enumerate(dims):
+            assert rank == table.map_rank(k, c1, c2) == induced_map_rank(phi, k), (c1, c2, k)
+
+
+def test_ih_map_rank_checks_its_arguments_before_the_table(monkeypatch):
+    from edgehodge.stratified import EdgeSpaceModel
+
+    space = builtin_space("susp-torus")
+
+    def refuse(self):
+        raise AssertionError("an invalid query read the rank table")
+
+    monkeypatch.setattr(EdgeSpaceModel, "rank_table", refuse)
+    with pytest.raises(PerversityRangeError):
+        ih_map_rank(space, 0, 1, 1)
+    with pytest.raises(ValueError):
+        ih_map_rank(space, 1, 0, -1)
+    monkeypatch.undo()
+    # a degree above n still answers 0
+    assert ih_map_rank(space, 1, 0, space.n + 1) == 0
+
+
 def _minimal_model_cases():
     yield "circle-sum-map", _sum_map_model
     yield "torus-zero-restriction", _zero_restriction_model
