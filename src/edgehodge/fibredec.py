@@ -25,7 +25,6 @@ are built on first use, and the closed form needs neither.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -215,6 +214,8 @@ def spectrum_for_predicates(fibre: DiscreteFibre, count: int = 8) -> FibreSpectr
 
 def export_spectrum_csv(path: str, spec: FibreSpectrum) -> None:
     """Write (degree, index, eigenvalue) rows."""
+    import csv  # only this writer reads it
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["degree", "index", "eigenvalue"])

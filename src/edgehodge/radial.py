@@ -5,7 +5,9 @@ omega = alpha(x) + dx ∧ beta(x) with alpha, beta taking values in the
 fibre cochain spaces.  This module provides:
 
 - the weighted local cohomology table (max: k < (f+1)/2 - a,
-  min: k <= (f-1)/2 - a), evaluated exactly;
+  min: k <= (f-1)/2 - a), evaluated exactly, as are the pullback
+  thresholds and the root check below, by integer cross-multiplication
+  of the numerators and denominators of a, lambda^2 and the roots;
 - the pullback-norm threshold and its weight integral
   ∫_0^1 x^(f-2k-2a) dx, which is finite iff k < (f+1)/2 - a;
 - the slice constant K = (∫_{1/2}^1 x^(f-2k-2a) dx)^(-1);
@@ -55,6 +57,13 @@ SLICE_EXPONENT_BOUND = 10_000
 # local cohomology and the elementary constants
 
 
+def _ratio(x) -> tuple[int, int]:
+    """An exact rational as (numerator, denominator), denominator > 0."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
 @dataclass(frozen=True)
 class LocalCohomologyTable:
     f: int
@@ -65,12 +74,14 @@ class LocalCohomologyTable:
 
 def local_cohomology(f_betti, f: int, a) -> LocalCohomologyTable:
     """Weighted max/min cohomology of the truncated cone over a fibre
-    with the given Betti numbers."""
-    a = Fraction(a)
-    max_cut = Fraction(f + 1, 2) - a
-    min_cut = Fraction(f - 1, 2) - a
-    mx = tuple(b if Fraction(k) < max_cut else 0 for k, b in enumerate(f_betti))
-    mn = tuple(b if Fraction(k) <= min_cut else 0 for k, b in enumerate(f_betti))
+    with the given Betti numbers.  With a = n/d in lowest terms the cuts
+    k < (f+1)/2 - a and k <= (f-1)/2 - a are the integer tests
+    2kd < (f+1)d - 2n and 2kd <= (f-1)d - 2n."""
+    a = a if isinstance(a, Fraction) else Fraction(a)
+    n, d = a.numerator, a.denominator
+    max_cut, min_cut = (f + 1) * d - 2 * n, (f - 1) * d - 2 * n
+    mx = tuple(b if 2 * k * d < max_cut else 0 for k, b in enumerate(f_betti))
+    mn = tuple(b if 2 * k * d <= min_cut else 0 for k, b in enumerate(f_betti))
     return LocalCohomologyTable(f, a, mx, mn)
 
 
@@ -82,11 +93,14 @@ class PullbackNorm:
 
 def pullback_norm(k: int, f: int, a) -> PullbackNorm:
     """Squared weighted norm of the constant radial extension of a unit
-    fibre form: ∫_0^1 x^(f-2k-2a) dx, finite iff k < (f+1)/2 - a."""
-    a = Fraction(a)
-    e = Fraction(f - 2 * k) - 2 * a
-    if e > -1:
-        return PullbackNorm(True, 1 / (e + 1))
+    fibre form: ∫_0^1 x^(f-2k-2a) dx = 1/(e + 1) for e = f - 2k - 2a,
+    finite iff k < (f+1)/2 - a.  With a = n/d in lowest terms,
+    e + 1 = e1/d for the integer e1 = (f - 2k + 1)d - 2n, so the integral
+    is finite iff e1 > 0, and then it is d/e1."""
+    n, d = _ratio(a)
+    e1 = (f - 2 * k + 1) * d - 2 * n
+    if e1 > 0:
+        return PullbackNorm(True, Fraction(d, e1))
     return PullbackNorm(False, None)
 
 
@@ -441,10 +455,21 @@ def radial_system_matrix(k: int, lam2: float, f: int, a):
 def system_has_roots(k: int, lam2, f: int, a, gamma_minus, gamma_plus) -> bool:
     """Whether gamma- and gamma+ are the eigenvalues of the mode system's
     A = [[-k, lambda], [lambda, -(f-k-2a)]], decided in Q for rational
-    lambda^2 and roots: tr A = gamma- + gamma+ and det A = gamma- gamma+."""
-    a22 = 2 * Fraction(a) + k - f
-    return (a22 - k == gamma_minus + gamma_plus
-            and -k * a22 - Fraction(lam2) == gamma_minus * gamma_plus)
+    lambda^2 and roots: tr A = gamma- + gamma+ and det A = gamma- gamma+.
+
+    Both identities are cross-multiplied in integers; a float argument
+    enters at its exact value.  With a = n/d,
+    lambda^2 = u/v and gamma(-/+) = p1/q1, p2/q2, tr A = (2n - f d)/d and
+    det A = (-k (2n + (k - f) d) v - u d) / (d v).
+    """
+    n, d = _ratio(a)
+    p1, q1 = _ratio(gamma_minus)
+    p2, q2 = _ratio(gamma_plus)
+    qq = q1 * q2
+    if (2 * n - f * d) * qq != d * (p1 * q2 + p2 * q1):
+        return False
+    u, v = _ratio(lam2)
+    return (-k * (2 * n + (k - f) * d) * v - u * d) * qq == p1 * p2 * d * v
 
 
 def _propagator(t: float, system) -> tuple[float, float, float]:

@@ -8,9 +8,12 @@ indicial roots are
 so they always sum to 2a - f.  A root pair is *critical* when it falls
 in the open window (a - (f+1)/2, a - (f-1)/2), which happens exactly
 when (f - 2a - 2k)^2 + 4 lambda^2 < 1; critical pairs are what
-obstructs essential self-adjointness.  All window comparisons are done
-in exact rational arithmetic whenever lambda^2 is rational, so the
-predicates cannot flip on rounding; a pair landing exactly on the
+obstructs essential self-adjointness.  Every window comparison is
+exact whenever lambda^2 is rational, so the predicates cannot flip on
+rounding: with a = n/d, f - 2a - 2k is the integer (f - 2k) d - 2n over
+d, and each comparison of rationals is decided by integer
+cross-multiplication (a/b < c/d iff ad < cb for b, d > 0), without
+normalising a Fraction at every step.  A pair landing exactly on the
 window boundary is classified non-critical and surfaced separately as
 a boundary contact.  ``window_roots`` answers both from one scan of the
 window; the ``spectral`` command and ``report.run`` read both parts,
@@ -146,30 +149,47 @@ def sphere2_spectrum(lmax: int = 6) -> FibreSpectrum:
     return FibreSpectrum([fn, one, fn], "closed-form", betti=(1, 0, 1))
 
 
+def _weight(a) -> Fraction:
+    """a as a Fraction; a Fraction is taken as it is."""
+    return a if isinstance(a, Fraction) else Fraction(a)
+
+
 def indicial_roots(f: int, a, k: int, lam2) -> IndicialRootPair:
     """The indicial root pair for one fibre mode.
 
     Exact rational roots whenever lambda^2 is rational and the
     discriminant is a perfect rational square; double roots (vanishing
-    discriminant) are flagged.
+    discriminant) are flagged.  With a = n/d in lowest terms, set
+    N = (f - 2k) d - 2n, so that f - 2a - 2k = N/d and the centre
+    a - f/2 is (2n - f d) / (2d).  At lambda^2 = u/v the discriminant is
+    the one Fraction (N^2 v + 4 u d^2) / (d^2 v); at a float lambda^2 it
+    is N*N / (d*d) + 4.0 lambda^2, whose first term is float((N/d)^2)
+    because int / int rounds correctly.
     """
-    a = Fraction(a)
+    a = _weight(a)
+    n, d = a.numerator, a.denominator
+    big_n = (f - 2 * k) * d - 2 * n
     lam2 = _as_number(lam2)
-    centre = a - Fraction(f, 2)
     if isinstance(lam2, Fraction):
-        disc = Fraction(f - 2 * a - 2 * k) ** 2 + 4 * lam2
+        u, v = lam2.numerator, lam2.denominator
+        dd = d * d
+        disc = Fraction(big_n * big_n * v + 4 * u * dd, dd * v)
         root = _sqrt_exact(disc)
         if root is not None:
-            half = root / 2
-            return IndicialRootPair(centre - half, centre + half, k, lam2,
-                                    a, disc == 0, True)
-        halff = math.sqrt(float(disc)) / 2
-        return IndicialRootPair(float(centre) - halff, float(centre) + halff,
-                                k, lam2, a, False, False)
-    disc_f = float(Fraction(f - 2 * a - 2 * k) ** 2) + 4.0 * lam2
+            # gamma(+/-) = ((2n - f d) r_d +- d r_n) / (2 d r_d) for root r_n/r_d
+            rn, rd = root.numerator, root.denominator
+            c, s, den = (2 * n - f * d) * rd, d * rn, 2 * d * rd
+            return IndicialRootPair(Fraction(c - s, den), Fraction(c + s, den),
+                                    k, lam2, a, rn == 0, True)
+        # a nonzero discriminant can round to 0.0; it is still no double root
+        disc_f, double = float(disc), False
+    else:
+        disc_f = big_n * big_n / (d * d) + 4.0 * lam2
+        double = disc_f == 0.0
     halff = math.sqrt(disc_f) / 2
-    return IndicialRootPair(float(centre) - halff, float(centre) + halff,
-                            k, lam2, a, disc_f == 0.0, False)
+    centre = (2 * n - f * d) / (2 * d)
+    return IndicialRootPair(centre - halff, centre + halff,
+                            k, lam2, a, double, False)
 
 
 def _window_modes(f: int, a, spec: FibreSpectrum):
@@ -181,21 +201,36 @@ def _window_modes(f: int, a, spec: FibreSpectrum):
     in both exact and float arithmetic: every later Fraction then has an
     exact Q above 1, and every later float is at least float(lambda^2),
     where b + 4.0 x is monotone under rounding.
+
+    The exact side is integer cross-multiplication.  With a = n/d in
+    lowest terms and N = (f - 2k) d - 2n, so that f - 2a - 2k = N/d, Q at
+    lambda^2 = u/v is (N^2 v + 4 u d^2) / (d^2 v), and Q > 1 iff
+    N^2 v + 4 u d^2 > d^2 v.  A finite float lambda^2 enters the same
+    inequality through its exact ``as_integer_ratio()``; the float Q is
+    N*N / (d*d) + 4.0 lambda^2, as float((N/d)^2) is.
     """
-    a = Fraction(a)
+    a = _weight(a)
+    n, d = a.numerator, a.denominator
+    dd = d * d
     for q in spec.degrees():
-        base = Fraction(f - 2 * a - 2 * q) ** 2
-        base_f = float(base)
+        big_n = (f - 2 * q) * d - 2 * n
+        nn = big_n * big_n
+        base_f = nn / dd
         for lam2, _mult in spec.eigenvalues(q):
             if isinstance(lam2, Fraction):
-                quantity = base + 4 * lam2
-                past = quantity > 1 and base_f + 4.0 * float(lam2) > 1
+                u, v = lam2.numerator, lam2.denominator
+                num, den = nn * v + 4 * u * dd, dd * v
+                if num > den and base_f + 4.0 * (u / v) > 1:
+                    break
+                quantity = Fraction(num, den)
             else:
                 quantity = base_f + 4.0 * lam2
-                past = quantity > 1 and (lam2 == math.inf
-                                         or base + 4 * Fraction(lam2) > 1)
-            if past:
-                break
+                if quantity > 1:
+                    if lam2 == math.inf:
+                        break
+                    u, v = lam2.as_integer_ratio()
+                    if nn * v + 4 * u * dd > dd * v:
+                        break
             yield q, lam2, quantity
 
 
@@ -221,15 +256,19 @@ def essentially_selfadjoint(f: int, a, spec: FibreSpectrum) -> bool:
 def unique_closed_extension_d(f: int, a, f_betti: Sequence[int]) -> bool:
     """True iff the window ((f-1)/2 - a, (f+1)/2 - a) traps no fibre
     cohomology: either it contains no integer, or the one integer q it
-    contains has betti[q] = 0."""
-    a = Fraction(a)
-    lo = Fraction(f - 1, 2) - a
-    hi = Fraction(f + 1, 2) - a
-    # the window has length one, so it contains at most one integer
-    q = lo.numerator // lo.denominator + 1
-    if not (lo < q < hi):
+    contains has betti[q] = 0.
+
+    With a = n/d in lowest terms the window's ends are lo_num / (2d) and
+    lo_num / (2d) + 1 for lo_num = (f - 1) d - 2n; it has length one, so
+    the only candidate is q = floor(lo) + 1, and lo < q < hi is
+    lo_num < 2dq < lo_num + 2d.
+    """
+    a = _weight(a)
+    den = 2 * a.denominator
+    lo_num = (f - 1) * a.denominator - 2 * a.numerator
+    q = lo_num // den + 1
+    if not (lo_num < q * den < lo_num + den):
         return True
     if q < 0 or q >= len(f_betti):
         return True
     return f_betti[q] == 0
-

@@ -186,3 +186,98 @@ def fibre_spectrum(fibre, q: int, count: int) -> SpectrumResult:
     vals, _norm, zeros, res = _solve_degree(fibre, q, count)
     return SpectrumResult(q, tuple(float(v) for v in vals[:count]),
                           zeros, float(res))
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the cone decisions that ``spectral`` and
+# ``radial`` make in integer arithmetic: each body normalises a Fraction
+# on every operation, which is slower but plainly the formula.
+
+
+def window_modes_fraction(f: int, a, spec):
+    """(degree, lambda^2, Q) with Q = (f - 2a - 2k)^2 + 4 lambda^2 for each
+    mode up to the last one whose Q can be <= 1 (``spectral._window_modes``)."""
+    a = Fraction(a)
+    for q in spec.degrees():
+        base = Fraction(f - 2 * a - 2 * q) ** 2
+        base_f = float(base)
+        for lam2, _mult in spec.eigenvalues(q):
+            if isinstance(lam2, Fraction):
+                quantity = base + 4 * lam2
+                past = quantity > 1 and base_f + 4.0 * float(lam2) > 1
+            else:
+                quantity = base_f + 4.0 * lam2
+                past = quantity > 1 and (lam2 == math.inf
+                                         or base + 4 * Fraction(lam2) > 1)
+            if past:
+                break
+            yield q, lam2, quantity
+
+
+def indicial_roots_fraction(f: int, a, k: int, lam2):
+    """The indicial root pair of one fibre mode (``spectral.indicial_roots``)."""
+    from edgehodge.spectral import IndicialRootPair, _as_number, _sqrt_exact
+
+    a = Fraction(a)
+    lam2 = _as_number(lam2)
+    centre = a - Fraction(f, 2)
+    if isinstance(lam2, Fraction):
+        disc = Fraction(f - 2 * a - 2 * k) ** 2 + 4 * lam2
+        root = _sqrt_exact(disc)
+        if root is not None:
+            half = root / 2
+            return IndicialRootPair(centre - half, centre + half, k, lam2,
+                                    a, disc == 0, True)
+        halff = math.sqrt(float(disc)) / 2
+        return IndicialRootPair(float(centre) - halff, float(centre) + halff,
+                                k, lam2, a, False, False)
+    disc_f = float(Fraction(f - 2 * a - 2 * k) ** 2) + 4.0 * lam2
+    halff = math.sqrt(disc_f) / 2
+    return IndicialRootPair(float(centre) - halff, float(centre) + halff,
+                            k, lam2, a, disc_f == 0.0, False)
+
+
+def unique_closed_extension_fraction(f: int, a, f_betti) -> bool:
+    """Whether ((f-1)/2 - a, (f+1)/2 - a) traps no fibre cohomology
+    (``spectral.unique_closed_extension_d``)."""
+    a = Fraction(a)
+    lo = Fraction(f - 1, 2) - a
+    hi = Fraction(f + 1, 2) - a
+    q = lo.numerator // lo.denominator + 1
+    if not (lo < q < hi):
+        return True
+    if q < 0 or q >= len(f_betti):
+        return True
+    return f_betti[q] == 0
+
+
+def local_cohomology_fraction(f_betti, f: int, a):
+    """Weighted max/min cone cohomology (``radial.local_cohomology``)."""
+    from edgehodge.radial import LocalCohomologyTable
+
+    a = Fraction(a)
+    max_cut = Fraction(f + 1, 2) - a
+    min_cut = Fraction(f - 1, 2) - a
+    mx = tuple(b if Fraction(k) < max_cut else 0 for k, b in enumerate(f_betti))
+    mn = tuple(b if Fraction(k) <= min_cut else 0 for k, b in enumerate(f_betti))
+    return LocalCohomologyTable(f, a, mx, mn)
+
+
+def pullback_norm_fraction(k: int, f: int, a):
+    """∫_0^1 x^(f-2k-2a) dx, finite iff k < (f+1)/2 - a
+    (``radial.pullback_norm``)."""
+    from edgehodge.radial import PullbackNorm
+
+    a = Fraction(a)
+    e = Fraction(f - 2 * k) - 2 * a
+    if e > -1:
+        return PullbackNorm(True, 1 / (e + 1))
+    return PullbackNorm(False, None)
+
+
+def system_has_roots_fraction(k: int, lam2, f: int, a, gamma_minus, gamma_plus) -> bool:
+    """tr A and det A of the mode system against the pair, in Q
+    (``radial.system_has_roots``)."""
+    a22 = 2 * Fraction(a) + k - f
+    return (a22 - k == gamma_minus + gamma_plus
+            and -k * a22 - Fraction(lam2) == gamma_minus * gamma_plus)

@@ -101,3 +101,20 @@ def test_log_grid_matches_numpy_logspace_to_one_ulp(x0, ppd):
     ref = np.logspace(math.log10(x0), 0.0, len(xs))
     assert xs[0] == ref[0] and xs[-1] == ref[-1] == 1.0
     assert all(abs(x - r) <= np.spacing(r) for x, r in zip(xs, ref))
+
+
+LEAN_RUN = """
+import sys
+
+from edgehodge import report
+
+assert report.run(report.RunConfig({"spaces": ["cone-torus"], "weights": ["0", "1/2"],
+                                    "fibre_grid": [4, 4], "suites": False}))["ok"]
+loaded = sorted(m for m in ("edgehodge.verify", "csv") if m in sys.modules)
+assert not loaded, f"a run without suites loaded {loaded}"
+"""
+
+
+def test_run_without_suites_imports_neither_verify_nor_csv():
+    proc = _run_blocked(LEAN_RUN)
+    assert proc.returncode == 0, proc.stderr
