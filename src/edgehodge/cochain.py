@@ -34,11 +34,15 @@ of a single matrix (``QMatrix.rank``, ``induced_map_rank``) is its
 number of pivots.
 
 The checks a model load runs, d∘d = 0 (``CochainComplex.verify``) and
-the chain-map property (``ComplexMap.commutes``), accumulate one
-residual row at a time and stop at the first nonzero one
-(``_rows_agree``); they never build the products they compare.
-``is_tensor`` compares a complex with a tensor product row by row in
-the same way, unless ``tensor`` built it from the same two factors.
+the chain-map property, accumulate one residual row at a time and stop
+at the first nonzero one (``_rows_agree``); they never build the
+products they compare.  A model holds no Y = B ⊗ F, so its restriction
+is checked by ``tensor_target_commutes``, which reads each row of d_Y
+from the factors' rows (``_tensor_row_groups``) as it reaches it.  A Y
+that a model record carries is compared with the product row by row in
+the same way by ``is_tensor`` (at once when ``tensor`` built it from
+the same two factors), and the restriction is then checked against its
+parsed rows (``ComplexMap.commutes``).
 
 Values are immutable after construction (the only mutation is internal
 memoisation of ranks, reductions, the d∘d verdict and the factors a
@@ -490,11 +494,7 @@ class ComplexMap:
         self.source = source
         self.target = target
         self.maps = tuple(maps)
-        for k, m in enumerate(self.maps):
-            if m.cols != source.dim(k) or m.rows != target.dim(k):
-                raise ShapeMismatchError(
-                    f"map[{k}] is {m.rows}x{m.cols}, expected {target.dim(k)}x{source.dim(k)}"
-                )
+        check_map_shapes(self.maps, source.dims, target.dims)
         if check and not self.commutes():
             raise ChainMapError("maps do not commute with the differentials")
 
@@ -535,6 +535,17 @@ class ComplexMap:
             [self.at(k) @ inner.at(k) for k in range(top + 1)],
             check=False,
         )
+
+
+def check_map_shapes(maps: Sequence[QMatrix], source: Sequence[int],
+                     target: Sequence[int]) -> None:
+    """Refuse a degree-k matrix that is not dim target^k × dim source^k,
+    the dimensions being 0 off the ends of ``source`` and ``target``."""
+    for k, m in enumerate(maps):
+        rows = target[k] if k < len(target) else 0
+        cols = source[k] if k < len(source) else 0
+        if m.cols != cols or m.rows != rows:
+            raise ShapeMismatchError(f"map[{k}] is {m.rows}x{m.cols}, expected {rows}x{cols}")
 
 
 def _tensor_offsets(c1: CochainComplex, c2: CochainComplex) -> list[list[int]]:
@@ -632,6 +643,53 @@ def is_tensor(c: CochainComplex, c1: CochainComplex, c2: CochainComplex) -> bool
                 for col, v in r:
                     if get(base + col) != v:
                         return False
+    return True
+
+
+def tensor_dims(c1: CochainComplex, c2: CochainComplex) -> tuple[int, ...]:
+    """The dimensions of tensor(c1, c2), with the product not built."""
+    if not c1.dims or not c2.dims:
+        return ()
+    return tuple(off[-1] for off in _tensor_offsets(c1, c2))
+
+
+def tensor_target_commutes(maps: Sequence[QMatrix], source: CochainComplex,
+                           c1: CochainComplex, c2: CochainComplex) -> bool:
+    """True iff ``maps`` (ρ_k for k = 0, 1, ..., zero past the last) is a
+    chain map from ``source`` to tensor(c1, c2), with the product not
+    built: d_n ρ_n = ρ_(n+1) d_n in every degree n.  Row (a, b) of
+    d_n ρ_n - ρ_(n+1) d_n is accumulated as ``_rows_agree`` does, with
+    row (a, b) of d_n of the product read from row a of d1 and row b of
+    d2 as it is reached (``_tensor_row_groups``), and the test stops at
+    the first nonzero row.  Shapes are the caller's to check."""
+    if not c1.dims or not c2.dims:
+        return True
+    offsets = _tensor_offsets(c1, c2)
+    for n in range(len(offsets) - 1):
+        rho = maps[n].sparse_rows if n < len(maps) else None
+        nxt = maps[n + 1].sparse_rows if n + 1 < len(maps) else None
+        if rho is None and nxt is None:
+            break
+        dm = source.d_at(n).sparse_rows
+        r = 0  # the row of d_n being formed
+        for left, base, right in _tensor_row_groups(c1, c2, offsets[n], n):
+            for b, row in enumerate(right):
+                acc: SparseRow = {}
+                get = acc.get
+                if rho is not None:
+                    for off, x in left:
+                        for j, y in rho[off + b].items():
+                            acc[j] = get(j, 0) + x * y
+                    for c, x in row:
+                        for j, y in rho[base + c].items():
+                            acc[j] = get(j, 0) + x * y
+                if nxt is not None:
+                    for k, x in nxt[r].items():
+                        for j, y in dm[k].items():
+                            acc[j] = get(j, 0) - x * y
+                r += 1
+                if any(acc.values()):
+                    return False
     return True
 
 
@@ -971,21 +1029,28 @@ def map_to_dict(phi: ComplexMap) -> dict:
 
 
 def map_from_dict(source: CochainComplex, target: CochainComplex, data: dict) -> ComplexMap:
-    """Parse a chain map record.  Shapes are checked here; whether the
-    maps commute with the differentials is left to the caller (for a
-    model's restriction, ``EdgeSpaceModel.validate``), so a load checks
-    it once, row by row in ``ComplexMap.commutes`` without building the
-    products."""
+    """Parse a chain map record (``maps_from_dict``).  Whether the maps
+    commute with the differentials is left to the caller."""
+    return ComplexMap(source, target, maps_from_dict(source.dims, target.dims, data),
+                      check=False)
+
+
+def maps_from_dict(source: Sequence[int], target: Sequence[int], data: dict) -> list[QMatrix]:
+    """The matrices of a chain map record between complexes of the
+    dimensions ``source`` and ``target``, shapes checked.  Whether they
+    commute with the differentials is left to the caller (for a model's
+    restriction, ``EdgeSpaceModel.validate``), so a load checks it once,
+    row by row, without building the products."""
     maps = data.get("maps") if isinstance(data, dict) else None
     if not isinstance(maps, list):
         raise ModelFormatError(
             f"a map must be an object whose maps are a list, not {_brief(data)}")
     # one matrix per degree of the source or of the target; fewer would
     # silently make the missing degrees zero
-    lo, hi = sorted((len(source.dims), len(target.dims)))
+    lo, hi = sorted((len(source), len(target)))
     if not lo <= len(maps) <= hi:
         want = str(lo) if lo == hi else f"{lo} to {hi}"
         raise ModelFormatError(f"a map needs {want} matrices, one per degree, got {len(maps)}")
-    return ComplexMap(source, target, [
-        matrix_from_lists(target.dim(k), source.dim(k), rows) for k, rows in enumerate(maps)
-    ], check=False)
+    return [matrix_from_lists(target[k] if k < len(target) else 0,
+                              source[k] if k < len(source) else 0, rows)
+            for k, rows in enumerate(maps)]

@@ -1,11 +1,13 @@
 """Edge-space models and perversity-indexed intersection cohomology.
 
 A simple edge space is presented by finite rational cochain complexes
-for the link F and the singular stratum B, and a restriction map
-ρ: M -> Y from the regular part M to the boundary Y = B ⊗ F of the
-tube; the map carries M as its source and Y as its target.  Every model
-is a product model: the tube is a bundle of truncated cones over B whose
-boundary is the product complex Y.  Intersection cohomology for a
+for the link F, the singular stratum B and the regular part M, and a
+restriction map ρ: M -> Y to the boundary Y = B ⊗ F of the tube.  Every
+model is a product model: the tube is a bundle of truncated cones over
+B whose boundary is the product complex Y.  Y is fixed by B and F, so a
+model keeps only its dimensions and the matrices ρ_k: M^k -> Y^k in the
+bases of ``tensor``; the chain-level reference below builds Y when it
+needs it.  Intersection cohomology for a
 perversity p is computed at chain level from the total complex of the
 cover {M, tube}:
 
@@ -48,8 +50,9 @@ each, and those reductions count the Betti numbers too.
 
 Why the answers agree: let Tot_1(c) be the total complex of M,
 B' ⊗ τ_{<=c}F', Y' with restriction (p_B ⊗ p_F) ∘ ρ.  Because
-Y = B ⊗ F at chain level (``validate`` checks it with
-``cochain.is_tensor``), p_B ⊗ p_F is a chain map Y -> Y', and it
+Y = B ⊗ F at chain level (a model holds no other Y, and a Y read from
+a record is checked with ``cochain.is_tensor`` and dropped),
+p_B ⊗ p_F is a chain map Y -> Y', and it
 carries the tube inclusion id_B ⊗ incl to id_B' ⊗ incl'.  So
 
     (id_M, p_B ⊗ τp_F, p_B ⊗ p_F): Tot(c) -> Tot_1(c)
@@ -100,8 +103,8 @@ answer from it, and so do the queries of ``weights``.
 (with ρ' as the product p_Y ρ i_M), and ``total_complex``,
 ``total_map`` and ``truncated_tube`` (on either model) stay as the
 chain-level reference; no query builds them, and they are rebuilt on
-each call, so a model keeps no cache but its rank table and its
-minimal model.
+each call, Y = tensor(B, F) with them, so a model keeps no cache but its
+rank table and its minimal model.
 """
 
 from __future__ import annotations
@@ -117,8 +120,11 @@ from edgehodge.cochain import (
     SparseRow,
     ZERO_COMPLEX,
     _brief,
+    _sparse,
+    _tensor_offsets,
     block_matrix,
     check_cells,
+    check_map_shapes,
     cohomology_inclusion,
     cohomology_projection,
     complex_from_dict,
@@ -126,11 +132,13 @@ from edgehodge.cochain import (
     direct_sum,
     int_from_json,
     is_tensor,
-    map_from_dict,
-    map_to_dict,
+    maps_from_dict,
+    matrix_to_dict,
     mapping_cone,
     tensor,
+    tensor_dims,
     tensor_map_blocks,
+    tensor_target_commutes,
     truncate,
 )
 from edgehodge.errors import (
@@ -216,56 +224,73 @@ class RankTable:
 
 class EdgeSpaceModel:
     """Finite presentation of a space with one simple edge stratum: the
-    link F, the stratum B and the restriction ρ: M -> Y, whose source is
-    the regular part ``M`` and whose target ``Y`` must be the product
-    complex tensor(B, F).  ``validate`` checks Y with ``is_tensor``, which
-    answers at once when ``tensor`` built Y from these B and F.
+    link F, the stratum B, the regular part M and the restriction
+    ρ: M -> Y = tensor(B, F), held as its matrices ``rho[k]``:
+    M^k -> Y^k (zero past the last) in the bases of ``tensor``.  No Y
+    complex is kept, only its dimensions ``y_dims``; ``validate`` checks
+    ρ against the rows of d_Y as it generates them from B and F.  A
+    ``y`` read from a model record is checked to be the product, ρ is
+    checked against its rows, and it is then dropped.
     """
 
     def __init__(self, name: str, n: int, b: int, f: int,
-                 F: CochainComplex, B: CochainComplex,
-                 restriction: ComplexMap, description: str = ""):
+                 F: CochainComplex, B: CochainComplex, M: CochainComplex,
+                 rho, description: str = "", y: CochainComplex | None = None):
         self.name = name
         self.n = n
         self.b = b
         self.f = f
         self.F = F
         self.B = B
-        self.M = restriction.source
-        self.Y = restriction.target
-        self.restriction = restriction
+        self.M = M
+        self.rho = tuple(rho)
+        self.y_dims = tensor_dims(B, F)
         self.description = description
+        check_map_shapes(self.rho, M.dims, self.y_dims if y is None else y.dims)
         self._table: RankTable | None = None
         self._minimal: EdgeSpaceModel | None = None
-        self.validate()
+        self.validate(y)
 
     # -- structural invariants ---------------------------------------
 
-    def validate(self) -> None:
+    def validate(self, y: CochainComplex | None = None) -> None:
         """Check the model's invariants in a fixed order; the first that
         fails raises ``ModelInvariantError``.  The d∘d and chain-map
         checks accumulate residual rows (``CochainComplex.verify``,
-        ``ComplexMap.commutes``) and never build the products."""
+        ``cochain.tensor_target_commutes``) and never build the products,
+        nor Y.  A Y read from a record is passed as ``y``: it is compared
+        with tensor(B, F) row by row (``is_tensor``), and ρ is checked
+        against its rows (``ComplexMap.commutes``) before a Y that is not
+        the product is refused."""
         if self.n != self.b + self.f + 1:
             raise ModelInvariantError(f"{self.name}: n != b + f + 1")
         if self.F.top_degree != self.f:
             raise ModelInvariantError(f"{self.name}: top degree of F is not f")
         if self.B.top_degree != self.b:
             raise ModelInvariantError(f"{self.name}: top degree of B is not b")
+        if self.M.top_degree > self.n:
+            raise ModelInvariantError(f"{self.name}: M has cells above degree n")
         for c in (self.F, self.B, self.M):
             if not c.verify():
                 raise ModelInvariantError(f"{self.name}: a complex fails d∘d = 0")
-        # the tube inclusion id_B ⊗ incl and the minimal model both read Y
-        # in the basis of tensor(B, F), which has d∘d = 0 once B and F do;
-        # a Y read from a file is compared with it row by row, unbuilt
-        y_product = is_tensor(self.Y, self.B, self.F)
-        if not y_product and not self.Y.verify():
+        if y is None:
+            if not tensor_target_commutes(self.rho, self.M, self.B, self.F):
+                raise ModelInvariantError(f"{self.name}: restriction is not a chain map")
+            return
+        y_product = is_tensor(y, self.B, self.F)
+        if not y_product and not y.verify():
             raise ModelInvariantError(f"{self.name}: a complex fails d∘d = 0")
-        if not self.restriction.commutes():
+        if not ComplexMap(self.M, y, self.rho, check=False).commutes():
             raise ModelInvariantError(f"{self.name}: restriction is not a chain map")
         if not y_product:
             raise ModelInvariantError(
                 f"{self.name}: Y is not the product complex tensor(B, F)")
+
+    def rho_at(self, k: int) -> QMatrix:
+        """ρ_k: M^k -> Y^k, zero past the last matrix."""
+        if k < len(self.rho):
+            return self.rho[k]
+        return QMatrix.zeros(self.y_dims[k] if k < len(self.y_dims) else 0, self.M.dim(k))
 
     # -- truncated tube and total complex -----------------------------
 
@@ -277,20 +302,21 @@ class EdgeSpaceModel:
         return max(-1, min(self.f, self.f - 1 + (-p.numerator) // p.denominator))
 
     def truncated_tube(self, c: int) -> tuple[CochainComplex, ComplexMap]:
-        """Tube complex B ⊗ τ_{<=c}F with its inclusion into Y."""
+        """Tube complex B ⊗ τ_{<=c}F with its inclusion into Y, which is
+        built here as tensor(B, F)."""
+        y = tensor(self.B, self.F)
         tf, incl = truncate(self.F, c)
         if not tf.dims:
-            return ZERO_COMPLEX, ComplexMap(ZERO_COMPLEX, self.Y, (), check=False)
+            return ZERO_COMPLEX, ComplexMap(ZERO_COMPLEX, y, (), check=False)
         tube = tensor(self.B, tf)
-        # id_B ⊗ incl lands in tensor(B, F), which is the model's Y
-        return tube, ComplexMap(tube, self.Y,
+        return tube, ComplexMap(tube, y,
                                 tensor_map_blocks(ComplexMap.identity(self.B), incl),
                                 check=False)
 
     def total_complex(self, c: int) -> CochainComplex:
         """Mayer-Vietoris total complex for truncation level c."""
         tube, iota = self.truncated_tube(c)
-        m, y = self.M, self.Y
+        m, y = self.M, iota.target
         top = max(m.top_degree, tube.top_degree, y.top_degree + 1, 0)
         dims = [m.dim(s) + tube.dim(s) + y.dim(s - 1) for s in range(top + 1)]
         ds = []
@@ -298,7 +324,7 @@ class EdgeSpaceModel:
             blocks = [
                 [m.d_at(s), None, None],
                 [None, tube.d_at(s), None],
-                [self.restriction.at(s), -iota.at(s), -y.d_at(s - 1)],
+                [self.rho_at(s), -iota.at(s), -y.d_at(s - 1)],
             ]
             ds.append(block_matrix(
                 blocks,
@@ -312,8 +338,9 @@ class EdgeSpaceModel:
         the identity on M and Y and id_B ⊗ (τ_{<=c1}F -> τ_{<=c2}F) on the
         tube, whose degrees <= c1 are the inclusion's into F."""
         tot1, tot2 = self.total_complex(c1), self.total_complex(c2)
-        tube1, _ = self.truncated_tube(c1)
+        tube1, iota1 = self.truncated_tube(c1)
         tube2, _ = self.truncated_tube(c2)
+        y = iota1.target
         t1, i1 = truncate(self.F, c1)
         fincl = (ComplexMap.identity(t1) if c1 == c2 else
                  ComplexMap(t1, truncate(self.F, c2)[0], i1.maps[: c1 + 1], check=False))
@@ -324,12 +351,12 @@ class EdgeSpaceModel:
             blocks = [
                 [QMatrix.identity(self.M.dim(s)), None, None],
                 [None, tincl.at(s), None],
-                [None, None, QMatrix.identity(self.Y.dim(s - 1))],
+                [None, None, QMatrix.identity(y.dim(s - 1))],
             ]
             maps.append(block_matrix(
                 blocks,
-                [self.M.dim(s), tube2.dim(s), self.Y.dim(s - 1)],
-                [self.M.dim(s), tube1.dim(s), self.Y.dim(s - 1)],
+                [self.M.dim(s), tube2.dim(s), y.dim(s - 1)],
+                [self.M.dim(s), tube1.dim(s), y.dim(s - 1)],
             ))
         return ComplexMap(tot1, tot2, maps, check=False)
 
@@ -343,7 +370,7 @@ class EdgeSpaceModel:
         p_f = cohomology_projection(self.F)
         i_m = cohomology_inclusion(self.M)
         p_y = tensor_map_blocks(p_b, p_f)
-        rho = [p_y[k] @ (self.restriction.at(k) @ i_m.at(k))
+        rho = [p_y[k] @ (self.rho_at(k) @ i_m.at(k))
                for k in range(min(len(i_m.maps), len(p_y)))]
         return p_f.target, p_b.target, i_m.source, rho
 
@@ -370,7 +397,7 @@ class EdgeSpaceModel:
                     prefix.append(prefix[-1] + len(p_b[i]) * len(p_f[k - i]))
                 t_k = tuple(prefix[max(0, k - c)] for c in range(-1, self.f + 1))
                 rho_rows = red.on_representatives(k, _projected_rows(
-                    p_b, p_f, b_dims, f_dims, self.restriction.at(k), k)
+                    p_b, p_f, b_dims, f_dims, self.rho_at(k), k)
                 ) if k < len(red.steps) else ()
                 rows.append(t_k)
                 ranks.append(elim.rank_sparse(rho_rows, t_k) if rho_rows else (0,) * len(t_k))
@@ -386,10 +413,8 @@ class EdgeSpaceModel:
         instead; this is the reference view of the same data."""
         if self._minimal is None:
             f_h, b_h, m_h, rho = self._minimal_restriction()
-            y_h = tensor(b_h, f_h)
-            minimal = EdgeSpaceModel(self.name, self.n, self.b, self.f, f_h, b_h,
-                                     ComplexMap(m_h, y_h, rho, check=False),
-                                     self.description)
+            minimal = EdgeSpaceModel(self.name, self.n, self.b, self.f, f_h, b_h, m_h,
+                                     rho, self.description)
             minimal._minimal = minimal
             self._minimal = minimal
         return self._minimal
@@ -507,7 +532,8 @@ def extended_identities(space: EdgeSpaceModel, p) -> tuple[int, ...]:
     """
     pv = Fraction(p)
     if pv >= space.f:
-        cone = mapping_cone(space.restriction)
+        cone = mapping_cone(ComplexMap(space.M, tensor(space.B, space.F), space.rho,
+                                       check=False))
         h = cone.cohomology_dims()
     elif pv <= 0:
         h = space.M.cohomology_dims()
@@ -547,37 +573,42 @@ def torus_complex() -> CochainComplex:
     return tensor(c, c)
 
 
-def _diagonal_map(base: CochainComplex, doubled: CochainComplex) -> ComplexMap:
-    """base -> doubled = base ⊕ base, x -> (x, x)."""
-    maps = []
-    for k in range(base.top_degree + 1):
-        ident = QMatrix.identity(base.dim(k))
-        maps.append(block_matrix([[ident], [ident]],
-                                 [base.dim(k), base.dim(k)], [base.dim(k)]))
-    return ComplexMap(base, doubled, maps, check=False)
-
-
 def _cone_model(name: str, fibre: CochainComplex, description: str) -> EdgeSpaceModel:
-    """Truncated cone over the fibre: one point stratum, boundary at x=1."""
-    b_cx = point_complex()
-    restriction = ComplexMap.identity(tensor(b_cx, fibre))
+    """Truncated cone over the fibre: one point stratum, boundary at x=1.
+    M is point ⊗ fibre, which is Y, and ρ the identity."""
+    m_cx = tensor(point_complex(), fibre)
     f = fibre.top_degree
-    return EdgeSpaceModel(name, f + 1, 0, f, fibre, b_cx, restriction, description)
+    return EdgeSpaceModel(name, f + 1, 0, f, fibre, point_complex(), m_cx,
+                          [QMatrix.identity(d) for d in m_cx.dims], description)
+
+
+def _diagonal_restriction(base: CochainComplex, fibre: CochainComplex) -> list[QMatrix]:
+    """ρ = diag ⊗ id: base ⊗ F -> (base ⊕ base) ⊗ F with diag(x) = (x, x),
+    written straight as selection rows: row (a, b) of block (i, n-i) of
+    Y^n has one entry, 1, at column off_i + (a mod dim base^i)·dim F^(n-i)
+    + b of M^n, with off_i the offset of block (i, n-i) in M^n."""
+    maps = []
+    for off in _tensor_offsets(base, fibre):
+        n = len(off) - 2
+        rows: list[SparseRow] = []
+        for i in range(n + 1):
+            width, dim = fibre.dim(n - i), base.dim(i)
+            for a in range(2 * dim):
+                start = off[i] + (a % dim) * width
+                rows.extend({start + b: 1} for b in range(width))
+        maps.append(_sparse(len(rows), off[-1], tuple(rows)))
+    return maps
 
 
 def _closed_model(name: str, base: CochainComplex, fibre: CochainComplex,
                   description: str) -> EdgeSpaceModel:
     """Fibrewise suspension over the base: two copies of the stratum,
     closed total space, so Poincare duality applies."""
-    b_cx = direct_sum(base, base)
-    restriction = ComplexMap(
-        tensor(base, fibre), tensor(b_cx, fibre),
-        tensor_map_blocks(_diagonal_map(base, b_cx), ComplexMap.identity(fibre)),
-        check=False,
-    )
     f = fibre.top_degree
     b = base.top_degree
-    return EdgeSpaceModel(name, b + f + 1, b, f, fibre, b_cx, restriction, description)
+    return EdgeSpaceModel(name, b + f + 1, b, f, fibre, direct_sum(base, base),
+                          tensor(base, fibre), _diagonal_restriction(base, fibre),
+                          description)
 
 
 _BUILDERS = {
@@ -631,8 +662,8 @@ def catalogue() -> list[dict]:
 
 
 def model_to_dict(space: EdgeSpaceModel) -> dict:
-    """The model record, with sparse matrices; it omits Y, which
-    ``model_from_dict`` rebuilds as tensor(B, F)."""
+    """The model record, with sparse matrices; it omits Y, which is
+    tensor(B, F)."""
     return {
         "name": space.name,
         "n": space.n,
@@ -641,7 +672,7 @@ def model_to_dict(space: EdgeSpaceModel) -> dict:
         "F": complex_to_dict(space.F),
         "B": complex_to_dict(space.B),
         "M": complex_to_dict(space.M),
-        "restriction": map_to_dict(space.restriction),
+        "restriction": {"maps": [matrix_to_dict(m) for m in space.rho]},
         "bigrading": "product",
         "description": space.description,
     }
@@ -658,13 +689,15 @@ def _field(data: dict, key: str, parse, *args):
 
 
 def model_from_dict(data: dict) -> EdgeSpaceModel:
-    """Parse a model record.  A record may omit Y, which is then built as
-    tensor(B, F) once B and F pass d∘d = 0; a Y in the record is checked
-    against tensor(B, F) by ``EdgeSpaceModel.validate``.  Each complex,
-    and the Y that B and F imply, may have at most
-    ``cochain.MAX_COMPLEX_CELLS`` cells; the product is checked before Y
-    or the restriction is read.  A record with ``"bigrading": "none"``
-    has no tube to truncate and is refused."""
+    """Parse a model record.  Y is optional: the restriction's shapes are
+    read against the dimensions of tensor(B, F), which is never built.
+    A Y in the record is parsed, so its format errors are reported, and
+    handed to ``EdgeSpaceModel.validate``, which checks that it is the
+    product and checks the restriction against its rows; the model then
+    drops it.  Each complex, and the Y that B and F imply, may have at
+    most ``cochain.MAX_COMPLEX_CELLS`` cells; the product is checked
+    before Y or the restriction is read.  A record with
+    ``"bigrading": "none"`` has no tube to truncate and is refused."""
     if not isinstance(data, dict):
         raise ModelFormatError("a model must be a key/value object")
     f_cx, b_cx, m_cx = (_field(data, k, complex_from_dict) for k in "FBM")
@@ -680,12 +713,8 @@ def model_from_dict(data: dict) -> EdgeSpaceModel:
             f'bigrading must be "product" or "none", not {_brief(bigrading)}')
     if bigrading == "none":
         raise ModelInvariantError(f"{name}: missing bigrading; cannot truncate the tube")
-    if "Y" not in data:
-        if not (b_cx.verify() and f_cx.verify()):
-            raise ModelInvariantError(f"{name}: a complex fails d∘d = 0")
-        y_cx = tensor(b_cx, f_cx)
-    else:
-        y_cx = _field(data, "Y", complex_from_dict)
-    restriction = _field(data, "restriction", map_from_dict, m_cx, y_cx)
+    y_cx = _field(data, "Y", complex_from_dict) if "Y" in data else None
+    rho = _field(data, "restriction", maps_from_dict, m_cx.dims,
+                 tensor_dims(b_cx, f_cx) if y_cx is None else y_cx.dims)
     n, b, f = (int_from_json(data.get(k), k) for k in "nbf")
-    return EdgeSpaceModel(name, n, b, f, f_cx, b_cx, restriction, description)
+    return EdgeSpaceModel(name, n, b, f, f_cx, b_cx, m_cx, rho, description, y_cx)

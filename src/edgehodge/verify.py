@@ -242,12 +242,13 @@ def stratified_checks(space_names=None) -> list[CheckResult]:
                 ok = False
     out.append(_result("stratified", "extended-identities-match-engine", ok))
 
-    # loading checks Y == tensor(B, F) at chain level, which implies this
+    # Künneth on the boundary Y = tensor(B, F), which a model does not
+    # keep, so it is built here
     ok = True
     detail = ""
     for sp in spaces:
         conv = kunneth_convolution(sp.B.cohomology_dims(), sp.F.cohomology_dims())
-        if tuple(conv) != tuple(sp.Y.cohomology_dims()):
+        if tuple(conv) != tuple(tensor(sp.B, sp.F).cohomology_dims()):
             ok = False
             detail = sp.name
     out.append(_result("stratified", "y-kunneth", ok, detail))

@@ -88,7 +88,10 @@ def dense_lists(m) -> list[list[str]]:
 
 
 def dense_model_dict(space) -> dict:
-    """Model record with every matrix dense and Y always present."""
+    """Model record with every matrix dense and Y always present: a model
+    holds no Y, so it is written as tensor(B, F)."""
+    from edgehodge.cochain import tensor
+
     def cx(c):
         return {"dims": list(c.dims), "differentials": [dense_lists(m) for m in c.d]}
 
@@ -100,8 +103,8 @@ def dense_model_dict(space) -> dict:
         "F": cx(space.F),
         "B": cx(space.B),
         "M": cx(space.M),
-        "Y": cx(space.Y),
-        "restriction": {"maps": [dense_lists(m) for m in space.restriction.maps]},
+        "Y": cx(tensor(space.B, space.F)),
+        "restriction": {"maps": [dense_lists(m) for m in space.rho]},
         "bigrading": "product",
         "description": space.description,
     }

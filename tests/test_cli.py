@@ -717,6 +717,24 @@ def test_fibre_failing_d_squared_rejected_before_y_is_built(tmp_path, capsys):
     assert captured.err == "model invariant violated: cone-torus: a complex fails d∘d = 0\n"
 
 
+@pytest.mark.parametrize("argv", [["ih", "--perversity", "0"], ["weights", "--a", "0"],
+                                  ["complete"]], ids=["ih", "weights", "complete"])
+def test_m_with_cells_above_degree_n_rejected_at_load(tmp_path, capsys, argv):
+    # cone-circle has n = 2; an M with cells in degree 3 (zero
+    # differentials) has a class no table reaches, so the load refuses it
+    data = model_to_dict(builtin_space("cone-circle"))
+    data["M"]["dims"] = [2, 2, 1, 1]
+    data["M"]["differentials"] += [{"rows": 1, "cols": 2, "nz": []},
+                                   {"rows": 1, "cols": 1, "nz": []}]
+    path = tmp_path / "m-above-n.json"
+    path.write_text(json.dumps(data))
+    assert main([argv[0], "--file", str(path), *argv[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("model invariant violated: cone-circle: "
+                            "M has cells above degree n\n")
+
+
 def test_sparse_restriction_not_a_chain_map_rejected_at_load(tmp_path, capsys):
     # the chain-map check of a record without Y: drop the degree-0
     # restriction of cone-circle and keep the identity in degree 1

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgehodge.cochain import (
     CochainComplex,
@@ -21,10 +22,14 @@ from edgehodge.cochain import (
     kernel_basis,
     mapping_cone,
     tensor,
+    tensor_dims,
+    tensor_target_commutes,
     truncate,
 )
 from edgehodge.errors import ShapeMismatchError, UnverifiedComplexError
 from edgehodge.stratified import (
+    _closed_model,
+    _cone_model,
     circle_complex,
     interval_complex,
     point_complex,
@@ -245,6 +250,91 @@ def test_tensor_matches_kronecker_block_assembly():
             # the same entry order too, so eliminations pivot alike
             assert [[list(r.items()) for r in m.sparse_rows] for m in got.d] == \
                 [[list(r.items()) for r in m.sparse_rows] for m in want.d]
+
+
+def _generated_check_agrees(m, b, f, rho) -> bool:
+    # the generated check against the materialised one, with Y built by
+    # ``tensor`` and, independently of its row generator, by Kronecker blocks
+    got = tensor_target_commutes(rho, m, b, f)
+    assert got == ComplexMap(m, tensor(b, f), rho, check=False).commutes()
+    assert got == ComplexMap(m, _kron_tensor(b, f), rho, check=False).commutes()
+    return got
+
+
+def _with_entry(mat, r, j, value):
+    rows = [dict(row) for row in mat.sparse_rows]
+    if value:
+        rows[r][j] = value
+    else:
+        rows[r].pop(j, None)
+    return QMatrix(mat.rows, mat.cols, [[row.get(c, 0) for c in range(mat.cols)] for row in rows])
+
+
+def _mutation_breaks(m, y, k, r, j) -> bool:
+    # ρ_k[r, j] += δ changes row r of ρ_k d_(k-1) by δ·(row j of d_M,k-1)
+    # and column j of d_Y,k ρ_k by δ·(column r of d_Y,k)
+    return (k > 0 and bool(m.d_at(k - 1).sparse_rows[j])) or \
+        any(r in row for row in y.d_at(k).sparse_rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_generated_chain_map_check_matches_the_materialised_one(seed):
+    rng = random.Random(seed)
+    pieces = [point_complex(), circle_complex(), interval_complex(), sphere2_complex()]
+    base, fibre = rng.choice(pieces), rng.choice(pieces)
+    if rng.random() < 0.3:
+        fibre = tensor(fibre, rng.choice(pieces))
+    model = (_closed_model("closed", base, fibre, "") if rng.random() < 0.6
+             else _cone_model("cone", fibre, ""))
+    b, f, m, rho = model.B, model.F, model.M, list(model.rho)
+    y = tensor(b, f)
+    top = y.top_degree
+    assert _generated_check_agrees(m, b, f, rho)
+
+    # one-entry mutations of ρ, one in a random degree and one in the top
+    # degree, where d_Y = 0
+    for degrees in (range(len(rho)), [top]):
+        cells = [(k, r, j) for k in degrees for r in range(rho[k].rows)
+                 for j in range(rho[k].cols)]
+        if cells:
+            k, r, j = rng.choice(cells)
+            old = rho[k].sparse_rows[r].get(j, 0)
+            mutated = list(rho)
+            mutated[k] = _with_entry(rho[k], r, j, old + rng.choice((1, -1, 2)))
+            assert _generated_check_agrees(m, b, f, mutated) == \
+                (not _mutation_breaks(m, y, k, r, j))
+
+    # one sign flipped in d_B or d_F: every row of ρ is nonzero, so the
+    # changed rows of d_Y break the chain map
+    factor = rng.choice(("B", "F"))
+    c = b if factor == "B" else f
+    entries = [(i, r, j) for i, d in enumerate(c.d) for r, row in enumerate(d.sparse_rows)
+               for j in row]
+    if entries:
+        i, r, j = rng.choice(entries)
+        ds = list(c.d)
+        ds[i] = _with_entry(ds[i], r, j, -ds[i].sparse_rows[r][j])
+        flipped = CochainComplex(c.dims, ds)
+        if flipped.verify():
+            pair = (flipped, f) if factor == "B" else (b, flipped)
+            assert not _generated_check_agrees(m, *pair, rho)
+
+    # M with fewer degrees than Y: ρ restricted to a truncation of M is a
+    # chain map, and a random map of the same shapes is checked alike
+    t, incl = truncate(m, rng.randrange(-1, m.top_degree + 1))
+    rho_t = [rho[k] @ incl.at(k) for k in range(len(t.dims))]
+    assert _generated_check_agrees(t, b, f, rho_t)
+    shapes = [(mat.rows, mat.cols) for mat in rho_t]
+    noise = [QMatrix(rows, cols, [[rng.choice((0, 0, 0, 1, -1)) for _ in range(cols)]
+                                  for _ in range(rows)]) for rows, cols in shapes]
+    _generated_check_agrees(t, b, f, noise)
+
+    # M with a cell above the top degree of Y, where ρ has no rows
+    dims = m.dims + (1,)
+    above = CochainComplex(dims, list(m.d) + [QMatrix.zeros(1, m.dims[-1])])
+    assert _generated_check_agrees(above, b, f, rho + [QMatrix.zeros(0, 1)])
+    assert tensor_dims(b, f) == y.dims == model.y_dims
 
 
 def _count_row_walks(monkeypatch) -> list:

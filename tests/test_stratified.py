@@ -267,7 +267,7 @@ def test_queries_build_no_total_complex(monkeypatch):
         assert _every_answer(builtin_space(name)) == before[name], name
 
 
-_MODEL_DATA = {"name", "n", "b", "f", "F", "B", "M", "Y", "restriction", "description"}
+_MODEL_DATA = {"name", "n", "b", "f", "F", "B", "M", "rho", "y_dims", "description"}
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -306,26 +306,34 @@ def test_loads_multiply_no_matrices(monkeypatch):
 
 
 def test_only_a_y_read_from_a_file_is_compared_row_by_row(monkeypatch):
-    # built-ins, records without Y and minimal models build Y with
-    # ``tensor`` from their own B and F, so validating them reads no row of
-    # Y; a Y parsed from a record is walked row by row
-    from edgehodge import cochain
+    # a model holds no Y, so built-ins, records without Y and minimal
+    # models are never compared with tensor(B, F); a Y parsed from a record
+    # is compared once, at load, row by row, and then dropped
+    from edgehodge import cochain, stratified
 
+    compared, walked = [], []
+    inner, groups = cochain.is_tensor, cochain._tensor_row_groups
+
+    def counting(c, c1, c2):
+        before = len(walked)
+        result = inner(c, c1, c2)
+        compared.append((c.dims, len(walked) > before))
+        return result
+
+    def walking(*args):
+        walked.append(args[-1])
+        return groups(*args)
+    monkeypatch.setattr(stratified, "is_tensor", counting)
+    monkeypatch.setattr(cochain, "_tensor_row_groups", walking)
     space = builtin_space("edge-torus-over-circle")
     built = [space, _load(model_to_dict(space)), space.minimal_model()]
-    parsed = _load(dense_model_dict(space))
-    walked = []
-    inner = cochain._tensor_row_groups
-
-    def counting(*args):
-        walked.append(args[-1])
-        return inner(*args)
-    monkeypatch.setattr(cochain, "_tensor_row_groups", counting)
     for model in built:
         model.validate()
-    assert walked == []
+    assert compared == []
+    parsed = _load(dense_model_dict(space))
+    assert compared == [((16, 48, 48, 16), True)]
     parsed.validate()
-    assert walked
+    assert len(compared) == 1
 
 
 def test_engine_agrees_with_sympy_on_total_complex():
@@ -355,8 +363,8 @@ def test_model_serialization_roundtrip():
 
 def _assert_same_model(a, b):
     assert (a.name, a.n, a.b, a.f, a.description) == (b.name, b.n, b.b, b.f, b.description)
-    assert (a.F, a.B, a.M, a.Y) == (b.F, b.B, b.M, b.Y)
-    assert a.restriction.maps == b.restriction.maps
+    assert (a.F, a.B, a.M, a.y_dims) == (b.F, b.B, b.M, b.y_dims)
+    assert a.rho == b.rho
 
 
 def _load(record):
@@ -383,7 +391,7 @@ def test_dense_model_files_load_to_equal_models(name):
     assert "Y" not in sparse
     dense = dense_model_dict(space)
     dense_without_y = {k: v for k, v in dense.items() if k != "Y"}
-    sparse_with_y = {**sparse, "Y": complex_to_dict(space.Y)}
+    sparse_with_y = {**sparse, "Y": complex_to_dict(tensor(space.B, space.F))}
     for record in (sparse, dense, dense_without_y, sparse_with_y):
         _assert_same_model(_load(record), space)
 
@@ -394,6 +402,13 @@ def test_model_invariants_enforced():
     data["n"] = 5
     with pytest.raises(ModelInvariantError):
         model_from_dict(data)
+
+
+def test_m_may_stop_below_degree_n():
+    # M has cells in degrees 0..n only; a cone model's M stops at f = n - 1
+    for name in ("cone-circle", "cone-torus", "cone-sphere2"):
+        space = _load(model_to_dict(builtin_space(name)))
+        assert space.M.top_degree == space.f == space.n - 1
 
 
 def test_perversity_arithmetic():
@@ -573,7 +588,7 @@ def _sum_map_model():
     sigma = ComplexMap(p_m.target, y_h, [QMatrix(1, 1, [[1]]), QMatrix(2, 1, [[1], [1]])])
     i_y = ComplexMap(y_h, y, tensor_map_blocks(i_b, i_f))
     rho = i_y.compose(sigma).compose(p_m)
-    return EdgeSpaceModel("circle-sum-map", 3, 1, 1, f, b, ComplexMap(m, y, rho.maps))
+    return EdgeSpaceModel("circle-sum-map", 3, 1, 1, f, b, m, rho.maps)
 
 
 def _zero_restriction_model():
@@ -584,7 +599,8 @@ def _zero_restriction_model():
     b, f = circle_complex(), circle_complex()
     y = tensor(b, f)
     m = torus_complex()
-    return EdgeSpaceModel("torus-zero-restriction", 3, 1, 1, f, b, ComplexMap.zero(m, y))
+    return EdgeSpaceModel("torus-zero-restriction", 3, 1, 1, f, b, m,
+                          ComplexMap.zero(m, y).maps)
 
 
 def test_sum_map_model_restriction_spans_two_fibre_degrees():
@@ -692,6 +708,56 @@ def _every_query(space):
         minimal_hodge_dims(space, a)
     for k in range(space.n + 2):
         complete_l2(space, k)
+
+
+def test_no_model_forms_its_boundary(monkeypatch):
+    # Y = B ⊗ F is never formed: building the built-ins, loading records
+    # with and without Y and answering every query call ``tensor`` on no
+    # model's own (B, F); the built-ins still build their M and torus link
+    from edgehodge import cochain, stratified
+
+    records = [model_to_dict(builtin_space(name)) for name in BUILTIN_NAMES]
+    records += [dense_model_dict(builtin_space(name)) for name in BUILTIN_NAMES]
+    with_y = dense_model_dict(_relabelled_edge_torus_over_circle(3, 5))
+    assert "Y" in with_y and "Y" in records[-1]
+    records += [with_y, json.loads(_ngon_model_file(8))]
+    records = [json.loads(json.dumps(r)) for r in records]
+
+    calls = []
+    inner = cochain.tensor
+
+    def recording(c1, c2):
+        calls.append((c1, c2))
+        return inner(c1, c2)
+    monkeypatch.setattr(cochain, "tensor", recording)
+    monkeypatch.setattr(stratified, "tensor", recording)
+    models = [builtin_space(name) for name in BUILTIN_NAMES]
+    assert calls
+    models += [model_from_dict(r) for r in records]
+    for space in models:
+        _every_query(space)
+    for space in models:
+        assert not any(c1 is space.B and c2 is space.F for c1, c2 in calls), space.name
+
+
+def test_loaded_ladder_model_memory():
+    # a model keeps B, F, M and ρ and no Y: the n = 8 rung holds under
+    # 3.5 MB once loaded (5.4 MB when it kept Y)
+    import gc
+    import tracemalloc
+
+    data = json.loads(_ngon_model_file(8))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        space = model_from_dict(data)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert space.y_dims == (1024, 3072, 3072, 1024)
+    assert held <= 3.5e6, held
 
 
 @pytest.mark.parametrize("build", [
