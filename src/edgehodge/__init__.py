@@ -7,8 +7,8 @@ Subpackage map:
 - ``weights``    weight-to-perversity dictionary and complete-metric verdicts
 - ``spectral``   indicial roots, critical windows, self-adjointness predicates
 - ``fibredec``   discrete fibre Hodge Laplacians and their spectra
-- ``radial``     cone-level radial lab: homotopy operators, membership tests,
-                 numerical indicial-exponent recovery
+- ``radial``     cone-level radial lab: homotopy operators and their bound,
+                 membership tests, indicial exponents checked exactly
 - ``cli``        the ``edgehodge`` command line front end
 """
 

@@ -40,13 +40,12 @@ products they compare.  A model holds no Y = B ⊗ F, so its restriction
 is checked by ``tensor_target_commutes``, which reads each row of d_Y
 from the factors' rows (``_tensor_row_groups``) as it reaches it.  A Y
 that a model record carries is compared with the product row by row in
-the same way by ``is_tensor`` (at once when ``tensor`` built it from
-the same two factors), and the restriction is then checked against its
-parsed rows (``ComplexMap.commutes``).
+the same way by ``is_tensor``, and the restriction is then checked
+against its parsed rows (``ComplexMap.commutes``).
 
 Values are immutable after construction (the only mutation is internal
-memoisation of ranks, reductions, the d∘d verdict and the factors a
-``tensor`` was built from), and every operation is a pure function.
+memoisation of ranks, reductions and the d∘d verdict), and every
+operation is a pure function.
 The row dicts are shared between matrices and are never modified in
 place.
 """
@@ -402,7 +401,7 @@ class CochainComplex:
     to degree k+1.  A complex with empty ``dims`` is the zero complex.
     """
 
-    __slots__ = ("dims", "d", "_reduction", "_verified", "_factors")
+    __slots__ = ("dims", "d", "_reduction", "_verified")
 
     def __init__(self, dims: Sequence[int], d: Sequence[QMatrix]):
         self.dims = tuple(int(x) for x in dims)
@@ -420,7 +419,6 @@ class CochainComplex:
                 )
         self._reduction = None
         self._verified = None
-        self._factors = None
 
     @property
     def top_degree(self) -> int:
@@ -591,7 +589,6 @@ def tensor(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
     (i, n+1-i) of d_n is read off row a of d1 and row b of d2: its
     entries lie first in column block (i-1, n+1-i), from d1 ⊗ id, then
     in column block (i, n-i), from (-1)^i id ⊗ d2 (``_tensor_row_groups``).
-    The result records its two factors, which ``is_tensor`` reads.
     """
     if not c1.verify() or not c2.verify():
         raise UnverifiedComplexError("tensor factors must satisfy d∘d = 0")
@@ -609,20 +606,15 @@ def tensor(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
                     row[base + c] = v
                 out.append(row)
         ds.append(_sparse(dims[n + 1], dims[n], tuple(out)))
-    product = CochainComplex(dims, ds)
-    product._factors = (c1, c2)
-    return product
+    return CochainComplex(dims, ds)
 
 
 def is_tensor(c: CochainComplex, c1: CochainComplex, c2: CochainComplex) -> bool:
-    """True iff c == tensor(c1, c2), with the product not built: at once
-    when ``tensor`` built ``c`` from these two objects, and otherwise when
-    the dimensions agree, and each row of each differential of ``c`` has
-    as many entries as its row of the product, and the product's entries
-    at their columns (``_tensor_row_groups``).  The factors are not
-    checked for d∘d = 0."""
-    if c._factors is not None and c._factors[0] is c1 and c._factors[1] is c2:
-        return True
+    """True iff c == tensor(c1, c2), with the product not built: the
+    dimensions agree, and each row of each differential of ``c`` has as
+    many entries as its row of the product, and the product's entries at
+    their columns (``_tensor_row_groups``).  The factors are not checked
+    for d∘d = 0."""
     if not c1.dims or not c2.dims:
         return not c.dims
     offsets = _tensor_offsets(c1, c2)

@@ -2,11 +2,10 @@
 
 The CLI maps these onto exit codes: ConfigError (including
 ModelFormatError) -> 2, model invariant violations -> 3, verification
-failures -> 4.  The fibre layer raises none of these: its spectra come
-in closed form, with their zero modes counted exactly.  Neither does
-minimal-domain membership, which is decided exactly from a mode's
-exponent; the one numeric failure left is StiffnessFailureError, from
-the radial exponent fit that ``cone-lab`` and ``verify`` run.
+failures -> 4.  No numeric failure is left: fibre spectra come in
+closed form, with their zero modes counted exactly, and every radial
+decision (mode exponents, minimal-domain membership, the homotopy
+bound) is made in Q.
 """
 
 
@@ -44,7 +43,3 @@ class ModelFormatError(ConfigError):
 
 class VerificationFailure(EdgeHodgeError):
     """An executable invariant suite reported a failing check."""
-
-
-class StiffnessFailureError(EdgeHodgeError):
-    """Indicial exponents too close to a double root for reliable recovery."""

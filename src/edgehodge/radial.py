@@ -1,4 +1,4 @@
-"""Cone-level verification lab.
+"""Cone-level verification lab, decided in Q: nothing is sampled or fitted.
 
 Forms on the truncated cone over a fibre F are written
 omega = alpha(x) + dx ∧ beta(x) with alpha, beta taking values in the
@@ -12,43 +12,28 @@ fibre cochain spaces.  This module provides:
   ∫_0^1 x^(f-2k-2a) dx, which is finite iff k < (f+1)/2 - a;
 - the slice constant K = (∫_{1/2}^1 x^(f-2k-2a) dx)^(-1);
 - the radial homotopy operator K_c(omega) = ∫_c^x beta(s) ds, exact
-  for polynomial radial profiles, plus the closed-form bound
-  coefficient for its operator norm (log case at k = (f+1)/2 - a
-  handled separately);
+  for polynomial radial profiles, the closed-form bound coefficient for
+  its operator norm (log case at k = (f+1)/2 - a handled separately),
+  and the two weighted norms that bound compares, as finite sums;
 - minimal-domain membership for a fibre-harmonic mode x^gamma: inside
   the open window ((f-1)/2 - a, (f+1)/2 - a) the radial coefficient
   must be o(1), i.e. gamma > 0, decided exactly from the exponent;
-- numerical recovery of indicial exponents from the radial 2x2
-  system x v'(x) = A v(x), A = [[-k, lambda], [lambda, -(f-k-2a)]],
-  each in the direction where its solution dominates: gamma- on the
-  last decade [x0, 10 x0], stepping down from x = 1, and gamma+ on the
-  first decade [1/10, 1], stepping up from x0.  In s = ln x the system
-  has constant coefficients, so a grid step is exp(±hA) and the span
-  before a decade is one jump exp(tA), both in closed form for a
-  symmetric 2x2 A; the jump is renormalised so it cannot overflow.
-  Log-magnitudes are regressed against log x on the decade.  The fit
-  serves ``cone-lab`` and ``verify``; run reports read the exact check
-  ``system_has_roots`` instead.
-
-The radial grid is logarithmic (default 400 points per decade,
-x0 = 1e-4): power-law solutions are straight lines in these
-coordinates, which keeps the exponent regression well conditioned.
+- ``mode_exponent``, which checks that the closed-form pair of
+  ``spectral.indicial_roots`` is the spectrum of the radial system
+  x v'(x) = A v(x), A = [[-k, lambda], [lambda, -(f-k-2a)]], by tr A
+  and det A; run reports, ``cone-lab`` and ``verify`` all read it.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from edgehodge import spectral
 from edgehodge.cochain import CochainComplex, QMatrix
-from edgehodge.errors import ConfigError, StiffnessFailureError
+from edgehodge.errors import ConfigError
 
-DEFAULT_X0 = 1e-4
-POINTS_PER_DECADE = 400
-RECOVERY_TOL = 1e-3
 # largest |e + 1| at which slice_constant computes the exact constant
 SLICE_EXPONENT_BOUND = 10_000
 
@@ -199,31 +184,6 @@ class PolyRadialForm:
             {m: _vec_scale(Fraction(-1), v) for m, v in self.beta.items()},
         )
 
-    def sample(self, xs):
-        """(|alpha|, |beta|) Euclidean coefficient norms on the grid, as
-        lists: |Σ x^m v_m|² = Σ x^(m+m') <v_m, v_m'>, with the Gram
-        coefficients summed exactly and the sum taken by Horner's rule."""
-        xs = [float(x) for x in xs]
-        return _sample_norms(self.alpha, xs), _sample_norms(self.beta, xs)
-
-
-def _sample_norms(coeffs: dict[int, tuple[Fraction, ...]], xs: list[float]) -> list[float]:
-    if not coeffs:
-        return [0.0] * len(xs)
-    gram: dict[int, Fraction] = {}
-    for m, v in coeffs.items():
-        for m2, v2 in coeffs.items():
-            gram[m + m2] = gram.get(m + m2, 0) + sum(a * b for a, b in zip(v, v2))
-    lo, hi = min(gram), max(gram)
-    desc = [float(gram.get(p, 0)) for p in range(hi, lo - 1, -1)]
-    out = []
-    for x in xs:
-        acc = 0.0
-        for g in desc:
-            acc = acc * x + g
-        out.append(math.sqrt(max(acc * x ** lo, 0.0)))
-    return out
-
 
 def radial_pullback(fibre: CochainComplex, k: int, coeffs) -> PolyRadialForm:
     """Constant radial extension of a fibre k-cochain."""
@@ -316,78 +276,33 @@ def homotopy_bound_coefficient(k: int, f: int, a, c):
     return total / abs(1.0 - wf)
 
 
-def weighted_norm_sq(xs, magnitudes, exponent: float) -> float:
-    """Trapezoid estimate of ∫ |v(x)|^2 x^exponent dx over the grid."""
-    xs = [float(x) for x in xs]
-    vals = [m * m * x ** exponent for x, m in zip(xs, map(float, magnitudes))]
-    return math.fsum((x1 - x0) * (v1 + v0) / 2.0
-                     for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]))
+def _norm_sq(coeffs: dict[int, tuple[Fraction, ...]], w: Fraction) -> Fraction:
+    """∫_0^1 |Σ x^m v_m|² x^w dx = Σ <v_m, v_m'> / (m + m' + w + 1)."""
+    gram: dict[int, Fraction] = {}
+    for m, v in coeffs.items():
+        for m2, v2 in coeffs.items():
+            gram[m + m2] = gram.get(m + m2, 0) + sum(p * q for p, q in zip(v, v2))
+    return sum((g / (s + w + 1) for s, g in gram.items()), Fraction(0))
 
 
-def homotopy_operator_estimate(form: PolyRadialForm, f: int, a, c,
-                               xs=None) -> dict:
-    """Sampled check that ||K_c omega|| <= C ||beta|| in the weighted norm."""
-    if xs is None:
-        xs = log_grid(DEFAULT_X0)
-    k = form.degree
-    a = Fraction(a)
-    e = float(Fraction(f - 2 * k) - 2 * a)
-    kc = homotopy_K(form, c)
-    kmag, _ = kc.sample(xs)
-    _, bmag = form.sample(xs)
-    lhs = weighted_norm_sq(xs, kmag, e + 2)
-    beta_sq = weighted_norm_sq(xs, bmag, e + 2)
-    coeff = float(homotopy_bound_coefficient(k, f, a, c))
-    return {
-        "norm_K_sq": lhs,
-        "norm_beta_sq": beta_sq,
-        "coefficient": coeff,
-        "ok": lhs <= coeff * beta_sq * (1 + 1e-9) + 1e-300,
-    }
+def homotopy_norms(form: PolyRadialForm, f: int, a, c) -> tuple[Fraction, Fraction]:
+    """(||K_c omega||^2, ||beta||^2), each ∫_0^1 |v(x)|^2 x^w dx with
+    w = f - 2k - 2a + 2 for the degree k of omega, in Q."""
+    w = Fraction(f - 2 * form.degree + 2) - 2 * Fraction(a)
+    if w <= -1:
+        raise ValueError("the weighted norms need k < (f+3)/2 - a")
+    return _norm_sq(homotopy_K(form, c).alpha, w), _norm_sq(form.beta, w)
 
 
-# ---------------------------------------------------------------------------
-# the logarithmic radial grid
-
-
-class _LogGrid:
-    """The points of ``log_grid(x0, points_per_decade)``, evaluated on
-    demand.  It is a sequence, so ``bisect`` finds a point by reading
-    about log2(n) of them."""
-
-    def __init__(self, x0: float, points_per_decade: int):
-        if not (0 < x0 < 1):
-            raise ValueError("x0 must lie in (0, 1)")
-        self.start = math.log10(x0)
-        self.n = max(2, round(points_per_decade * -self.start))
-        self.step = -self.start / self.n
-
-    def __len__(self) -> int:
-        return self.n + 1
-
-    def __getitem__(self, i: int) -> float:
-        return self.points(i, i + 1)[0]
-
-    def points(self, lo: int, hi: int) -> list[float]:
-        """The grid points lo, ..., hi - 1."""
-        # 10 ** linspace(start, 0, n + 1), with its end exact
-        start, step, n = self.start, self.step, self.n
-        return [10.0 ** (i * step + start) if i < n else 1.0 for i in range(lo, hi)]
-
-
-def log_grid(x0: float = DEFAULT_X0, points_per_decade: int = POINTS_PER_DECADE):
-    """Logarithmically spaced grid on [x0, 1], endpoints included."""
-    grid = _LogGrid(x0, points_per_decade)
-    return tuple(grid.points(0, len(grid)))
-
-
-def _fit_slope(xs, ys) -> float:
-    """Least-squares slope of log y against log x; NaN unless every y is
-    positive and finite and the x are not all equal."""
-    if not all(math.isfinite(y) and y > 0 for y in ys) or min(xs) == max(xs):
-        return math.nan
-    return statistics.linear_regression([math.log(x) for x in xs],
-                                        [math.log(y) for y in ys]).slope
+def homotopy_bound_holds(form: PolyRadialForm, f: int, a, c) -> bool:
+    """Whether ||K_c omega||^2 <= C ||beta||^2, C from
+    ``homotopy_bound_coefficient``, in Q; ValueError where C is not
+    rational (the log case, a non-integer exponent or a float c)."""
+    coeff = homotopy_bound_coefficient(form.degree, f, a, c)
+    if not isinstance(coeff, Fraction):
+        raise ValueError(f"the bound coefficient {coeff!r} is not rational")
+    k_sq, beta_sq = homotopy_norms(form, f, a, c)
+    return k_sq <= coeff * beta_sq
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +310,9 @@ def _fit_slope(xs, ys) -> float:
 
 
 def window_position(k: int, f: int, a) -> str:
-    """Position of a degree relative to the open membership window:
-    "inside", "boundary", or "outside".  Reports label the endpoint
-    case as boundary even though the membership answer there is the
-    outside one."""
+    """Where a degree lies against the open membership window: "inside",
+    "boundary" or "outside"; reports flag an endpoint as boundary though
+    its membership answer is the outside one."""
     a = Fraction(a)
     lo = Fraction(f - 1, 2) - a
     hi = Fraction(f + 1, 2) - a
@@ -410,15 +324,12 @@ def window_position(k: int, f: int, a) -> str:
 
 def min_membership(k: int, f: int, a, gamma) -> bool:
     """Minimal-domain membership of the fibre-harmonic mode x^gamma,
-    for an exact exponent gamma.
-
-    Outside the open window ((f-1)/2 - a, (f+1)/2 - a), endpoints
-    included, every max-domain profile belongs: the integral casework
-    gives the radial coefficients enough decay to kill the boundary
-    pairing, so the answer is True.  Strictly inside the window the
-    tangential coefficient must be o(1), which x^gamma is iff
-    gamma > 0.  Use ``window_position`` when a report should flag the
-    endpoint case as "boundary".
+    for an exact exponent gamma.  Outside the open window
+    ((f-1)/2 - a, (f+1)/2 - a), endpoints included, every max-domain
+    profile belongs: the integral casework gives the radial coefficients
+    enough decay to kill the boundary pairing.  Strictly inside, the
+    tangential coefficient must be o(1), which x^gamma is iff gamma > 0.
+    ``window_position`` flags the endpoint case as "boundary".
     """
     if window_position(k, f, a) != "inside":
         return True
@@ -426,41 +337,16 @@ def min_membership(k: int, f: int, a, gamma) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# numerical indicial exponent recovery
-
-
-@dataclass(frozen=True)
-class ModeExponents:
-    gamma_minus_hat: float
-    gamma_plus_hat: float
-    double_root: bool
-
-
-def recovery_error(me: ModeExponents, pair) -> tuple[float, bool]:
-    """Largest distance of the recovered exponents from the closed-form
-    pair (``spectral.indicial_roots``), and whether it is within
-    RECOVERY_TOL."""
-    err = max(abs(me.gamma_minus_hat - float(pair.gamma_minus)),
-              abs(me.gamma_plus_hat - float(pair.gamma_plus)))
-    return err, err <= RECOVERY_TOL
-
-
-def radial_system_matrix(k: int, lam2: float, f: int, a):
-    """Coefficient matrix A of the mode system x v'(x) = A v(x), as rows."""
-    lam = math.sqrt(float(lam2))
-    af = float(Fraction(a))
-    return ((-float(k), lam), (lam, -(f - k - 2 * af)))
+# indicial exponents, checked exactly
 
 
 def system_has_roots(k: int, lam2, f: int, a, gamma_minus, gamma_plus) -> bool:
     """Whether gamma- and gamma+ are the eigenvalues of the mode system's
-    A = [[-k, lambda], [lambda, -(f-k-2a)]], decided in Q for rational
-    lambda^2 and roots: tr A = gamma- + gamma+ and det A = gamma- gamma+.
-
-    Both identities are cross-multiplied in integers; a float argument
-    enters at its exact value.  With a = n/d,
-    lambda^2 = u/v and gamma(-/+) = p1/q1, p2/q2, tr A = (2n - f d)/d and
-    det A = (-k (2n + (k - f) d) v - u d) / (d v).
+    A = [[-k, lambda], [lambda, -(f-k-2a)]] for rational lambda^2 and
+    roots: tr A = gamma- + gamma+ and det A = gamma- gamma+, each
+    cross-multiplied in integers (a float enters at its exact value).
+    With a = n/d, lambda^2 = u/v and gamma(-/+) = p1/q1, p2/q2,
+    tr A = (2n - f d)/d and det A = (-k (2n + (k - f) d) v - u d) / (d v).
     """
     n, d = _ratio(a)
     p1, q1 = _ratio(gamma_minus)
@@ -472,95 +358,27 @@ def system_has_roots(k: int, lam2, f: int, a, gamma_minus, gamma_plus) -> bool:
     return (-k * (2 * n + (k - f) * d) * v - u * d) * qq == p1 * p2 * d * v
 
 
-def _propagator(t: float, system) -> tuple[float, float, float]:
-    """exp(tA) / (exp(t mu) cosh(t delta)) as its entries (p11, p12, p22),
-    for system = (a11, lambda, a22, mu, delta): A is symmetric with
-    eigenvalues mu ± delta, so exp(t(A - mu)) = cosh(t delta) +
-    sinh(t delta) (A - mu) / delta, and dividing by cosh leaves entries
-    of size at most 2 for any t."""
-    a11, lam, a22, mu, delta = system
-    th = math.tanh(t * delta) / delta
-    return 1 + th * (a11 - mu), th * lam, 1 + th * (a22 - mu)
+def system_has_surd_roots(k: int, lam2, f: int, a, centre, disc) -> bool:
+    """Whether c ± sqrt(D)/2 (D need not be a square) are the eigenvalues
+    of the mode system's A: tr A = 2c and det A = c^2 - D/4, in Q."""
+    a11, a22 = -k, -(f - k - 2 * Fraction(a))  # the diagonal of A
+    return (a11 + a22 == 2 * centre
+            and a11 * a22 - Fraction(lam2) == centre * centre - Fraction(disc) / 4)
 
 
-def _decade_slope(system, h: float, skip: int, xs) -> float:
-    """Exponent of the dominant solution of x v'(x) = A v(x) over the grid
-    points xs, taken in stepping order h apart in ln x.
-
-    The fundamental matrix starts at the identity ``skip`` steps before
-    xs[0] and reaches xs[0] in one jump, the renormalised
-    exp(skip h A), whose dropped scale factor no slope reads.  It then
-    crosses the decade one exact step exp(hA) at a time, and the column
-    that is larger at xs[-1] is fitted.
-    """
-    _, _, _, mu, delta = system
-    try:
-        scale = math.exp(h * mu) * math.cosh(h * delta)
-    except OverflowError:
-        raise StiffnessFailureError(
-            f"one-step propagator exp({'-' if h < 0 else ''}hA) overflows "
-            f"(h*delta = {abs(h) * delta:.3g}); the grid is too coarse for "
-            "this mode") from None
-    p11, p12, p22 = (scale * p for p in _propagator(h, system))
-    # the columns (a1, a2) and (b1, b2) of the symmetric jump
-    a1, a2, b2 = _propagator(skip * h, system)
-    b1 = a2
-    path = [(a1, a2, b1, b2)]
-    for _ in range(len(xs) - 1):
-        a1, a2 = p11 * a1 + p12 * a2, p12 * a1 + p22 * a2
-        b1, b2 = p11 * b1 + p12 * b2, p12 * b1 + p22 * b2
-        path.append((a1, a2, b1, b2))
-    col = 0 if math.hypot(a1, a2) >= math.hypot(b1, b2) else 2
-    slope = _fit_slope(xs, [math.hypot(s[col], s[col + 1]) for s in path])
-    if not math.isfinite(slope):
-        raise StiffnessFailureError(
-            "a fitted exponent is not finite: the radial states on its "
-            "decade leave the float range")
-    return slope
-
-
-def mode_exponent(k: int, lam2, f: int, a, x0: float = DEFAULT_X0,
-                  points_per_decade: int = POINTS_PER_DECADE) -> ModeExponents:
-    """Recover the two indicial exponents of one fibre mode numerically.
-
-    Each exponent is fitted where its solution dominates.  gamma- is the
-    slope on the last decade [x0, 10 x0], stepping down from x = 1 with
-    the exact one-step propagator exp(-hA); gamma+ is the slope on the
-    first decade [1/10, 1], stepping up from x0 with exp(hA).  Each
-    pass crosses the span before its decade in one closed-form jump
-    and steps only the decade's grid points.  Exact double roots are
-    flagged and excluded from the tolerance contract; near-double
-    systems, an overflowing one-step propagator and a decade whose
-    states leave the float range are reported as stiffness failures.
-    """
-    if not (0 < x0 <= 0.1):
-        raise ValueError("x0 must lie in (0, 1/10]")
-    if points_per_decade < 2:
-        raise ValueError("points_per_decade must be at least 2")
-    aq = Fraction(a)
-    if isinstance(lam2, (int, Fraction)):
-        disc_exact = Fraction(f - 2 * aq - 2 * k) ** 2 + 4 * Fraction(lam2)
-        disc = float(disc_exact)
-        is_double = disc_exact == 0
-    else:
-        disc = float(Fraction(f - 2 * aq - 2 * k) ** 2) + 4.0 * float(lam2)
-        is_double = disc == 0.0
-    centre = float(aq) - f / 2.0
-    if is_double:
-        return ModeExponents(centre, centre, True)
-    if math.sqrt(disc) < 0.05:
-        raise StiffnessFailureError(
-            f"indicial gap {math.sqrt(disc):.3g} too small for regression"
-        )
-
-    (a11, lam), (_, a22) = radial_system_matrix(k, float(lam2), f, a)
-    system = (a11, lam, a22, (a11 + a22) / 2, math.sqrt(disc) / 2)
-    grid = _LogGrid(x0, points_per_decade)
-    n = grid.n
-    # the grid is uniform in s = ln x with step h
-    h = -math.log(x0) / n
-    last = bisect.bisect_right(grid, 10 * x0)  # last decade: points 0 .. last - 1
-    early = bisect.bisect_left(grid, 0.1)  # first decade: points early .. n
-    gm = _decade_slope(system, -h, n - last + 1, grid.points(0, last)[::-1])
-    gp = _decade_slope(system, h, early, grid.points(early, n + 1))
-    return ModeExponents(gm, gp, False)
+def mode_exponent(k: int, lam2, f: int, a) -> tuple[tuple[str, str], bool | None]:
+    """The indicial exponents of one fibre mode (rational lambda^2) as
+    exact strings, and whether they are the eigenvalues of its A; None
+    at a double root.  A rational pair of ``spectral.indicial_roots``
+    is checked by ``system_has_roots``; any other is c ± sqrt(D)/2 with
+    c = a - f/2 and D = (f - 2a - 2k)^2 + 4 lambda^2, printed as
+    "c - sqrt(D)/2" and "c + sqrt(D)/2", by ``system_has_surd_roots``."""
+    pair = spectral.indicial_roots(f, a, k, lam2)
+    if pair.exact:
+        gm, gp = pair.gamma_minus, pair.gamma_plus
+        ok = None if pair.double_root else system_has_roots(k, lam2, f, a, gm, gp)
+        return (str(gm), str(gp)), ok
+    c = pair.weight - Fraction(f, 2)
+    disc = (f - 2 * pair.weight - 2 * k) ** 2 + 4 * Fraction(pair.lam2)
+    return ((f"{c} - sqrt({disc})/2", f"{c} + sqrt({disc})/2"),
+            system_has_surd_roots(k, lam2, f, a, c, disc))

@@ -247,15 +247,11 @@ def _weight_cell(space: EdgeSpaceModel, a: Fraction, window: tuple) -> dict:
 def _radial_values(fb: tuple, a: Fraction) -> tuple:
     """The radial lab's answers for a link with Betti numbers fb at
     weight a: local cohomology, pullback thresholds and the exactly
-    checked zero-mode roots in degrees 0 and 1, as (degree, root pair,
-    pass) with pass None at a double root."""
+    checked zero-mode roots in degrees 0 and 1, as (degree, exponent
+    strings, pass) with pass None at a double root."""
     f = len(fb) - 1
-    modes = []
-    for k in range(min(f, 1) + 1):  # degrees 0 and 1, as far as f goes
-        pair = spectral.indicial_roots(f, a, k, 0)
-        ok = None if pair.double_root else radial.system_has_roots(
-            k, 0, f, a, pair.gamma_minus, pair.gamma_plus)
-        modes.append((k, pair, ok))
+    # degrees 0 and 1, as far as f goes
+    modes = [(k, *radial.mode_exponent(k, 0, f, a)) for k in range(min(f, 1) + 1)]
     return (radial.local_cohomology(fb, f, a),
             [radial.pullback_norm(k, f, a) for k in range(f + 1)], modes)
 
@@ -278,10 +274,9 @@ def _radial_section(values: tuple) -> dict:
         ],
         "mode_exponents": [
             {"degree": k, "lambda2": "0", "double_root": True} if ok is None else
-            {"degree": k, "lambda2": "0",
-             "exponents": _prov_exact([str(pair.gamma_minus), str(pair.gamma_plus)]),
+            {"degree": k, "lambda2": "0", "exponents": _prov_exact(list(exponents)),
              "pass": ok}
-            for k, pair, ok in modes
+            for k, exponents, ok in modes
         ],
     }
 

@@ -175,16 +175,6 @@ def middle_perversities(f: int) -> tuple[int, int]:
     return f // 2, f // 2 - 1
 
 
-def cone_local_ih(f_betti, f: int, p, k: int) -> int:
-    """Local intersection cohomology of the cone over a link with the
-    given Betti numbers: the fibre class survives iff k <= f - 1 - p."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    if k >= len(f_betti):
-        return 0
-    return f_betti[k] if k <= f - 1 - Fraction(p) else 0
-
-
 @dataclass(frozen=True)
 class RankTable:
     """Every IH and map-rank answer of a model, as ranks of its minimal
@@ -493,14 +483,6 @@ def ih_dims(space: EdgeSpaceModel, p) -> tuple[int, ...]:
     """
     c = space.effective_cutoff(p)
     return space.rank_table().dims[c, c]
-
-
-def ih_dim(space: EdgeSpaceModel, p, k: int) -> int:
-    """Dimension of IH^k_p; 0 above degree n."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    dims = ih_dims(space, p)
-    return dims[k] if k < len(dims) else 0
 
 
 def ih_map_rank(space: EdgeSpaceModel, p_src, p_tgt, k: int) -> int:

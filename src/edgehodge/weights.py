@@ -103,14 +103,6 @@ def _weight_reports(space: EdgeSpaceModel, a: Fraction) -> tuple[WeightedReport,
             _report(space, a, "minimal-hodge", p_min, p_max))
 
 
-def max_perversity(f: int, a) -> Perversity:
-    return Perversity(_max_value(f, _fraction(a)))
-
-
-def min_perversity(f: int, a) -> Perversity:
-    return Perversity(_min_value(f, _fraction(a)))
-
-
 def weighted_derham_dims(space: EdgeSpaceModel, a, ext: str) -> WeightedReport:
     """Weighted de Rham dimensions for extension ``ext`` in {"max","min"}."""
     a = _fraction(a)

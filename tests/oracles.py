@@ -5,17 +5,26 @@ come from sympy's rational row reduction, spectra from the analytic
 closed forms and from a dense numpy eigensolve of the fibre Laplacian,
 so a bug in the production path cannot hide itself.
 ``dense_model_dict`` writes model files in the older dense form, which
-the loader still reads and some fixtures edit entry by entry.
+the loader still reads and some fixtures edit entry by entry.  The
+float radial lab (``fit_mode_exponent``, a log-grid fit of the indicial
+exponents, and ``homotopy_operator_estimate``, a trapezoid of the
+homotopy norms) is the numeric counterpart of ``radial``'s exact checks,
+and a few names the package has no reader for are kept here as the
+tests' references.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import sympy
+
+from edgehodge import radial
 
 RESIDUAL_TOL = 1e-9
 
@@ -284,3 +293,275 @@ def system_has_roots_fraction(k: int, lam2, f: int, a, gamma_minus, gamma_plus) 
     a22 = 2 * Fraction(a) + k - f
     return (a22 - k == gamma_minus + gamma_plus
             and -k * a22 - Fraction(lam2) == gamma_minus * gamma_plus)
+
+
+# ---------------------------------------------------------------------------
+# names the package has no reader for, kept as the tests' references
+
+
+def cone_local_ih(f_betti, f: int, p, k: int) -> int:
+    """Local intersection cohomology of the cone over a link with the
+    given Betti numbers: the fibre class survives iff k <= f - 1 - p."""
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    if k >= len(f_betti):
+        return 0
+    return f_betti[k] if k <= f - 1 - Fraction(p) else 0
+
+
+def ih_dim(space, p, k: int) -> int:
+    """Dimension of IH^k_p; 0 above degree n."""
+    from edgehodge.stratified import ih_dims
+
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    dims = ih_dims(space, p)
+    return dims[k] if k < len(dims) else 0
+
+
+def max_perversity(f: int, a):
+    """The max-extension perversity of the weight a
+    (``weights._max_value``)."""
+    from edgehodge.stratified import Perversity
+    from edgehodge.weights import _fraction, _max_value
+
+    return Perversity(_max_value(f, _fraction(a)))
+
+
+def min_perversity(f: int, a):
+    """The min-extension perversity of the weight a
+    (``weights._min_value``)."""
+    from edgehodge.stratified import Perversity
+    from edgehodge.weights import _fraction, _min_value
+
+    return Perversity(_min_value(f, _fraction(a)))
+
+
+# ---------------------------------------------------------------------------
+# the float radial lab: a log-grid fit of the indicial exponents and a
+# trapezoid of the homotopy norms, against which the exact checks of
+# ``radial.mode_exponent`` and ``radial.homotopy_norms`` are compared
+
+DEFAULT_X0 = 1e-4
+POINTS_PER_DECADE = 400
+RECOVERY_TOL = 1e-3
+
+
+class StiffnessFailureError(Exception):
+    """Indicial exponents too close to a double root for reliable recovery."""
+
+
+def sample(form, xs):
+    """(|alpha|, |beta|) Euclidean coefficient norms of a cone form
+    (``radial.PolyRadialForm``) on the grid, as lists: |Σ x^m v_m|² =
+    Σ x^(m+m') <v_m, v_m'>, with the Gram coefficients summed exactly
+    and the sum taken by Horner's rule."""
+    xs = [float(x) for x in xs]
+    return _sample_norms(form.alpha, xs), _sample_norms(form.beta, xs)
+
+
+def _sample_norms(coeffs: dict[int, tuple[Fraction, ...]], xs: list[float]) -> list[float]:
+    if not coeffs:
+        return [0.0] * len(xs)
+    gram: dict[int, Fraction] = {}
+    for m, v in coeffs.items():
+        for m2, v2 in coeffs.items():
+            gram[m + m2] = gram.get(m + m2, 0) + sum(a * b for a, b in zip(v, v2))
+    lo, hi = min(gram), max(gram)
+    desc = [float(gram.get(p, 0)) for p in range(hi, lo - 1, -1)]
+    out = []
+    for x in xs:
+        acc = 0.0
+        for g in desc:
+            acc = acc * x + g
+        out.append(math.sqrt(max(acc * x ** lo, 0.0)))
+    return out
+
+
+def weighted_norm_sq(xs, magnitudes, exponent: float) -> float:
+    """Trapezoid estimate of ∫ |v(x)|^2 x^exponent dx over the grid."""
+    xs = [float(x) for x in xs]
+    vals = [m * m * x ** exponent for x, m in zip(xs, map(float, magnitudes))]
+    return math.fsum((x1 - x0) * (v1 + v0) / 2.0
+                     for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]))
+
+
+def homotopy_operator_estimate(form, f: int, a, c, xs=None) -> dict:
+    """Sampled check that ||K_c omega|| <= C ||beta|| in the weighted norm."""
+    if xs is None:
+        xs = log_grid(DEFAULT_X0)
+    k = form.degree
+    a = Fraction(a)
+    e = float(Fraction(f - 2 * k) - 2 * a)
+    kc = radial.homotopy_K(form, c)
+    kmag, _ = sample(kc, xs)
+    _, bmag = sample(form, xs)
+    lhs = weighted_norm_sq(xs, kmag, e + 2)
+    beta_sq = weighted_norm_sq(xs, bmag, e + 2)
+    coeff = float(radial.homotopy_bound_coefficient(k, f, a, c))
+    return {
+        "norm_K_sq": lhs,
+        "norm_beta_sq": beta_sq,
+        "coefficient": coeff,
+        "ok": lhs <= coeff * beta_sq * (1 + 1e-9) + 1e-300,
+    }
+
+
+# the logarithmic radial grid
+
+
+class _LogGrid:
+    """The points of ``log_grid(x0, points_per_decade)``, evaluated on
+    demand.  It is a sequence, so ``bisect`` finds a point by reading
+    about log2(n) of them."""
+
+    def __init__(self, x0: float, points_per_decade: int):
+        if not (0 < x0 < 1):
+            raise ValueError("x0 must lie in (0, 1)")
+        self.start = math.log10(x0)
+        self.n = max(2, round(points_per_decade * -self.start))
+        self.step = -self.start / self.n
+
+    def __len__(self) -> int:
+        return self.n + 1
+
+    def __getitem__(self, i: int) -> float:
+        return self.points(i, i + 1)[0]
+
+    def points(self, lo: int, hi: int) -> list[float]:
+        """The grid points lo, ..., hi - 1."""
+        # 10 ** linspace(start, 0, n + 1), with its end exact
+        start, step, n = self.start, self.step, self.n
+        return [10.0 ** (i * step + start) if i < n else 1.0 for i in range(lo, hi)]
+
+
+def log_grid(x0: float = DEFAULT_X0, points_per_decade: int = POINTS_PER_DECADE):
+    """Logarithmically spaced grid on [x0, 1], endpoints included."""
+    grid = _LogGrid(x0, points_per_decade)
+    return tuple(grid.points(0, len(grid)))
+
+
+def _fit_slope(xs, ys) -> float:
+    """Least-squares slope of log y against log x; NaN unless every y is
+    positive and finite and the x are not all equal."""
+    if not all(math.isfinite(y) and y > 0 for y in ys) or min(xs) == max(xs):
+        return math.nan
+    return statistics.linear_regression([math.log(x) for x in xs],
+                                        [math.log(y) for y in ys]).slope
+
+
+@dataclass(frozen=True)
+class ModeExponents:
+    gamma_minus_hat: float
+    gamma_plus_hat: float
+    double_root: bool
+
+
+def recovery_error(me: ModeExponents, pair) -> tuple[float, bool]:
+    """Largest distance of the recovered exponents from the closed-form
+    pair (``spectral.indicial_roots``), and whether it is within
+    RECOVERY_TOL."""
+    err = max(abs(me.gamma_minus_hat - float(pair.gamma_minus)),
+              abs(me.gamma_plus_hat - float(pair.gamma_plus)))
+    return err, err <= RECOVERY_TOL
+
+
+def radial_system_matrix(k: int, lam2: float, f: int, a):
+    """Coefficient matrix A of the mode system x v'(x) = A v(x), as rows."""
+    lam = math.sqrt(float(lam2))
+    af = float(Fraction(a))
+    return ((-float(k), lam), (lam, -(f - k - 2 * af)))
+
+
+def _propagator(t: float, system) -> tuple[float, float, float]:
+    """exp(tA) / (exp(t mu) cosh(t delta)) as its entries (p11, p12, p22),
+    for system = (a11, lambda, a22, mu, delta): A is symmetric with
+    eigenvalues mu ± delta, so exp(t(A - mu)) = cosh(t delta) +
+    sinh(t delta) (A - mu) / delta, and dividing by cosh leaves entries
+    of size at most 2 for any t."""
+    a11, lam, a22, mu, delta = system
+    th = math.tanh(t * delta) / delta
+    return 1 + th * (a11 - mu), th * lam, 1 + th * (a22 - mu)
+
+
+def _decade_slope(system, h: float, skip: int, xs) -> float:
+    """Exponent of the dominant solution of x v'(x) = A v(x) over the grid
+    points xs, taken in stepping order h apart in ln x.
+
+    The fundamental matrix starts at the identity ``skip`` steps before
+    xs[0] and reaches xs[0] in one jump, the renormalised
+    exp(skip h A), whose dropped scale factor no slope reads.  It then
+    crosses the decade one exact step exp(hA) at a time, and the column
+    that is larger at xs[-1] is fitted.
+    """
+    _, _, _, mu, delta = system
+    try:
+        scale = math.exp(h * mu) * math.cosh(h * delta)
+    except OverflowError:
+        raise StiffnessFailureError(
+            f"one-step propagator exp({'-' if h < 0 else ''}hA) overflows "
+            f"(h*delta = {abs(h) * delta:.3g}); the grid is too coarse for "
+            "this mode") from None
+    p11, p12, p22 = (scale * p for p in _propagator(h, system))
+    # the columns (a1, a2) and (b1, b2) of the symmetric jump
+    a1, a2, b2 = _propagator(skip * h, system)
+    b1 = a2
+    path = [(a1, a2, b1, b2)]
+    for _ in range(len(xs) - 1):
+        a1, a2 = p11 * a1 + p12 * a2, p12 * a1 + p22 * a2
+        b1, b2 = p11 * b1 + p12 * b2, p12 * b1 + p22 * b2
+        path.append((a1, a2, b1, b2))
+    col = 0 if math.hypot(a1, a2) >= math.hypot(b1, b2) else 2
+    slope = _fit_slope(xs, [math.hypot(s[col], s[col + 1]) for s in path])
+    if not math.isfinite(slope):
+        raise StiffnessFailureError(
+            "a fitted exponent is not finite: the radial states on its "
+            "decade leave the float range")
+    return slope
+
+
+def fit_mode_exponent(k: int, lam2, f: int, a, x0: float = DEFAULT_X0,
+                      points_per_decade: int = POINTS_PER_DECADE) -> ModeExponents:
+    """Recover the two indicial exponents of one fibre mode numerically.
+
+    Each exponent is fitted where its solution dominates.  gamma- is the
+    slope on the last decade [x0, 10 x0], stepping down from x = 1 with
+    the exact one-step propagator exp(-hA); gamma+ is the slope on the
+    first decade [1/10, 1], stepping up from x0 with exp(hA).  Each
+    pass crosses the span before its decade in one closed-form jump
+    and steps only the decade's grid points.  Exact double roots are
+    flagged and excluded from the tolerance contract; near-double
+    systems, an overflowing one-step propagator and a decade whose
+    states leave the float range are reported as stiffness failures.
+    """
+    if not (0 < x0 <= 0.1):
+        raise ValueError("x0 must lie in (0, 1/10]")
+    if points_per_decade < 2:
+        raise ValueError("points_per_decade must be at least 2")
+    aq = Fraction(a)
+    if isinstance(lam2, (int, Fraction)):
+        disc_exact = Fraction(f - 2 * aq - 2 * k) ** 2 + 4 * Fraction(lam2)
+        disc = float(disc_exact)
+        is_double = disc_exact == 0
+    else:
+        disc = float(Fraction(f - 2 * aq - 2 * k) ** 2) + 4.0 * float(lam2)
+        is_double = disc == 0.0
+    centre = float(aq) - f / 2.0
+    if is_double:
+        return ModeExponents(centre, centre, True)
+    if math.sqrt(disc) < 0.05:
+        raise StiffnessFailureError(
+            f"indicial gap {math.sqrt(disc):.3g} too small for regression"
+        )
+
+    (a11, lam), (_, a22) = radial_system_matrix(k, float(lam2), f, a)
+    system = (a11, lam, a22, (a11 + a22) / 2, math.sqrt(disc) / 2)
+    grid = _LogGrid(x0, points_per_decade)
+    n = grid.n
+    # the grid is uniform in s = ln x with step h
+    h = -math.log(x0) / n
+    last = bisect.bisect_right(grid, 10 * x0)  # last decade: points 0 .. last - 1
+    early = bisect.bisect_left(grid, 0.1)  # first decade: points early .. n
+    gm = _decade_slope(system, -h, n - last + 1, grid.points(0, last)[::-1])
+    gp = _decade_slope(system, h, early, grid.points(early, n + 1))
+    return ModeExponents(gm, gp, False)

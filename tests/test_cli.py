@@ -250,22 +250,19 @@ def test_run_computes_each_spectrum_and_mode_once_per_run(monkeypatch):
     config = RunConfig(REPORT_CONFIG)
     # three spaces share the torus link and one has the circle link; at
     # a = -5/4 no mode is a double root, so each link's modes in degrees
-    # 0 and 1 are checked exactly, once each, and none is fitted
-    # numerically
+    # 0 and 1 are decided exactly, once each
     first = run(config)
-    assert calls == {"mode_exponent": 0, "system_has_roots": 4,
+    assert calls == {"mode_exponent": 4, "system_has_roots": 4,
                      "spectrum_for_predicates": 2}
     # a second run repeats the work: no cache outlives a run
     second = run(config)
-    assert calls == {"mode_exponent": 0, "system_has_roots": 8,
+    assert calls == {"mode_exponent": 8, "system_has_roots": 8,
                      "spectrum_for_predicates": 4}
     assert first == second
 
 
-def test_run_needs_no_numeric_recovery(monkeypatch):
-    def broken(*args, **kwargs):
-        raise AssertionError("run reports read no numeric recovery")
-    monkeypatch.setattr(radial, "mode_exponent", broken)
+def test_run_needs_no_numeric_recovery():
+    # the float fit lives only in the tests' oracles; every mode is exact
     rep = run(RunConfig(REPORT_CONFIG))
     modes = [m for s in rep["spaces"] for m in s["radial"]["mode_exponents"]]
     assert len(modes) == 8 and all(m["pass"] for m in modes)
@@ -784,8 +781,10 @@ def test_oversized_fibre_grid_refused_before_any_sum(tmp_path, monkeypatch, caps
     (["cone-lab", "--a", "0", "--mode", "0,-5"], "must be nonnegative"),
     (["cone-lab", "--a", "0", "--mode", "7,0"], "mode degrees must lie in 0..2"),
     (["cone-lab", "--a", "0", "--betti", "1,x"], "betti must be"),
-    (["cone-lab", "--a", "0", "--mode", "0,0", "--x0", "0.5"], "x0 must lie"),
-    (["cone-lab", "--a", "0", "--mode", "0,0", "--ppd", "0"], "ppd must be"),
+    (["cone-lab", "--a", "0", "--mode", "0,0", "--x0", "0.5"],
+     "unrecognized arguments: --x0 0.5"),
+    (["cone-lab", "--a", "0", "--mode", "0,0", "--ppd", "0"],
+     "unrecognized arguments: --ppd 0"),
     (["spectral", "--f=-1", "--a", "0"], "f must be nonnegative"),
     (["fibre-spec", "--kind", "torus", "--sizes", "4,4", "--count=-1"],
      "count must be"),
@@ -817,6 +816,15 @@ def test_oversized_fibre_grid_refused_before_any_sum(tmp_path, monkeypatch, caps
         "spectral-weight-huge", "spectral-weight-past-bound", "weight-exponent-huge"])
 
 def test_bad_cli_argument_exit_code(capsys, argv, message):
+    if message.startswith("unrecognized arguments"):
+        # an option cone-lab no longer has: argparse's usage line and error
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: ")
+        assert captured.err.endswith(f"error: {message}\n")
+        return
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -830,9 +838,11 @@ def test_zero_with_a_huge_exponent_is_zero(capsys):
 
 
 def test_cone_lab_x0_not_a_power_of_ten(capsys):
-    assert main(["cone-lab", "--a", "0", "--mode", "0,0", "--x0", "0.05", "--json"]) == 0
+    # cone-lab takes no x0: the mode's pair is exact and checked in Q
+    assert main(["cone-lab", "--a", "0", "--mode", "0,0", "--json"]) == 0
     (mode,) = json.loads(capsys.readouterr().out)["modes"]
     assert mode["pass"] is True
+    assert mode["exponents"] == {"value": ["-2", "0"], "provenance": "exact"}
 
 
 def _cli_subprocess(*argv, module="edgehodge.cli"):
@@ -853,28 +863,25 @@ def test_package_runs_as_module():
 
 @pytest.mark.parametrize("mode", ["0,400", "0,100"])
 def test_cone_lab_unrecoverable_exponent_is_an_error(mode):
-    # at a = -160, gamma- < -321: the dominant solution grows past the
-    # float range across the last decade, which must end in one error
-    # line, not a printed NaN exponent
+    # at a = -160, gamma- < -321, whose solution x^gamma- leaves the
+    # float range; the exact check decides the mode like any other
     proc = _cli_subprocess("cone-lab", "--a", "-160", "--mode", mode)
-    assert proc.returncode == 3
+    assert proc.returncode == 0, proc.stderr
     assert "nan" not in proc.stdout + proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+    assert "[pass]" in proc.stdout and proc.stderr == ""
 
 
 @pytest.mark.parametrize("mode", ["0,49", "0,100", "0,400"])
 def test_cone_lab_large_gap_mode_recovers(mode, capsys):
-    # indicial gaps of 14 to 40: gamma+ is fitted stepping up from x0,
-    # where it dominates
+    # indicial gaps of 14 to 40
     assert main(["cone-lab", "--a", "0", "--mode", mode]) == 0
     assert "[pass]" in capsys.readouterr().out
 
 
 def test_cone_lab_large_finite_trajectory_recovers_without_warnings():
-    # x^(-1 - sqrt 2) is ~1e241 at x0 = 1e-100; the jump to each decade
-    # is renormalised, so no state comes near the float range
-    proc = _cli_subprocess("cone-lab", "--a", "0", "--x0", "1e-100", "--mode", "0,1")
+    # the mode of x^(-1 - sqrt 2): a surd pair, printed and checked
+    # exactly, with nothing on stderr
+    proc = _cli_subprocess("cone-lab", "--a", "0", "--mode", "0,1")
     assert proc.returncode == 0, proc.stderr
     assert "[pass]" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr and proc.stderr == ""
@@ -897,7 +904,9 @@ def test_cone_lab_huge_integer_weight_is_rejected_with_the_bound(capsys):
 
 
 def test_cone_lab_unrepresentable_propagator_is_a_stiffness_error(capsys):
-    # h * delta = ln(10)/2 * sqrt(1e6) ~ 1151: cosh overflows a float
-    assert main(["cone-lab", "--a", "0", "--mode", "0,1000000", "--ppd", "2"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: one-step propagator") and err.count("\n") == 1
+    # an indicial gap of about 2000, decided in Q like any other mode
+    assert main(["cone-lab", "--a", "0", "--mode", "0,1000000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert ("mode k=0, lambda^2=1000000: exponents (-1 - sqrt(4000004)/2, "
+            "-1 + sqrt(4000004)/2) [pass]") in captured.out

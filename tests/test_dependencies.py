@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import edgehodge
-from edgehodge.radial import log_grid
+
+from oracles import log_grid
 
 # run with the name of the module to block as its first argument
 BLOCKER = """
@@ -101,6 +102,30 @@ def test_log_grid_matches_numpy_logspace_to_one_ulp(x0, ppd):
     ref = np.logspace(math.log10(x0), 0.0, len(xs))
     assert xs[0] == ref[0] and xs[-1] == ref[-1] == 1.0
     assert all(abs(x - r) <= np.spacing(r) for x, r in zip(xs, ref))
+
+
+LEAN_CLI = """
+import sys
+
+import edgehodge.cli
+from edgehodge import radial
+
+assert "statistics" not in sys.modules, "importing edgehodge.cli loaded statistics"
+# the float fit and the sampled norms, now in the tests' oracles only
+deleted = ["_decade_slope", "_propagator", "radial_system_matrix", "recovery_error",
+           "ModeExponents", "_LogGrid", "log_grid", "_fit_slope", "weighted_norm_sq",
+           "_sample_norms", "homotopy_operator_estimate", "DEFAULT_X0",
+           "POINTS_PER_DECADE", "RECOVERY_TOL", "StiffnessFailureError"]
+left = [name for name in deleted if hasattr(radial, name)]
+assert not left, f"radial still has {left}"
+assert not hasattr(radial.PolyRadialForm, "sample")
+assert not hasattr(edgehodge.errors, "StiffnessFailureError")
+"""
+
+
+def test_cli_imports_no_float_fit():
+    proc = _run_blocked(LEAN_CLI)
+    assert proc.returncode == 0, proc.stderr
 
 
 LEAN_RUN = """

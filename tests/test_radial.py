@@ -10,28 +10,37 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edgehodge import radial
-from edgehodge.errors import ConfigError, StiffnessFailureError
+from edgehodge.errors import ConfigError
 from edgehodge.radial import (
-    ModeExponents,
     PolyRadialForm,
     d_cone,
     homotopy_K,
     homotopy_bound_coefficient,
-    homotopy_operator_estimate,
+    homotopy_bound_holds,
+    homotopy_norms,
     local_cohomology,
-    log_grid,
     min_membership,
     mode_exponent,
     pullback_norm,
     radial_pullback,
-    recovery_error,
     scale_radial,
     slice_constant,
     system_has_roots,
+    system_has_surd_roots,
     window_position,
 )
 from edgehodge.spectral import indicial_roots
 from edgehodge.stratified import torus_complex
+
+from oracles import (
+    ModeExponents,
+    StiffnessFailureError,
+    _LogGrid,
+    fit_mode_exponent,
+    homotopy_operator_estimate,
+    log_grid,
+    recovery_error,
+)
 
 WEIGHTS = [Fraction(n, 2) for n in range(-4, 5)]
 
@@ -181,6 +190,54 @@ def test_homotopy_operator_estimate_without_numpy_trapezoid(monkeypatch):
     assert homotopy_operator_estimate(omega, 2, 0, Fraction(3, 4))["ok"]
 
 
+@pytest.mark.parametrize("m, f, a", [(0, 2, Fraction(0)), (1, 2, Fraction(0)),
+                                     (3, 4, Fraction(1, 2)), (2, 1, Fraction(-3, 4))])
+def test_exact_homotopy_norms_of_a_monomial(m, f, a):
+    # beta = x^m v: ||beta||^2 = |v|^2 / (2m + w + 1), and
+    # K_c = (x^(m+1) - c^(m+1)) v / (m+1), whose square integrates to
+    # |v|^2 (1/(2m+w+3) - 2 c^(m+1)/(m+w+2) + c^(2m+2)/(w+1)) / (m+1)^2
+    c = Fraction(3, 4)
+    v = tuple(Fraction(i - 1) for i in range(TORUS.dim(0)))
+    vv = sum(x * x for x in v)
+    form = PolyRadialForm(TORUS, 1, {}, {m: v})
+    w = f - 2 * form.degree - 2 * a + 2
+    k_sq, beta_sq = homotopy_norms(form, f, a, c)
+    assert beta_sq == vv / (2 * m + w + 1)
+    assert k_sq == vv * (1 / (2 * m + w + 3) - 2 * c ** (m + 1) / (m + w + 2)
+                         + c ** (2 * m + 2) / (w + 1)) / (m + 1) ** 2
+    assert type(k_sq) is type(beta_sq) is Fraction
+
+
+def _verify_forms():
+    """The four exact closed forms of ``verify``'s homotopy check."""
+    rng = random.Random(7)
+    for trial in range(4):
+        eta = [Fraction(rng.randint(-3, 3)) for _ in range(TORUS.dim(1))]
+        sigma = {0: Fraction(1), trial + 1: Fraction(rng.randint(1, 4), 2)}
+        yield d_cone(scale_radial(radial_pullback(TORUS, 1, eta), sigma))
+
+
+def test_exact_homotopy_norms_match_the_trapezoid():
+    c = Fraction(3, 4)
+    for omega in _verify_forms():
+        k_sq, beta_sq = homotopy_norms(omega, 2, 0, c)
+        est = homotopy_operator_estimate(omega, 2, 0, c)
+        assert abs(est["norm_K_sq"] - float(k_sq)) <= 1e-3 * float(k_sq)
+        assert abs(est["norm_beta_sq"] - float(beta_sq)) <= 1e-3 * float(beta_sq)
+        assert homotopy_bound_holds(omega, 2, 0, c) is est["ok"] is True
+
+
+def test_exact_homotopy_bound_needs_a_rational_coefficient():
+    omega = next(_verify_forms())
+    # f = 3: e = -1, the log case, whose coefficient holds ln c
+    with pytest.raises(ValueError, match="not rational"):
+        homotopy_bound_holds(omega, 3, 0, Fraction(3, 4))
+    with pytest.raises(ValueError, match="not rational"):
+        homotopy_bound_holds(omega, 2, Fraction(1, 4), Fraction(3, 4))
+    with pytest.raises(ValueError):
+        homotopy_norms(omega, 2, Fraction(3, 2), Fraction(3, 4))  # w = -1
+
+
 def test_homotopy_bound_log_case_positive():
     for c in (Fraction(21, 40), Fraction(3, 4), Fraction(9, 10)):
         # exponent -1: k = (f+1)/2 - a
@@ -227,24 +284,24 @@ def test_window_dichotomy_symbolic():
 # -- exponent recovery -----------------------------------------------------------
 
 def test_mode_exponent_examples():
-    me = mode_exponent(0, 0, 1, 0)
+    me = fit_mode_exponent(0, 0, 1, 0)
     assert abs(me.gamma_minus_hat - (-1)) < 1e-3
     assert abs(me.gamma_plus_hat - 0) < 1e-3
 
-    me = mode_exponent(1, 1, 3, Fraction(1, 2))
+    me = fit_mode_exponent(1, 1, 3, Fraction(1, 2))
     assert abs(me.gamma_minus_hat - (-2)) < 1e-3
     assert abs(me.gamma_plus_hat - 0) < 1e-3
 
 
 def test_mode_exponent_double_root_flagged():
-    me = mode_exponent(1, 0, 2, 0)
+    me = fit_mode_exponent(1, 0, 2, 0)
     assert me.double_root
 
 
 def test_mode_exponent_near_degenerate_reported():
     # discriminant 1e-4: too stiff to separate the exponents
     with pytest.raises(StiffnessFailureError):
-        mode_exponent(1, Fraction(1, 40000), 2, 0)
+        fit_mode_exponent(1, Fraction(1, 40000), 2, 0)
 
 
 def test_mode_exponent_matches_closed_form_and_sum_rule():
@@ -253,7 +310,7 @@ def test_mode_exponent_matches_closed_form_and_sum_rule():
              (1, Fraction(1, 2), 3, Fraction(-1, 2))]
     for k, lam2, f, a in cases:
         pair = indicial_roots(f, a, k, lam2)
-        me = mode_exponent(k, lam2, f, a)
+        me = fit_mode_exponent(k, lam2, f, a)
         assert abs(me.gamma_minus_hat - float(pair.gamma_minus)) <= 1e-3
         assert abs(me.gamma_plus_hat - float(pair.gamma_plus)) <= 1e-3
         assert abs(me.gamma_minus_hat + me.gamma_plus_hat
@@ -262,7 +319,7 @@ def test_mode_exponent_matches_closed_form_and_sum_rule():
 
 def test_mode_exponent_rejects_bad_x0():
     with pytest.raises(ValueError):
-        mode_exponent(0, 0, 1, 0, x0=0.5)
+        fit_mode_exponent(0, 0, 1, 0, x0=0.5)
 
 
 def test_mode_exponent_large_gap_scan():
@@ -276,7 +333,7 @@ def test_mode_exponent_large_gap_scan():
     large = [(m, p) for m, p in pairs if p.gamma_plus - p.gamma_minus >= 13]
     sample = random.Random(2026).sample(large, 300)
     for (k, lam2, f, a), pair in sample:
-        _err, ok = recovery_error(mode_exponent(k, lam2, f, a), pair)
+        _err, ok = recovery_error(fit_mode_exponent(k, lam2, f, a), pair)
         assert ok, (k, lam2, f, a)
 
 
@@ -291,7 +348,7 @@ def test_mode_exponent_x0_not_a_power_of_ten(x0):
                 pair = indicial_roots(f, a, k, 0)
                 if pair.double_root:
                     continue
-                me = mode_exponent(k, 0, f, a, x0=x0)
+                me = fit_mode_exponent(k, 0, f, a, x0=x0)
                 assert abs(me.gamma_minus_hat - float(pair.gamma_minus)) <= 1e-3
                 assert abs(me.gamma_plus_hat - float(pair.gamma_plus)) <= 1e-3
                 checked += 1
@@ -308,7 +365,7 @@ def test_mode_exponent_dominant_root_to_rounding(k, lam2, f, a):
     # solution dominates, so both are recovered far below the 1e-3
     # recovery contract
     pair = indicial_roots(f, a, k, lam2)
-    me = mode_exponent(k, lam2, f, a)
+    me = fit_mode_exponent(k, lam2, f, a)
     assert abs(me.gamma_minus_hat - float(pair.gamma_minus)) <= 1e-12
     assert abs(me.gamma_plus_hat - float(pair.gamma_plus)) <= 1e-12
 
@@ -317,14 +374,14 @@ def test_mode_exponent_overflow_is_stiffness_failure():
     # h * delta = ln(10)/2 * sqrt(1e6) ~ 1151: the one-step propagator's
     # cosh overflows a float
     with pytest.raises(StiffnessFailureError, match="one-step propagator"):
-        mode_exponent(0, 1000000, 2, 0, x0=1e-300, points_per_decade=2)
+        fit_mode_exponent(0, 1000000, 2, 0, x0=1e-300, points_per_decade=2)
 
 
 def test_mode_exponent_recovers_down_to_x0_1e_300():
     # x^(-1 - sqrt 2) at x = 1e-300 is beyond the float range; the jump to
     # each decade is renormalised, so neither fit sees it
     pair = indicial_roots(2, 0, 0, 1)
-    _err, ok = recovery_error(mode_exponent(0, 1, 2, 0, x0=1e-300), pair)
+    _err, ok = recovery_error(fit_mode_exponent(0, 1, 2, 0, x0=1e-300), pair)
     assert ok
 
 
@@ -333,7 +390,7 @@ def test_mode_exponent_non_finite_slope_is_stiffness_failure(ppd):
     # gamma- = -1 - sqrt(100001) ~ -317: the dominant solution grows by
     # 10^317 across the last decade, past the float range on any grid
     with pytest.raises(StiffnessFailureError, match="not finite"):
-        mode_exponent(0, 100000, 2, 0, points_per_decade=ppd)
+        fit_mode_exponent(0, 100000, 2, 0, points_per_decade=ppd)
 
 
 def test_recovery_error_reads_the_tolerance():
@@ -343,6 +400,55 @@ def test_recovery_error_reads_the_tolerance():
     off = ModeExponents(exact.gamma_minus_hat, exact.gamma_plus_hat + 2e-3, False)
     err, ok = recovery_error(off, pair)
     assert err == pytest.approx(2e-3) and not ok
+
+
+def test_mode_exponent_prints_exact_pairs():
+    assert mode_exponent(0, 0, 1, 0) == (("-1", "0"), True)
+    assert mode_exponent(1, 1, 3, Fraction(1, 2)) == (("-2", "0"), True)
+    assert mode_exponent(0, 1, 2, 0) == (("-1 - sqrt(8)/2", "-1 + sqrt(8)/2"), True)
+    assert mode_exponent(1, Fraction(1, 3), 2, Fraction(1, 4)) == (
+        ("-3/4 - sqrt(19/12)/2", "-3/4 + sqrt(19/12)/2"), True)
+    assert mode_exponent(1, 0, 2, 0) == (("-1", "-1"), None)  # double root
+
+
+def _is_square(q: Fraction) -> bool:
+    return all(math.isqrt(x) ** 2 == x for x in (q.numerator, q.denominator))
+
+
+@pytest.mark.parametrize("k, lam2, f, a", [(1, 1, 3, Fraction(1, 2)),  # rational pair
+                                           (0, 1, 2, Fraction(0))])  # surd pair
+def test_exact_check_fails_with_any_entry_of_a_off_by_one(k, lam2, f, a):
+    pair = indicial_roots(f, a, k, lam2)
+    if pair.exact:
+        def check(k2, lam2_2, a2):
+            return system_has_roots(k2, lam2_2, f, a2, pair.gamma_minus, pair.gamma_plus)
+    else:
+        c, disc = a - Fraction(f, 2), (f - 2 * a - 2 * k) ** 2 + 4 * lam2
+        assert not _is_square(disc)
+
+        def check(k2, lam2_2, a2):
+            return system_has_surd_roots(k2, lam2_2, f, a2, c, disc)
+    assert check(k, lam2, a) and mode_exponent(k, lam2, f, a)[1] is True
+    for d in (-1, 1):
+        assert not check(k + d, lam2, a)
+        assert not check(k, lam2 + d, a)
+        assert not check(k, lam2, a + d)
+
+
+@given(st.integers(0, 3), st.integers(0, 4), st.integers(-12, 12),
+       st.sampled_from([0, 1, 2, Fraction(1, 2), 5, 10]))
+def test_exact_check_passes_wherever_the_fit_recovers(k, f, a4, lam2):
+    k, a = min(k, f), Fraction(a4, 4)
+    pair = indicial_roots(f, a, k, lam2)
+    try:
+        me = fit_mode_exponent(k, lam2, f, a)
+    except StiffnessFailureError:
+        return
+    _, ok = mode_exponent(k, lam2, f, a)
+    if me.double_root:
+        assert ok is None and pair.double_root
+    elif recovery_error(me, pair)[1]:
+        assert ok is True
 
 
 @st.composite
@@ -399,7 +505,7 @@ MODE_EXPONENT_TABLE = json.loads(
 def test_mode_exponent_bit_exact_to_frozen_table(case):
     lam2 = float(case["lam2"]) if "." in case["lam2"] else Fraction(case["lam2"])
     try:
-        result = repr(mode_exponent(case["k"], lam2, case["f"], Fraction(case["a"]),
+        result = repr(fit_mode_exponent(case["k"], lam2, case["f"], Fraction(case["a"]),
                                     x0=case["x0"], points_per_decade=case["ppd"]))
     except Exception as exc:  # noqa: BLE001 - the table records the type
         result = "raises " + type(exc).__name__
@@ -409,7 +515,7 @@ def test_mode_exponent_bit_exact_to_frozen_table(case):
 @pytest.mark.parametrize("x0, ppd", [(1e-4, 400), (0.05, 400), (0.1, 3), (1e-10, 2),
                                      (0.037, 17)])
 def test_lazy_grid_reads_like_log_grid(x0, ppd):
-    grid = radial._LogGrid(x0, ppd)
+    grid = _LogGrid(x0, ppd)
     xs = log_grid(x0, ppd)
     assert len(grid) == len(xs)
     assert [grid[i] for i in range(len(xs))] == list(xs)

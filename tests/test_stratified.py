@@ -13,9 +13,7 @@ from edgehodge.stratified import (
     Perversity,
     builtin_space,
     catalogue,
-    cone_local_ih,
     extended_identities,
-    ih_dim,
     ih_dims,
     ih_map_rank,
     middle_perversities,
@@ -24,7 +22,14 @@ from edgehodge.stratified import (
     tube_ih,
 )
 
-from oracles import convolution, dense_model_dict, sympy_cohomology, truncated_betti
+from oracles import (
+    cone_local_ih,
+    convolution,
+    dense_model_dict,
+    ih_dim,
+    sympy_cohomology,
+    truncated_betti,
+)
 
 
 def test_middle_perversities_examples():

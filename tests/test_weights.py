@@ -5,15 +5,9 @@ from hypothesis import given, strategies as st
 
 from edgehodge import report, spectral
 from edgehodge.stratified import BUILTIN_NAMES, builtin_space, ih_dims, middle_perversities
-from edgehodge.weights import (
-    complete_l2,
-    max_perversity,
-    min_perversity,
-    minimal_hodge_dims,
-    weighted_derham_dims,
-)
+from edgehodge.weights import complete_l2, minimal_hodge_dims, weighted_derham_dims
 
-from oracles import weight_perversities
+from oracles import max_perversity, min_perversity, weight_perversities
 
 
 WEIGHTS = [Fraction(n, 2) for n in range(-4, 5)]
