@@ -15,8 +15,9 @@ the q factors whose mode sits in degree 1).  The only zero sum is the
 one of all zero modes, so degree q has exactly C(k, q) zero modes, the
 Betti numbers of the k-torus, with no tolerance involved.
 ``spectrum_for_predicates`` builds the spectrum that way.  The circle's
-own modes rest on ``certify_circle_spectrum``, which checks in integers
-that dᵀd of the n-cycle has the eigenvalues 4 sin²(πm/n).
+own modes rest on ``certify_circle_spectrum``, which checks entry by
+entry that dᵀd of the n-cycle is the circulant 2I - S - Sᵀ in the
+cyclic shift S, whose eigenvalues are 4 sin²(πm/n).
 ``laplacian_matrix`` is the symmetrized form W^{1/2} Δ W^{-1/2} as
 dense float rows, for ``verify`` and the tests; the metric weights W
 and the product cochain complex (``tensor`` folded over the circles)
@@ -159,32 +160,15 @@ def laplacian_matrix(fibre: DiscreteFibre, q: int) -> list[list[float]]:
 
 
 def certify_circle_spectrum(dtd: QMatrix) -> bool:
-    """True iff the n x n matrix ``dtd`` has the eigenvalues
-    4 sin²(πm/n), m = 0..n-1, of dᵀd on the n-cycle, decided exactly.
-
-    On the n-cycle dᵀd is the circulant 2 - P - P⁻¹ in the cyclic shift
-    P, with (2 - z - 1/z)^j = Σ_t (-1)^t C(2j, j+t) z^t, and tr(P^t) is
-    n when n divides t and 0 otherwise.  So its power sums are
-    tr((dᵀd)^j) = n Σ_(t ≡ 0 mod n) (-1)^t C(2j, j+t); the traces of the
-    powers of ``dtd`` are compared with these for j = 1..n, and by
-    Newton's identities the first n power sums fix the characteristic
-    polynomial.  Only the powers M^i up to ⌈n/2⌉ are formed.
-    """
+    """True iff ``dtd`` is dᵀd of the n-cycle, n >= 3, in its own vertex
+    order, checked entry by entry: the circulant 2I - S - Sᵀ in the cyclic
+    shift S, whose eigenvalues are 4 sin²(πm/n), m = 0..n-1.  A relabelled
+    cycle P dᵀd Pᵀ has that spectrum too, but is refused."""
     n = dtd.rows
-    if dtd.cols != n:
+    if dtd.cols != n or n < 3:
         return False
-    powers = [QMatrix.identity(n), dtd]
-    for j in range(1, n + 1):
-        if len(powers) == (j + 1) // 2:
-            powers.append(powers[-1] @ dtd)
-        want = n * sum((-1) ** abs(t) * math.comb(2 * j, j + t)
-                       for t in range(-(j // n) * n, j + 1, n))
-        # tr(M^j) = tr(AB) = Σ_ij A_ij B_ji with A = M^(j//2), B = M^⌈j/2⌉
-        right = powers[(j + 1) // 2].sparse_rows
-        if want != sum(x * right[c].get(r, 0) for r, row in enumerate(
-                powers[j // 2].sparse_rows) for c, x in row.items()):
-            return False
-    return True
+    return all(row == {i: 2, (i - 1) % n: -1, (i + 1) % n: -1}
+               for i, row in enumerate(dtd.sparse_rows))
 
 
 def spectrum_for_predicates(fibre: DiscreteFibre, count: int = 8) -> FibreSpectrum:

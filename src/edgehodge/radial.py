@@ -4,19 +4,19 @@ Forms on the truncated cone over a fibre F are written
 omega = alpha(x) + dx ∧ beta(x) with alpha, beta taking values in the
 fibre cochain spaces.  This module provides:
 
-- the weighted local cohomology table (max: k < (f+1)/2 - a,
-  min: k <= (f-1)/2 - a), evaluated exactly, as are the pullback
-  thresholds and the root check below, by integer cross-multiplication
-  of the numerators and denominators of a, lambda^2 and the roots;
+- the weighted local cohomology table (max: k <= ceil(lo), min:
+  k <= floor(lo), lo = (f-1)/2 - a, from ``stratified.weight_cuts``);
+  the pullback thresholds and the root check below are exact by integer
+  cross-multiplication of the numerators and denominators;
 - the pullback-norm threshold and its weight integral
   ∫_0^1 x^(f-2k-2a) dx, which is finite iff k < (f+1)/2 - a;
 - the slice constant K = (∫_{1/2}^1 x^(f-2k-2a) dx)^(-1);
 - the radial homotopy operator K_c(omega) = ∫_c^x beta(s) ds, exact
   for polynomial radial profiles, the closed-form bound coefficient for
-  its operator norm (log case at k = (f+1)/2 - a handled separately),
+  its operator norm (in Q; the log case at k = (f+1)/2 - a is refused),
   and the two weighted norms that bound compares, as finite sums;
 - minimal-domain membership for a fibre-harmonic mode x^gamma: inside
-  the open window ((f-1)/2 - a, (f+1)/2 - a) the radial coefficient
+  the open window (lo, lo + 1) the radial coefficient
   must be o(1), i.e. gamma > 0, decided exactly from the exponent;
 - ``mode_exponent``, which checks that the closed-form pair of
   ``spectral.indicial_roots`` is the spectrum of the radial system
@@ -33,6 +33,7 @@ from fractions import Fraction
 from edgehodge import spectral
 from edgehodge.cochain import CochainComplex, QMatrix
 from edgehodge.errors import ConfigError
+from edgehodge.stratified import weight_cuts
 
 # largest |e + 1| at which slice_constant computes the exact constant
 SLICE_EXPONENT_BOUND = 10_000
@@ -59,14 +60,12 @@ class LocalCohomologyTable:
 
 def local_cohomology(f_betti, f: int, a) -> LocalCohomologyTable:
     """Weighted max/min cohomology of the truncated cone over a fibre
-    with the given Betti numbers.  With a = n/d in lowest terms the cuts
-    k < (f+1)/2 - a and k <= (f-1)/2 - a are the integer tests
-    2kd < (f+1)d - 2n and 2kd <= (f-1)d - 2n."""
+    with the given Betti numbers: for lo = (f-1)/2 - a, max keeps the
+    degrees k < lo + 1, k <= ceil(lo), and min k <= lo, k <= floor(lo)."""
     a = a if isinstance(a, Fraction) else Fraction(a)
-    n, d = a.numerator, a.denominator
-    max_cut, min_cut = (f + 1) * d - 2 * n, (f - 1) * d - 2 * n
-    mx = tuple(b if 2 * k * d < max_cut else 0 for k, b in enumerate(f_betti))
-    mn = tuple(b if 2 * k * d <= min_cut else 0 for k, b in enumerate(f_betti))
+    floor_lo, ceil_lo = weight_cuts(f, a)
+    mx = tuple(b if k <= ceil_lo else 0 for k, b in enumerate(f_betti))
+    mn = tuple(b if k <= floor_lo else 0 for k, b in enumerate(f_betti))
     return LocalCohomologyTable(f, a, mx, mn)
 
 
@@ -246,34 +245,26 @@ def homotopy_K(form: PolyRadialForm, c) -> PolyRadialForm:
     return PolyRadialForm(fibre, form.degree - 1, alpha, {})._clean()
 
 
-def homotopy_bound_coefficient(k: int, f: int, a, c):
+def homotopy_bound_coefficient(k: int, f: int, a, c) -> Fraction:
     """Closed-form coefficient bounding ||K_c omega||^2 / ||beta||^2 in the
-    weighted norm; requires k < (f+3)/2 - a.  The threshold case
-    k = (f+1)/2 - a uses ∫_0^1 x |ln(x/c)| dx evaluated in closed form."""
+    weighted norm, in Q; requires k < (f+3)/2 - a.  Where it is not
+    rational it is a ValueError: the log case k = (f+1)/2 - a (w = 1),
+    a non-integer w = f - 2k - 2a + 2, or a c that is no int or Fraction."""
     a = Fraction(a)
     e = Fraction(f - 2 * k) - 2 * a
     if e <= -3:
         raise ValueError("homotopy bound needs k < (f+3)/2 - a")
-    cf = float(c)
-    if e == -1:
-        return cf * cf / 2.0 - 0.25 - math.log(cf) / 2.0
     w = e + 2
-    if w.denominator == 1 and isinstance(c, (int, Fraction)):
-        cq = Fraction(c)
-        wi = int(w)
+    if w == 1 or w.denominator != 1 or not isinstance(c, (int, Fraction)):
+        raise ValueError(f"the bound coefficient at w = {w}, c = {c!r} is not rational")
+    cq = Fraction(c)
+    wi = int(w)
 
-        def g(x: Fraction) -> Fraction:
-            return x * x / 2 - cq ** (1 - wi) * x ** (wi + 1) / (wi + 1)
+    def g(x: Fraction) -> Fraction:
+        return x * x / 2 - cq ** (1 - wi) * x ** (wi + 1) / (wi + 1)
 
-        total = abs(g(cq)) + abs(g(Fraction(1)) - g(cq))
-        return total / abs(1 - w)
-    wf = float(w)
-
-    def gf(x: float) -> float:
-        return x * x / 2.0 - cf ** (1.0 - wf) * x ** (wf + 1.0) / (wf + 1.0)
-
-    total = abs(gf(cf)) + abs(gf(1.0) - gf(cf))
-    return total / abs(1.0 - wf)
+    total = abs(g(cq)) + abs(g(Fraction(1)) - g(cq))
+    return total / abs(1 - w)
 
 
 def _norm_sq(coeffs: dict[int, tuple[Fraction, ...]], w: Fraction) -> Fraction:
@@ -299,8 +290,6 @@ def homotopy_bound_holds(form: PolyRadialForm, f: int, a, c) -> bool:
     ``homotopy_bound_coefficient``, in Q; ValueError where C is not
     rational (the log case, a non-integer exponent or a float c)."""
     coeff = homotopy_bound_coefficient(form.degree, f, a, c)
-    if not isinstance(coeff, Fraction):
-        raise ValueError(f"the bound coefficient {coeff!r} is not rational")
     k_sq, beta_sq = homotopy_norms(form, f, a, c)
     return k_sq <= coeff * beta_sq
 
@@ -310,16 +299,13 @@ def homotopy_bound_holds(form: PolyRadialForm, f: int, a, c) -> bool:
 
 
 def window_position(k: int, f: int, a) -> str:
-    """Where a degree lies against the open membership window: "inside",
-    "boundary" or "outside"; reports flag an endpoint as boundary though
-    its membership answer is the outside one."""
-    a = Fraction(a)
-    lo = Fraction(f - 1, 2) - a
-    hi = Fraction(f + 1, 2) - a
-    kq = Fraction(k)
-    if kq == lo or kq == hi:
-        return "boundary"
-    return "inside" if lo < kq < hi else "outside"
+    """Where a degree lies against the open membership window (lo, lo + 1),
+    lo = (f-1)/2 - a: "inside", "boundary" or "outside"; reports flag an
+    endpoint as boundary though its membership answer is the outside one."""
+    floor_lo, ceil_lo = weight_cuts(f, a)
+    if floor_lo == ceil_lo:
+        return "boundary" if k in (floor_lo, floor_lo + 1) else "outside"
+    return "inside" if k == ceil_lo else "outside"
 
 
 def min_membership(k: int, f: int, a, gamma) -> bool:

@@ -18,6 +18,8 @@ window boundary is classified non-critical and surfaced separately as
 a boundary contact.  ``window_roots`` answers both from one scan of the
 window; the ``spectral`` command and ``report.run`` read both parts,
 and ``essentially_selfadjoint``, which ``verify`` reads, the first.
+``unique_closed_extension_d`` reads the weight window (lo, lo + 1),
+lo = (f-1)/2 - a, from ``stratified.weight_cuts``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Sequence
 
 from edgehodge.cochain import parse_rational
 from edgehodge.errors import ModelInvariantError
+from edgehodge.stratified import weight_cuts
 
 Number = Fraction | float
 
@@ -254,21 +257,9 @@ def essentially_selfadjoint(f: int, a, spec: FibreSpectrum) -> bool:
 
 
 def unique_closed_extension_d(f: int, a, f_betti: Sequence[int]) -> bool:
-    """True iff the window ((f-1)/2 - a, (f+1)/2 - a) traps no fibre
-    cohomology: either it contains no integer, or the one integer q it
-    contains has betti[q] = 0.
-
-    With a = n/d in lowest terms the window's ends are lo_num / (2d) and
-    lo_num / (2d) + 1 for lo_num = (f - 1) d - 2n; it has length one, so
-    the only candidate is q = floor(lo) + 1, and lo < q < hi is
-    lo_num < 2dq < lo_num + 2d.
-    """
-    a = _weight(a)
-    den = 2 * a.denominator
-    lo_num = (f - 1) * a.denominator - 2 * a.numerator
-    q = lo_num // den + 1
-    if not (lo_num < q * den < lo_num + den):
-        return True
-    if q < 0 or q >= len(f_betti):
-        return True
-    return f_betti[q] == 0
+    """True iff the window (lo, lo + 1), lo = (f-1)/2 - a, traps no fibre
+    cohomology: either lo is an integer, so the open window holds none,
+    or the one integer it holds, ceil(lo), has no nonzero Betti number."""
+    floor_lo, ceil_lo = weight_cuts(f, a)
+    return (floor_lo == ceil_lo or not 0 <= ceil_lo < len(f_betti)
+            or f_betti[ceil_lo] == 0)

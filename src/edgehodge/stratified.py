@@ -165,14 +165,24 @@ class Perversity(Fraction):
         return self
 
 
+def weight_cuts(f: int, a) -> tuple[int, int]:
+    """(floor(lo), ceil(lo)) for lo = (f - 1)/2 - a = ((f - 1)d - 2n) / 2d,
+    a = n/d: the ends of the cone's weight window (lo, lo + 1), which
+    every weight decision reads."""
+    if not isinstance(a, (int, Fraction)):
+        a = Fraction(a)
+    num = (f - 1) * a.denominator - 2 * a.numerator
+    den = 2 * a.denominator
+    return num // den, -(-num // den)
+
+
 def middle_perversities(f: int) -> tuple[int, int]:
-    """Lower and upper middle perversity values at codimension f+1."""
+    """Lower and upper middle perversity values at codimension f+1: the
+    min and max perversities of the weight 0."""
     if f < 0:
         raise ValueError("link dimension must be nonnegative")
-    if f % 2 == 1:
-        m = (f - 1) // 2
-        return m, m
-    return f // 2, f // 2 - 1
+    floor_lo, ceil_lo = weight_cuts(f, 0)
+    return f - 1 - floor_lo, f - 1 - ceil_lo
 
 
 @dataclass(frozen=True)

@@ -1,36 +1,30 @@
 """Weight-to-perversity dictionary for weighted L2 de Rham cohomology.
 
-Two rounding brackets drive everything: floor(t) + 1, the least
-integer strictly greater than t, and ceil(t), the least integer >= t.
-For an incomplete edge metric with weight a the max/min extensions of d
-compute intersection cohomology at the perversities
+At weight a the cone over the link has one window, (lo, lo + 1) with
+lo = (f - 1)/2 - a: the max extension of d keeps the fibre degrees
+k < lo + 1, the min extension the degrees k <= lo.  For an incomplete
+edge metric the two extensions therefore compute intersection
+cohomology at the perversities
 
-    max:  mbar + floor(a - 1) + 1    (f odd)
-          mbar + floor(a - 1/2) + 1  (f even)
-    min:  mlow + ceil(a)             (f odd)
-          mlow + ceil(a - 1/2)       (f even)
+    max:  f - 1 - ceil(lo)
+    min:  f - 1 - floor(lo)
 
-and the minimal Hodge cohomology is the image of the min-perversity
-group in the max-perversity one.  For a complete edge metric, degree k
-is infinite-dimensional exactly when k = j + (b+1)/2 hits a nonzero
-fibre Betti number, and otherwise equals IH at perversity f + b/2 - k.
+whose truncation cutoffs f - 1 - p are ceil(lo) and floor(lo); at
+a = 0 they are the middle perversities.  The minimal Hodge cohomology
+is the image of the min-perversity group in the max-perversity one.
+For a complete edge metric, degree k is infinite-dimensional exactly
+when k = j + (b+1)/2 hits a nonzero fibre Betti number, and otherwise
+equals IH at perversity f + b/2 - k.
 
 Weights are exact rationals end to end, and every answer is read in
-integers.  With a = n/d in lowest terms, d > 0, the brackets above are
-floor divisions:
-
-    max:  mbar + n // d                    (f odd: floor a)
-          mbar + (2n - d) // 2d + 1        (f even)
-    min:  mlow - (-n // d)                 (f odd: ceil a)
-          mlow - ((d - 2n) // 2d)          (f even)
-
-so a query resolves its weight to two integer perversities, and so to
-two truncation cutoffs c1 <= c2 of the space's rank table, without any
-Fraction arithmetic, and its graded dimensions are one lookup in the
-table's answers, ``RankTable.dims[c1, c2]``.  The complete-metric test
-is in integers as well: j is an integer only for odd b, and then
-j = k - (b + 1) // 2; a finite degree reads its IH dimension from the
-same table.
+integers.  ``stratified.weight_cuts`` gives floor(lo) and ceil(lo) as
+two floor divisions, so a query resolves its weight to two integer
+perversities, and so to two truncation cutoffs c1 <= c2 of the space's
+rank table, without any Fraction arithmetic, and its graded dimensions
+are one lookup in the table's answers, ``RankTable.dims[c1, c2]``.  The
+complete-metric test is in integers as well: j is an integer only for
+odd b, and then j = k - (b + 1) // 2; a finite degree reads its IH
+dimension from the same table.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from edgehodge.stratified import EdgeSpaceModel, Perversity, middle_perversities
+from edgehodge.stratified import EdgeSpaceModel, Perversity, weight_cuts
 
 
 @dataclass(frozen=True)
@@ -67,22 +61,10 @@ def _fraction(a) -> Fraction:
     return a if isinstance(a, Fraction) else Fraction(a)
 
 
-def _max_value(f: int, a: Fraction) -> int:
-    """Max-extension perversity of the weight a, as an integer."""
-    _, mbar = middle_perversities(f)
-    n, d = a.numerator, a.denominator
-    if f % 2 == 1:
-        return mbar + n // d
-    return mbar + (2 * n - d) // (2 * d) + 1
-
-
-def _min_value(f: int, a: Fraction) -> int:
-    """Min-extension perversity of the weight a, as an integer."""
-    mlow, _ = middle_perversities(f)
-    n, d = a.numerator, a.denominator
-    if f % 2 == 1:
-        return mlow - (-n // d)
-    return mlow - (d - 2 * n) // (2 * d)
+def _perversities(f: int, a: Fraction) -> tuple[int, int]:
+    """(max, min) perversities of a: f - 1 - ceil(lo), f - 1 - floor(lo)."""
+    floor_lo, ceil_lo = weight_cuts(f, a)
+    return f - 1 - ceil_lo, f - 1 - floor_lo
 
 
 def _report(space: EdgeSpaceModel, a: Fraction, ext: str, p_src: int,
@@ -97,7 +79,7 @@ def _report(space: EdgeSpaceModel, a: Fraction, ext: str, p_src: int,
 
 def _weight_reports(space: EdgeSpaceModel, a: Fraction) -> tuple[WeightedReport, ...]:
     """The max, min and minimal-Hodge reports of the weight a."""
-    p_max, p_min = _max_value(space.f, a), _min_value(space.f, a)
+    p_max, p_min = _perversities(space.f, a)
     return (_report(space, a, "max", p_max, p_max),
             _report(space, a, "min", p_min, p_min),
             _report(space, a, "minimal-hodge", p_min, p_max))
@@ -106,12 +88,10 @@ def _weight_reports(space: EdgeSpaceModel, a: Fraction) -> tuple[WeightedReport,
 def weighted_derham_dims(space: EdgeSpaceModel, a, ext: str) -> WeightedReport:
     """Weighted de Rham dimensions for extension ``ext`` in {"max","min"}."""
     a = _fraction(a)
-    if ext == "max":
-        p = _max_value(space.f, a)
-    elif ext == "min":
-        p = _min_value(space.f, a)
-    else:
+    if ext not in ("max", "min"):
         raise ValueError(f"extension must be 'max' or 'min', got {ext!r}")
+    p_max, p_min = _perversities(space.f, a)
+    p = p_max if ext == "max" else p_min
     return _report(space, a, ext, p, p)
 
 
@@ -121,7 +101,8 @@ def minimal_hodge_dims(space: EdgeSpaceModel, a) -> WeightedReport:
     perversity is never below the max one, so its truncation sits
     inside the max one's."""
     a = _fraction(a)
-    return _report(space, a, "minimal-hodge", _min_value(space.f, a), _max_value(space.f, a))
+    p_max, p_min = _perversities(space.f, a)
+    return _report(space, a, "minimal-hodge", p_min, p_max)
 
 
 def complete_l2(space: EdgeSpaceModel, k: int) -> CompleteL2Answer:

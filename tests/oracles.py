@@ -9,8 +9,9 @@ the loader still reads and some fixtures edit entry by entry.  The
 float radial lab (``fit_mode_exponent``, a log-grid fit of the indicial
 exponents, and ``homotopy_operator_estimate``, a trapezoid of the
 homotopy norms) is the numeric counterpart of ``radial``'s exact checks,
-and a few names the package has no reader for are kept here as the
-tests' references.
+the weight dictionary's parity and bracket cases are the counterpart of
+the one window of ``stratified.weight_cuts``, and a few names the
+package has no reader for are kept here as the tests' references.
 """
 
 from __future__ import annotations
@@ -319,22 +320,66 @@ def ih_dim(space, p, k: int) -> int:
     return dims[k] if k < len(dims) else 0
 
 
-def max_perversity(f: int, a):
-    """The max-extension perversity of the weight a
-    (``weights._max_value``)."""
-    from edgehodge.stratified import Perversity
-    from edgehodge.weights import _fraction, _max_value
+# ---------------------------------------------------------------------------
+# the weight window case by case, by the parity of f and two brackets,
+# against which every reader of ``stratified.weight_cuts`` is compared
 
-    return Perversity(_max_value(f, _fraction(a)))
+
+def _max_value(f: int, a: Fraction) -> int:
+    """Max-extension perversity of the weight a, as an integer."""
+    _, mbar = middle_perversities(f)
+    n, d = a.numerator, a.denominator
+    if f % 2 == 1:
+        return mbar + n // d
+    return mbar + (2 * n - d) // (2 * d) + 1
+
+
+def _min_value(f: int, a: Fraction) -> int:
+    """Min-extension perversity of the weight a, as an integer."""
+    mlow, _ = middle_perversities(f)
+    n, d = a.numerator, a.denominator
+    if f % 2 == 1:
+        return mlow - (-n // d)
+    return mlow - (d - 2 * n) // (2 * d)
+
+
+def max_perversity(f: int, a):
+    """The max-extension perversity of the weight a, by the parity of f
+    (``weights._perversities``)."""
+    from edgehodge.stratified import Perversity
+
+    return Perversity(_max_value(f, Fraction(a)))
 
 
 def min_perversity(f: int, a):
-    """The min-extension perversity of the weight a
-    (``weights._min_value``)."""
+    """The min-extension perversity of the weight a, by the parity of f
+    (``weights._perversities``)."""
     from edgehodge.stratified import Perversity
-    from edgehodge.weights import _fraction, _min_value
 
-    return Perversity(_min_value(f, _fraction(a)))
+    return Perversity(_min_value(f, Fraction(a)))
+
+
+def middle_perversities(f: int) -> tuple[int, int]:
+    """(mlow, mbar) at codimension f + 1, by the parity of f
+    (``stratified.middle_perversities``)."""
+    if f < 0:
+        raise ValueError("link dimension must be nonnegative")
+    if f % 2 == 1:
+        m = (f - 1) // 2
+        return m, m
+    return f // 2, f // 2 - 1
+
+
+def window_position_fraction(k: int, f: int, a) -> str:
+    """Where k lies against ((f-1)/2 - a, (f+1)/2 - a), in Fraction
+    arithmetic (``radial.window_position``)."""
+    a = Fraction(a)
+    lo = Fraction(f - 1, 2) - a
+    hi = Fraction(f + 1, 2) - a
+    kq = Fraction(k)
+    if kq == lo or kq == hi:
+        return "boundary"
+    return "inside" if lo < kq < hi else "outside"
 
 
 # ---------------------------------------------------------------------------

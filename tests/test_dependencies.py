@@ -143,3 +143,20 @@ assert not loaded, f"a run without suites loaded {loaded}"
 def test_run_without_suites_imports_neither_verify_nor_csv():
     proc = _run_blocked(LEAN_RUN)
     assert proc.returncode == 0, proc.stderr
+
+
+LEAN_WEIGHTS = """
+import sys
+
+import edgehodge.weights
+
+loaded = sorted(name for name in ("spectral", "radial", "fibredec", "report", "verify")
+                if "edgehodge." + name in sys.modules)
+assert not loaded, f"importing edgehodge.weights loaded {loaded}"
+"""
+
+
+def test_weights_imports_no_cone_or_report_module():
+    # the weight window lives in stratified, which weights already reads
+    proc = _run_blocked(LEAN_WEIGHTS)
+    assert proc.returncode == 0, proc.stderr

@@ -184,6 +184,12 @@ def test_certificate_rejects_wrong_operators():
     ends[0][0] = ends[-1][-1] = 2
     assert not certify_circle_spectrum(QMatrix(n, n, ends))
     assert not certify_circle_spectrum(QMatrix(n, n + 1, [[0] * (n + 1)] * n))
+    # a relabelled cycle P dᵀd Pᵀ has the cycle's spectrum, but the
+    # certificate reads the circulant in the cycle's own vertex order
+    perm = [(3 * i) % n for i in range(n // 3)] + [i for i in range(n) if i % 3]
+    relabelled = [[good[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    assert sorted(perm) == list(range(n)) and perm != list(range(n))
+    assert not certify_circle_spectrum(QMatrix(n, n, relabelled))
 
 
 def test_torus_hodge_duality_of_spectra():

@@ -238,11 +238,11 @@ def test_exact_homotopy_bound_needs_a_rational_coefficient():
         homotopy_norms(omega, 2, Fraction(3, 2), Fraction(3, 4))  # w = -1
 
 
-def test_homotopy_bound_log_case_positive():
+def test_homotopy_bound_log_case_is_refused():
     for c in (Fraction(21, 40), Fraction(3, 4), Fraction(9, 10)):
-        # exponent -1: k = (f+1)/2 - a
-        val = homotopy_bound_coefficient(1, 1, 0, c)
-        assert val > 0
+        # exponent -1: k = (f+1)/2 - a, where the coefficient holds ln c
+        with pytest.raises(ValueError, match="not rational"):
+            homotopy_bound_coefficient(1, 1, 0, c)
 
 
 def test_homotopy_bound_requires_hypothesis():

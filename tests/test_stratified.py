@@ -36,6 +36,8 @@ def test_middle_perversities_examples():
     assert middle_perversities(1) == (0, 0)
     assert middle_perversities(2) == (1, 0)
     assert middle_perversities(0) == (0, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        middle_perversities(-1)
 
 
 def test_cone_local_ih_torus_link():
